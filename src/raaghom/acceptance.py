@@ -9,6 +9,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -444,10 +445,16 @@ def criterion_11() -> CriterionResult:
 
 
 def _run_cli(args: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
+    # The child runs in another directory, so a relative PYTHONPATH entry
+    # would no longer find this package: put its absolute root first.
+    package_root = str(Path(__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "raaghom.cli", *args],
         capture_output=True,
         cwd=str(cwd),
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -16,10 +16,10 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .complexes import SimplicialComplex
-from .exact import ExactMatrix, FieldSpec, rank
+from .exact import FieldSpec
 from .fibring import (
     CoefficientRing,
     find_characters,
@@ -27,9 +27,10 @@ from .fibring import (
     virtually_fpn_fibred,
 )
 from .kernels import Character, InconsistencyError, PreconditionError, fpn_violation, kernel_betti
-from .raags import FiniteQuotient, Raag, abelian_quotient, cover_betti
+from .raags import FiniteQuotient, Raag, abelian_quotient, check_gradient_chain, cover_betti
 
 CACHE_ENV = "AGRARIAN_CACHE"
+CACHE_SCHEMA = 1
 
 
 class InputError(Exception):
@@ -157,22 +158,34 @@ def _cache_dir(args) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _cached_rank_hook(cache: Optional[Path], job_key: str):
-    """Memoise (job-key, degree) -> rank as small JSON files on disk."""
-    if cache is None:
-        return None
+def _cached_rank_hook(cache: Path, job_key: str):
+    """Memoise (job-key, degree) -> rank as small JSON files on disk.
+
+    An entry is ``{"schema": 1, "shape": [rows, cols], "rank": r}``.  It is
+    trusted only when its schema and matrix shape match and the rank fits
+    the shape; anything else is recomputed and overwritten, so a stale or
+    foreign file cannot change a report.
+    """
     cache.mkdir(parents=True, exist_ok=True)
 
-    def hook(degree: int, matrix: ExactMatrix) -> int:
+    def hook(degree: int, shape: tuple[int, int], compute: Callable[[], int]) -> int:
         digest = hashlib.sha256(f"{job_key}:{degree}".encode()).hexdigest()
         path = cache / f"rank-{digest}.json"
-        if path.exists():
-            try:
-                return int(json.loads(path.read_text())["rank"])
-            except (ValueError, KeyError, json.JSONDecodeError):
-                pass
-        r = rank(matrix)
-        _atomic_write(path, json.dumps({"rank": r}) + "\n")
+        try:
+            entry = json.loads(path.read_text())
+        except (OSError, ValueError):
+            entry = None
+        if (
+            isinstance(entry, dict)
+            and entry.get("schema") == CACHE_SCHEMA
+            and entry.get("shape") == list(shape)
+            and type(entry.get("rank")) is int
+            and 0 <= entry["rank"] <= min(shape)
+        ):
+            return entry["rank"]
+        r = compute()
+        entry = {"schema": CACHE_SCHEMA, "shape": list(shape), "rank": r}
+        _atomic_write(path, json.dumps(entry) + "\n")
         return r
 
     return hook
@@ -291,17 +304,23 @@ def _cmd_gradient(args) -> str:
         raise PreconditionError("complex is not flag")
     A = Raag(K)
     chain = _parse_chain(args.chain, A)
+    try:
+        check_gradient_chain(chain, args.degree)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     cache = _cache_dir(args)
     rows = []
     for q in chain:
-        hook = _cached_rank_hook(
-            cache,
-            _job_key(
-                json.dumps(K.to_json_dict(), sort_keys=True, default=str),
-                json.dumps(q.to_json_dict(), sort_keys=True),
-                field.token(),
-            ),
-        )
+        hook = None
+        if cache is not None:
+            hook = _cached_rank_hook(
+                cache,
+                _job_key(
+                    json.dumps(K.to_json_dict(), sort_keys=True, default=str),
+                    json.dumps(q.to_json_dict(), sort_keys=True),
+                    field.token(),
+                ),
+            )
         report = cover_betti(A, q, field, rank_hook=hook)
         b = report.betti[args.degree] if args.degree < len(report.betti) else 0
         rows.append((q.order, b, Fraction(b, q.order)))

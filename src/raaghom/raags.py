@@ -13,7 +13,9 @@ generators turns each group-ring entry into an N x N block and computes
 the homology of the corresponding finite cover; normalised by the cover
 degree these Betti numbers are the gradient approximants that the
 closed-form values `dfg_betti_raag` / `graph_product_betti` bound and,
-along suitable chains, match in the limit.
+along suitable chains, match in the limit.  For abelian quotients over a
+field whose characteristic does not divide N, `cover_betti` gets the same
+numbers from a character sum over living links instead.
 """
 
 from __future__ import annotations
@@ -255,16 +257,19 @@ class FiniteQuotient:
     """A finite permutation action of the RAAG generators on {0..N-1}.
 
     Each generator acts by a bijection; the actions of adjacent vertices
-    must commute so the RAAG relators hold in the quotient.
+    must commute so the RAAG relators hold in the quotient.  ``moduli``
+    maps each vertex to n_v when `abelian_quotient` built the action (the
+    regular action of the direct sum of Z/n_v) and is None otherwise.
     """
 
-    __slots__ = ("over", "order", "action", "inverse", "transitive")
+    __slots__ = ("over", "order", "action", "inverse", "transitive", "moduli")
 
     def __init__(self, over: Raag, order: int, action: Mapping[object, Sequence[int]]) -> None:
         if order < 1:
             raise ValueError("quotient order must be >= 1")
         self.over = over
         self.order = order
+        self.moduli: Optional[dict[object, int]] = None
         perms: dict[object, tuple[int, ...]] = {}
         for v in over.generators:
             if v not in action:
@@ -339,7 +344,9 @@ def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:
     """The quotient onto the direct sum of Z/n_v, acting regularly on itself.
 
     Vertices absent from ``moduli`` get modulus 1.  The order is the
-    product of the moduli and the action is transitive.
+    product of the moduli and the action is transitive.  The moduli are
+    recorded on the quotient, which is what lets `cover_betti` use the
+    character sum.
     """
     verts = A.generators
     n = {v: int(moduli.get(v, 1)) for v in verts}
@@ -361,7 +368,9 @@ def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:
             digit = (x // s) % nv
             perm.append(x + s * (((digit + 1) % nv) - digit))
         action[v] = perm
-    return FiniteQuotient(A, order, action)
+    q = FiniteQuotient(A, order, action)
+    q.moduli = n
+    return q
 
 
 def specialize(m: GroupRingMatrix, q: FiniteQuotient) -> ExactMatrix:
@@ -415,35 +424,133 @@ class CoverHomologyReport:
         }
 
 
+def _character_sum_betti(
+    L: SimplicialComplex, moduli: Mapping[object, int], field: FieldSpec
+) -> list[int]:
+    """Betti numbers of the abelian cover with moduli n_v, by characters.
+
+    Needs char F prime to N = prod n_v.  Then F[sum Z/n_v] splits (after
+    extending F) into characters chi; the Salvetti complex twisted by chi
+    only removes the living vertices W = {v : chi(v) != 1}, and after a
+    rescaling it splits over the dead faces s (the empty face included)
+    into augmented chains of the living links L[W & CN(s)], shifted by |s|,
+    where CN(s) is the set of common neighbours of s (L is flag).  The
+    prod_{v in W} (n_v - 1) characters with living set W all contribute
+    the same, so
+
+        b_k = sum_W prod_{v in W} (n_v - 1) * sum_s b~_{k-1-|s|}(L[W & CN(s)]).
+    """
+    verts = L.vertices
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    neighbours = dict.fromkeys(verts, 0)
+    for u, v in L.faces_of_dim(1):
+        neighbours[u] |= bit[v]
+        neighbours[v] |= bit[u]
+    faces = []  # (|s|, vertex mask of s, common neighbours of s)
+    for f in L.faces:
+        mask, common = 0, (1 << len(verts)) - 1
+        for v in f:
+            mask |= bit[v]
+            common &= neighbours[v]
+        faces.append((len(f), mask, common))
+    living_sets = [(0, 1)]  # (mask of W, number of characters with living set W)
+    for v in verts:
+        if moduli[v] > 1:
+            living_sets += [(w | bit[v], c * (moduli[v] - 1)) for w, c in living_sets]
+    profiles: dict[int, tuple[int, ...]] = {}
+    betti = [0] * (L.dim + 2)
+    for w, count in living_sets:
+        for size, mask, common in faces:
+            if mask & w:
+                continue
+            living = common & w
+            profile = profiles.get(living)
+            if profile is None:
+                sub = L.full_subcomplex(v for v in verts if living & bit[v])
+                profile = profiles[living] = reduced_betti(sub, field).reduced_betti
+            for i, b in enumerate(profile):  # profile[i] is b~_{i-1}
+                if b:
+                    betti[size + i] += count * b
+    return betti
+
+
+def _ranks_from_betti(betti: Sequence[int], cells: Sequence[int], N: int) -> list[int]:
+    """Boundary ranks r_0 = 0, r_{k+1} = cells_k * N - b_k - r_k, checked.
+
+    Each rank must fit its matrix and the top equation must close with
+    r_{top+1} = 0, which is chi(cover) = N * chi(Salvetti); a failure is a
+    bug in the Betti numbers and raises rather than being corrected.
+    """
+    ranks = [0]
+    for k, b in enumerate(betti):
+        r = cells[k] * N - b - ranks[k]
+        limit = min(cells[k], cells[k + 1]) * N if k + 1 < len(cells) else 0
+        if not 0 <= r <= limit:
+            raise ArithmeticError(f"rank of d_{k + 1} would be {r}, outside [0, {limit}]")
+        ranks.append(r)
+    return ranks
+
+
 def cover_betti(
     A: Raag,
     q: FiniteQuotient,
     field: FieldSpec,
     *,
-    rank_hook: Optional[Callable[[int, ExactMatrix], int]] = None,
+    rank_hook: Optional[Callable[[int, tuple[int, int], Callable[[], int]], int]] = None,
 ) -> CoverHomologyReport:
     """Betti numbers of the finite cover determined by a quotient.
 
     In degree k the answer is (#k-cells) * N - rank d_k - rank d_{k+1};
-    degree 0 comes out as the number of orbits of the action.  The
-    optional ``rank_hook(degree, matrix)`` lets callers memoise ranks.
+    degree 0 comes out as the number of orbits of the action.  The ranks
+    come from one of two computations:
+
+    * an abelian quotient from `abelian_quotient` over a field whose
+      characteristic does not divide N: the Betti numbers are a character
+      sum over living links (`_character_sum_betti`), and the ranks follow
+      from them, checked against each matrix shape and the Euler
+      characteristic (ArithmeticError on a mismatch);
+    * every other quotient, and char F dividing N: each boundary is
+      specialised to an N-fold block matrix and eliminated.
+
+    The optional ``rank_hook(degree, shape, compute)`` lets callers memoise
+    ranks: ``shape`` is the (rows, cols) of the specialised boundary and
+    ``compute()`` returns its rank, building the matrix only when called.
+    The hook returns the rank.
     """
+    if q.over != A:
+        raise ValueError("quotient is for a different group")
     L = A.complex
     N = q.order
     top = L.dim + 1
+    cells = [L.n_faces(k - 1) for k in range(top + 1)]
+    if q.moduli is not None and (field.char == 0 or N % field.char):
+        known = _ranks_from_betti(_character_sum_betti(L, q.moduli, field), cells, N)
+        compute = known.__getitem__
+    else:
+        def compute(k: int) -> int:
+            return rank(specialize(salvetti_boundary(A, k, field), q))
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        mat = specialize(salvetti_boundary(A, k, field), q)
-        ranks[k] = rank_hook(k, mat) if rank_hook is not None else rank(mat)
-    betti = []
-    for k in range(top + 1):
-        d_k = L.n_faces(k - 1)
-        betti.append(d_k * N - ranks[k] - ranks[k + 1])
+        if rank_hook is None:
+            ranks[k] = compute(k)
+        else:
+            shape = (cells[k - 1] * N, cells[k] * N)
+            ranks[k] = rank_hook(k, shape, lambda k=k: compute(k))
+    betti = [cells[k] * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     return CoverHomologyReport(
         order=N,
         betti=tuple(betti),
         normalized=tuple(Fraction(b, N) for b in betti),
     )
+
+
+def check_gradient_chain(chain: Sequence[FiniteQuotient], degree: int) -> None:
+    """Raise ValueError unless degree >= 0 and the orders never decrease."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    orders = [q.order for q in chain]
+    if any(orders[i] > orders[i + 1] for i in range(len(orders) - 1)):
+        raise ValueError("quotient orders must be nondecreasing")
 
 
 def gradient_sequence(
@@ -453,9 +560,7 @@ def gradient_sequence(
 
     The values are reported raw; no convergence judgement is made.
     """
-    orders = [q.order for q in chain]
-    if any(orders[i] > orders[i + 1] for i in range(len(orders) - 1)):
-        raise ValueError("quotient orders must be nondecreasing")
+    check_gradient_chain(chain, degree)
     out = []
     for q in chain:
         report = cover_betti(A, q, field)

@@ -172,6 +172,43 @@ class TestGradient:
         assert code == 0
         assert list(cache.glob("rank-*.json"))
 
+    @pytest.mark.parametrize("field", ["Q", "F2"])  # character sum, elimination
+    def test_cache_entries_with_wrong_shape_or_no_schema_are_recomputed(self, workdir, capsys, field):
+        cache = workdir / "cache"
+        args = (
+            "gradient", "--complex", "c4.json", "--field", field,
+            "--chain", "abelian:2", "--degree", "2", "--cache", str(cache),
+        )
+        code, fresh, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(fresh)["betti"] == [25]
+        entries = sorted(cache.glob("rank-*.json"))
+        assert len(entries) == 2  # degrees 1 and 2
+        good = {p: json.loads(p.read_text()) for p in entries}
+        assert sorted(e["shape"] for e in good.values()) == [[16, 64], [64, 64]]
+        assert all(e["schema"] == 1 for e in good.values())
+        wrong_shape, no_schema = entries
+        wrong_shape.write_text(json.dumps({"schema": 1, "shape": [1, 1], "rank": 0}))
+        no_schema.write_text(json.dumps({"rank": 0}))
+        code, again, _ = run_cli(capsys, *args)
+        assert code == 0 and again == fresh
+        assert {p: json.loads(p.read_text()) for p in entries} == good
+
+    def test_negative_degree_is_input_error(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
+            "--chain", "abelian:2", "--degree", "-1",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_decreasing_chain_is_input_error(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
+            "--chain", "abelian:3,2", "--degree", "1",
+        )
+        assert code == 2 and out == ""
+        assert "nondecreasing" in json.loads(err)["error"]["message"]
+
     def test_explicit_quotient_file(self, workdir, capsys):
         (workdir / "q.json").write_text(
             json.dumps({"type": "explicit", "order": 2, "action": {"a": [1, 0], "b": [0, 1]}})

@@ -7,7 +7,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raaghom import raags
 from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import F2, QQ, FieldSpec, rank
 from raaghom.raags import (
@@ -27,6 +30,7 @@ from raaghom.raags import (
 from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
 
 F3 = FieldSpec.prime_field(3)
+F5 = FieldSpec.prime_field(5)
 
 
 def raag_two_points() -> Raag:
@@ -223,6 +227,96 @@ class TestCoverBetti:
         assert obj["normalized"][1] == "5/4"
 
 
+def _eliminated_betti(A: Raag, q: FiniteQuotient, field: FieldSpec) -> list[int]:
+    """Cover Betti numbers by specialising and eliminating every boundary."""
+    L, N = A.complex, q.order
+    top = L.dim + 1
+    ranks = [rank(specialize(salvetti_boundary(A, k, field), q)) for k in range(1, top + 1)]
+    ranks = [0] + ranks + [0]
+    return [L.n_faces(k - 1) * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+
+
+@st.composite
+def abelian_covers(draw):
+    """A flag complex on <= 6 vertices, moduli with N <= 150, char F prime to N."""
+    field = draw(st.sampled_from((QQ, F3, F5)))
+    n = draw(st.integers(0, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    L = flag_completion(range(n), edges)
+    moduli, order = {}, 1
+    for v in range(n):
+        allowed = [m for m in range(1, 8) if order * m <= 150 and (field.char == 0 or m % field.char)]
+        moduli[v] = draw(st.sampled_from(allowed))
+        order *= moduli[v]
+    return Raag(L), moduli, field
+
+
+class TestCharacterSum:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(abelian_covers())
+    def test_matches_elimination(self, case):
+        A, moduli, field = case
+        q = abelian_quotient(A, moduli)
+        assert list(cover_betti(A, q, field).betti) == _eliminated_betti(A, q, field)
+
+    def test_abelian_prime_to_char_never_specialises(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("specialize called")
+
+        monkeypatch.setattr(raags, "specialize", refuse)
+        A = Raag(c4())
+        for field, n in ((QQ, 4), (F2, 3), (F3, 2), (F5, 6)):
+            q = abelian_quotient(A, {v: n for v in c4().vertices})
+            assert cover_betti(A, q, field).betti[2] == (n * n + 1) ** 2
+
+    def test_char_dividing_order_and_explicit_quotients_eliminate(self, monkeypatch):
+        class Specialised(Exception):
+            pass
+
+        def refuse(*args):
+            raise Specialised
+
+        monkeypatch.setattr(raags, "specialize", refuse)
+        A = raag_two_points()
+        with pytest.raises(Specialised):
+            cover_betti(A, abelian_quotient(A, {"a": 2, "b": 4}), F2)
+        with pytest.raises(Specialised):
+            cover_betti(A, FiniteQuotient(A, 2, {"a": [1, 0], "b": [0, 1]}), QQ)
+
+    def test_hook_sees_shapes_and_ranks_on_both_paths(self):
+        A = Raag(c4())
+        for field in (QQ, F2):
+            q = abelian_quotient(A, {v: 2 for v in c4().vertices})
+            seen = []
+
+            def hook(degree, shape, compute):
+                seen.append((degree, shape))
+                return compute()
+
+            report = cover_betti(A, q, field, rank_hook=hook)
+            assert seen == [(1, (16, 64)), (2, (64, 64))]
+            assert report.betti == cover_betti(A, q, field).betti
+
+    def test_inconsistent_betti_numbers_raise(self, monkeypatch):
+        real = raags._character_sum_betti
+
+        def off_by_one(*args):
+            betti = real(*args)
+            betti[1] += 1
+            return betti
+
+        monkeypatch.setattr(raags, "_character_sum_betti", off_by_one)
+        A = raag_two_points()
+        with pytest.raises(ArithmeticError, match="d_"):
+            cover_betti(A, abelian_quotient(A, {"a": 3, "b": 3}), QQ)
+
+    def test_quotient_of_another_group_rejected(self):
+        q = abelian_quotient(raag_edge(), {"a": 2})
+        with pytest.raises(ValueError):
+            cover_betti(raag_two_points(), q, QQ)
+
+
 class TestGradientSequence:
     def test_z2_torus_gradient(self):
         A = raag_edge()
@@ -246,6 +340,11 @@ class TestGradientSequence:
         chain = [abelian_quotient(A, {"a": 2, "b": 2}), abelian_quotient(A, {})]
         with pytest.raises(ValueError):
             gradient_sequence(A, chain, QQ, 1)
+
+    def test_negative_degree_rejected(self):
+        A = raag_two_points()
+        with pytest.raises(ValueError):
+            gradient_sequence(A, [abelian_quotient(A, {"a": 2, "b": 2})], QQ, -1)
 
 
 class TestClosedForms:
