@@ -21,8 +21,6 @@ from math import comb
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from .complexes import (
     ChainVector,
     SimplicialComplex,
@@ -367,24 +365,30 @@ def criterion_8(seed: int = 0) -> CriterionResult:
 
 
 def nonisomorphic_graphs(max_vertices: int):
-    """One representative edge list per isomorphism class, all vertex counts."""
+    """One representative edge list per isomorphism class, all vertex counts.
+
+    Edge sets are bitmasks over the vertex pairs.  Masks are scanned in
+    ascending order; each one not yet seen is the least of its S_n orbit,
+    so it is emitted and its whole orbit is marked as seen.
+    """
     for n in range(max_vertices + 1):
         pairs = list(combinations(range(n), 2))
-        m = len(pairs)
-        if m == 0:
-            yield n, ()
-            continue
-        masks = np.arange(1 << m, dtype=np.int64)
-        canon = masks.copy()
         pair_index = {p: i for i, p in enumerate(pairs)}
-        for perm in permutations(range(n)):
-            remap = [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-            image = np.zeros_like(masks)
-            for e in range(m):
-                image |= ((masks >> e) & 1) << remap[e]
-            np.minimum(canon, image, out=canon)
-        for mask in np.nonzero(canon == masks)[0]:
-            yield n, tuple(pairs[e] for e in range(m) if mask >> e & 1)
+        remaps = [
+            [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in permutations(range(n))
+        ]
+        seen = bytearray(1 << len(pairs))
+        for mask in range(len(seen)):
+            if seen[mask]:
+                continue
+            edges = [e for e in range(len(pairs)) if mask >> e & 1]
+            yield n, tuple(pairs[e] for e in edges)
+            for remap in remaps:
+                image = 0
+                for e in edges:
+                    image |= 1 << remap[e]
+                seen[image] = 1
 
 
 def criterion_9() -> CriterionResult:

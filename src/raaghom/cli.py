@@ -438,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", required=True, help="Q, F2, ..., Z, or Z/6")
     p.add_argument("--n", type=int, required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_fibring)
+    p.set_defaults(run=_cmd_fibring, minimums={"n": 0})
 
     p = sub.add_parser("gradient", help="normalised cover Betti numbers along a quotient chain")
     p.add_argument("--complex", required=True)
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_characters)
+    p.set_defaults(run=_cmd_characters, minimums={"bound": 1})
 
     p = sub.add_parser("kaz-check", help="closed form <= normalised cover Betti, per quotient")
     p.add_argument("--complex", required=True)
@@ -463,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotients", required=True, help="abelian:... or quotient JSON files")
     p.add_argument("--max-degree", type=int, required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_kaz_check)
+    p.set_defaults(run=_cmd_kaz_check, minimums={"max_degree": 0})
 
     p = sub.add_parser("report", help="run the acceptance suite and print a pass/fail table")
     p.add_argument("--seed", type=int, default=0)
@@ -474,10 +474,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_minimums(args) -> None:
+    """Reject integer arguments below the least value their command accepts."""
+    for name, least in getattr(args, "minimums", {}).items():
+        value = getattr(args, name)
+        if value < least:
+            raise InputError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_minimums(args)
         result = args.run(args)
     except InputError as e:
         sys.stderr.write(json.dumps({"error": {"kind": "input", "message": str(e)}}) + "\n")

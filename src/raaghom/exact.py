@@ -7,11 +7,17 @@ into [0, p), integer matrices use Python ints.  No floating point is used
 anywhere; exactness is the correctness contract.
 
 Matrices are stored sparsely as {(row, col): value} with no explicit
-zeros.  Rank uses Gaussian elimination with Markowitz-style pivoting:
-pick the nonzero entry minimising the fill-in estimate
-(nnz(row) - 1) * (nnz(col) - 1), ties broken by lowest (row, col).  The
-block-permutation matrices arising from finite covers stay sparse under
-this strategy.
+zeros.  `rank` and `smith_normal_form` keep the rows in buckets by
+number of nonzeros, updated as elimination changes row lengths, so a
+pivot is found without rescanning the matrix:
+- `rank` pivots in the lowest-index shortest row, on its entry whose
+  column has the fewest nonzeros (lowest column on ties);
+- `smith_normal_form` pivots on a +-1 entry of the shortest row that
+  holds one, and falls back to the entry of least absolute value only
+  when no unit remains.
+Rank and elementary divisors do not depend on the pivot order.  `solve`
+and `nullspace` do: they eliminate columns left to right (`_echelon`), so
+their answers are the ones their docstrings specify.
 """
 
 from __future__ import annotations
@@ -336,8 +342,8 @@ class SmithForm:
 # ---------------------------------------------------------------------------
 
 
-def _row_index(m: ExactMatrix) -> tuple[dict[int, dict[int, Scalar]], dict[int, set[int]]]:
-    rows: dict[int, dict[int, Scalar]] = {}
+def _row_index(m: Union[ExactMatrix, IntMatrix]) -> tuple[dict[int, dict], dict[int, set[int]]]:
+    rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
@@ -345,49 +351,92 @@ def _row_index(m: ExactMatrix) -> tuple[dict[int, dict[int, Scalar]], dict[int, 
     return rows, cols
 
 
+def _length_buckets(rows: Mapping[int, Mapping]) -> dict[int, set[int]]:
+    """Row ids grouped by their number of nonzeros: {nnz: {row, ...}}."""
+    buckets: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        buckets.setdefault(len(row), set()).add(r)
+    return buckets
+
+
+def _rebucket(buckets: dict[int, set[int]], r: int, old: int, new: int) -> None:
+    """Move row r from the bucket for length old to the one for length new.
+
+    Length 0 means "no row": old == 0 only adds, new == 0 only removes.
+    Empty buckets are deleted, so ``min(buckets)`` is the shortest row length.
+    """
+    if old:
+        bucket = buckets[old]
+        bucket.discard(r)
+        if not bucket:
+            del buckets[old]
+    if new:
+        bucket = buckets.get(new)
+        if bucket is None:
+            buckets[new] = {r}
+        else:
+            bucket.add(r)
+
+
+def _pop_row(rows, cols, buckets, r: int) -> dict:
+    """Remove row r from the row, column and bucket indexes and return it."""
+    row = rows.pop(r)
+    _rebucket(buckets, r, len(row), 0)
+    for c in row:
+        rest = cols[c]
+        rest.discard(r)
+        if not rest:
+            del cols[c]
+    return row
+
+
 def rank(m: ExactMatrix) -> int:
-    """Field rank by sparse elimination with Markowitz pivot selection."""
+    """Field rank by sparse elimination.
+
+    Pivot row: the lowest-index row among those with the fewest nonzeros.
+    Pivot column: the entry of that row whose column has the fewest
+    nonzeros, ties at the lowest column.  Rows are kept in buckets by
+    length, so choosing a pivot never rescans the matrix.
+    """
     fd = m.field
     rows, cols = _row_index(m)
+    buckets = _length_buckets(rows)
     rk = 0
-    while rows:
-        # Markowitz cost (nnz(row)-1)*(nnz(col)-1); ties at lowest (row, col).
-        # Rows are scanned in ascending order so a zero-cost hit ends the scan.
-        best = None
-        for r in sorted(rows):
-            row = rows[r]
-            rc = len(row) - 1
-            for c in row:
-                cost = rc * (len(cols[c]) - 1)
-                key = (cost, r, c)
-                if best is None or key < best:
-                    best = key
-            if best[0] == 0:
-                break
-        _, pr, pc = best
+    while buckets:
+        prow = _pop_row(rows, cols, buckets, min(buckets[min(buckets)]))
+        pc = -1
+        least = 0
+        for c in prow:
+            n = len(cols.get(c, ()))
+            if pc < 0 or n < least or (n == least and c < pc):
+                pc, least = c, n
         rk += 1
-        pivot_row = rows.pop(pr)
-        piv = pivot_row[pc]
-        for c in pivot_row:
-            cols[c].discard(pr)
-            if not cols[c]:
-                del cols[c]
-        for r in sorted(cols.get(pc, ())):
+        piv = prow.pop(pc)
+        for r in cols.pop(pc, ()):
             row = rows[r]
-            factor = fd.div(row[pc], piv)
-            for c, v in pivot_row.items():
+            old = len(row)
+            factor = fd.div(row.pop(pc), piv)
+            for c, v in prow.items():
                 cur = row.get(c)
-                new = fd.sub(cur, fd.mul(factor, v)) if cur is not None else fd.neg(fd.mul(factor, v))
-                if new == 0:
-                    if cur is not None:
-                        del row[c]
-                        cols[c].discard(r)
-                        if not cols[c]:
-                            del cols[c]
+                if cur is None:
+                    row[c] = fd.neg(fd.mul(factor, v))
+                    rest = cols.get(c)
+                    if rest is None:
+                        cols[c] = {r}
+                    else:
+                        rest.add(r)
                 else:
-                    row[c] = new
-                    if cur is None:
-                        cols.setdefault(c, set()).add(r)
+                    new = fd.sub(cur, fd.mul(factor, v))
+                    if new == 0:
+                        del row[c]
+                        rest = cols[c]
+                        rest.discard(r)
+                        if not rest:
+                            del cols[c]
+                    else:
+                        row[c] = new
+            if len(row) != old:
+                _rebucket(buckets, r, old, len(row))
             if not row:
                 del rows[r]
     return rk
@@ -486,46 +535,97 @@ def nullspace(m: ExactMatrix) -> list[list[Scalar]]:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form by gcd reduction, pivoting on least absolute value.
-
-    Phase one diagonalises with integer row/column operations; phase two
-    repairs the divisibility chain via gcd/lcm exchanges on the diagonal.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-
-    def set_entry(r: int, c: int, v: int) -> None:
-        if v == 0:
-            if c in rows.get(r, {}):
-                del rows[r][c]
-                if not rows[r]:
-                    del rows[r]
-                cols[c].discard(r)
-                if not cols[c]:
-                    del cols[c]
+def _add_row(rows, cols, buckets, src: int, dst: int, factor: int) -> None:
+    """Row dst += factor * row src (src != dst), keeping cols and buckets in step."""
+    row = rows[dst]
+    old = len(row)
+    for c, v in rows[src].items():
+        cur = row.get(c)
+        if cur is None:
+            row[c] = factor * v
+            cols.setdefault(c, set()).add(dst)
         else:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+            new = cur + factor * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
+                rest = cols[c]
+                rest.discard(dst)
+                if not rest:
+                    del cols[c]
+    if len(row) != old:
+        _rebucket(buckets, dst, old, len(row))
+    if not row:
+        del rows[dst]
 
-    def add_row(src: int, dst: int, factor: int) -> None:
-        for c, v in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) + factor * v)
 
-    def add_col(src: int, dst: int, factor: int) -> None:
-        for r in list(cols.get(src, set())):
-            v = rows[r][src]
-            set_entry(r, dst, rows.get(r, {}).get(dst, 0) + factor * v)
+def _add_col(rows, cols, buckets, src: int, dst: int, factor: int) -> None:
+    """Column dst += factor * column src (src != dst), keeping the indexes in step."""
+    for r in list(cols.get(src, ())):
+        row = rows[r]
+        old = len(row)
+        new = row.get(dst, 0) + factor * row[src]
+        if new:
+            row[dst] = new
+            cols.setdefault(dst, set()).add(r)
+        elif dst in row:
+            del row[dst]
+            rest = cols[dst]
+            rest.discard(r)
+            if not rest:
+                del cols[dst]
+        if len(row) != old:
+            _rebucket(buckets, r, old, len(row))
 
+
+def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
+    """A +-1 entry in the shortest row holding one, or (-1, -1) if there is none.
+
+    Rows of equal length are tried from the lowest index; within the row
+    the unit whose column has the fewest nonzeros wins, lowest column on ties.
+    """
+    for length in sorted(buckets):
+        for r in sorted(buckets[length]):
+            pc = -1
+            least = 0
+            for c, v in rows[r].items():
+                if v == 1 or v == -1:
+                    n = len(cols[c])
+                    if pc < 0 or n < least or (n == least and c < pc):
+                        pc, least = c, n
+            if pc >= 0:
+                return r, pc
+    return -1, -1
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form by sparse integer elimination.
+
+    Phase one diagonalises with integer row/column operations.  The pivot
+    is a +-1 entry from the shortest row that holds one (see
+    `_unit_pivot`): its column is cleared by row operations and its row
+    is dropped, giving elementary divisor 1 with no divisibility check,
+    since 1 divides everything.  Only when no unit remains is the pivot
+    the entry of least absolute value, ties at the lowest (row, col); it
+    is reduced by gcd steps until it divides the rest of the matrix.
+    Phase two repairs the divisibility chain via gcd/lcm exchanges on the
+    diagonal.
+    """
+    rows, cols = _row_index(m)
+    buckets = _length_buckets(rows)
     diagonal: list[int] = []
     while rows:
-        pr, pc = min(
-            ((r, c) for r, row in rows.items() for c in row),
-            key=lambda rc: (abs(rows[rc[0]][rc[1]]), rc[0], rc[1]),
-        )
+        pr, pc = _unit_pivot(rows, cols, buckets)
+        if pr >= 0:
+            piv = rows[pr][pc]
+            for r in list(cols[pc]):
+                if r != pr:
+                    _add_row(rows, cols, buckets, pr, r, -rows[r][pc] * piv)
+            _pop_row(rows, cols, buckets, pr)
+            diagonal.append(1)
+            continue
+        _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
         piv = rows[pr][pc]
         # clear the pivot column, then the pivot row; a nonzero remainder
         # produces a smaller entry and we re-select the pivot
@@ -535,7 +635,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 continue
             q = rows[r][pc] // piv
             if q:
-                add_row(pr, r, -q)
+                _add_row(rows, cols, buckets, pr, r, -q)
             if rows.get(r, {}).get(pc, 0) != 0:
                 dirty = True
         if dirty:
@@ -545,7 +645,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 continue
             q = rows[pr][c] // piv
             if q:
-                add_col(pc, c, -q)
+                _add_col(rows, cols, buckets, pc, c, -q)
             if rows.get(pr, {}).get(c, 0) != 0:
                 dirty = True
         if dirty or len(rows.get(pr, {})) > 1 or len(cols.get(pc, set())) > 1:
@@ -562,10 +662,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            add_row(offender, pr, 1)
+            _add_row(rows, cols, buckets, offender, pr, 1)
             continue
         diagonal.append(abs(piv))
-        set_entry(pr, pc, 0)
+        _pop_row(rows, cols, buckets, pr)
 
     # repair the divisibility chain (diag(a, b) ~ diag(gcd, lcm))
     ds = diagonal

@@ -7,7 +7,8 @@ two sides of every check stay independent.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 
 def dense_rank_rationals(rows: list[list[Fraction]]) -> int:
@@ -81,6 +82,26 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def determinantal_divisors(rows: list[list[int]]) -> list[int]:
+    """D_1, D_2, ..., D_r: D_k is the gcd of all k x k minors (Bareiss).
+
+    The list stops at the rank r, the largest k with a nonzero minor.  The
+    elementary divisors of the Smith form are D_k / D_{k-1}, with D_0 = 1.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    out: list[int] = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        g = 0
+        for rs in combinations(range(n_rows), k):
+            for cs in combinations(range(n_cols), k):
+                g = gcd(g, bareiss_determinant([[rows[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break
+        out.append(g)
+    return out
 
 
 def brute_force_has_solution(rows: list[list[int]], b: list[int], p: int, n_cols: int) -> bool:

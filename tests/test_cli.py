@@ -137,6 +137,24 @@ class TestFibringAndCharacters:
         assert code == 0
         assert json.loads(out)["holds"] is True
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("characters", "--complex", "two_points.json", "--field", "Q", "--n", "1", "--bound", "0"),
+            ("fibring", "--complex", "c4.json", "--ring", "Q", "--n", "-1"),
+            (
+                "kaz-check", "--complex", "two_points.json", "--field", "F2",
+                "--quotients", "abelian:2", "--max-degree", "-1",
+            ),
+        ],
+        ids=["characters-bound", "fibring-n", "kaz-check-max-degree"],
+    )
+    def test_out_of_range_argument_is_input_error(self, workdir, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and "must be >=" in error["message"]
+
 
 class TestGradient:
     def test_gradient_json(self, workdir, capsys):

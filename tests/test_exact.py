@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from raaghom.complexes import SimplicialComplex, boundary_matrix
 from raaghom.exact import (
     F2,
     QQ,
@@ -21,11 +24,13 @@ from raaghom.exact import (
     solve,
 )
 
+from fixtures import RP2_6_TRIANGLES
 from oracles import (
     bareiss_determinant,
     brute_force_has_solution,
     dense_rank_mod_p,
     dense_rank_rationals,
+    determinantal_divisors,
 )
 
 F3 = FieldSpec.prime_field(3)
@@ -45,6 +50,62 @@ def random_int_matrix(rng, rows, cols, density=0.5, lo=-4, hi=4):
 
 def dense_rows(m: IntMatrix) -> list[list[int]]:
     return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def oracle_rank(m: IntMatrix, field: FieldSpec) -> int:
+    if field.char == 0:
+        return dense_rank_rationals([[Fraction(v) for v in row] for row in dense_rows(m)])
+    return dense_rank_mod_p(dense_rows(m), field.char)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_dim=40, values=(-3, -2, -1, 1, 2, 3)):
+    """A random integer matrix up to max_dim x max_dim, 5-50% of entries nonzero."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    density = draw(st.sampled_from((0.05, 0.1, 0.2, 0.5)))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = {
+        (r, c): rng.choice(values) for r in range(rows) for c in range(cols) if rng.random() < density
+    }
+    return IntMatrix(rows, cols, entries)
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """The closure of up to 12 random faces of dimension <= 3 on <= 7 vertices."""
+    n = draw(st.integers(0, 7))
+    if not n:
+        return SimplicialComplex([])
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12))
+    return SimplicialComplex(range(n), faces)
+
+
+@st.composite
+def block_permutation_matrices(draw):
+    """Blocks 0, +-P or P - I for permutation matrices P, as finite covers give.
+
+    Most rows have the same length, so pivot search meets many ties and
+    rows move between length buckets as elimination proceeds.
+    """
+    n = draw(st.integers(1, 8))
+    block_rows, block_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries: dict[tuple[int, int], int] = {}
+    for i in range(block_rows):
+        for j in range(block_cols):
+            kind = draw(st.sampled_from(("zero", "plus", "minus", "shifted")))
+            if kind == "zero":
+                continue
+            perm = draw(st.permutations(range(n)))
+            for a in range(n):
+                key = (i * n + a, j * n + perm[a])
+                entries[key] = entries.get(key, 0) + (-1 if kind == "minus" else 1)
+                if kind == "shifted":
+                    diag = (i * n + a, j * n + a)
+                    entries[diag] = entries.get(diag, 0) - 1
+    return IntMatrix(block_rows * n, block_cols * n, entries)
 
 
 class TestFieldSpec:
@@ -95,6 +156,14 @@ class TestRank:
             for p in (2, 3, 5):
                 fp = FieldSpec.prime_field(p)
                 assert rank(m.over_field(fp)) == dense_rank_mod_p(rows, p)
+
+    @PROPERTY
+    @given(
+        st.one_of(sparse_int_matrices(), block_permutation_matrices()),
+        st.sampled_from((QQ, F2, F3)),
+    )
+    def test_matches_dense_oracle_property(self, m, field):
+        assert rank(m.over_field(field)) == oracle_rank(m, field)
 
     def test_rank_equals_rank_of_transpose(self):
         rng = random.Random(7)
@@ -214,6 +283,32 @@ class TestSmithNormalForm:
         for _ in range(30):
             m = random_int_matrix(rng, rng.randint(0, 5), rng.randint(0, 6))
             assert smith_normal_form(m).rank == rank(m.over_field(QQ))
+
+    @PROPERTY
+    @given(
+        st.one_of(
+            sparse_int_matrices(max_dim=5, values=(-6, -4, -3, -2, 2, 3, 4, 6)),
+            sparse_int_matrices(max_dim=5, values=range(-9, 10)),
+        )
+    )
+    def test_matches_determinantal_divisors(self, m):
+        # entries without units make the least-|value| pivot rule run
+        ds = determinantal_divisors(dense_rows(m))
+        expected = tuple(d // prev for prev, d in zip([1] + ds, ds))
+        assert smith_normal_form(m).elementary_divisors == expected
+
+    @PROPERTY
+    @given(simplicial_complexes())
+    @example(SimplicialComplex(range(1, 7), RP2_6_TRIANGLES))
+    def test_boundary_matrices_against_ranks_mod_p(self, K):
+        # +-1 boundaries take the unit-pivot path; over F_p the rank is the
+        # number of elementary divisors prime to p
+        for k in range(K.dim + 2):
+            m = boundary_matrix(K, k)
+            divisors = smith_normal_form(m).elementary_divisors
+            assert len(divisors) == oracle_rank(m, QQ)
+            for p in (2, 3, 5):
+                assert sum(d % p != 0 for d in divisors) == oracle_rank(m, FieldSpec.prime_field(p))
 
     def test_known_presentation(self):
         # cokernel Z/2 + Z/4: divisors (2, 4) after chain repair

@@ -260,6 +260,13 @@ class TestCharacterSum:
         q = abelian_quotient(A, moduli)
         assert list(cover_betti(A, q, field).betti) == _eliminated_betti(A, q, field)
 
+    def test_matches_elimination_at_order_256(self):
+        # C4 with moduli 4,4,4,4 over F3: d_1 is 256 x 1024, d_2 is 1024 x 1024
+        A = Raag(c4())
+        q = abelian_quotient(A, {v: 4 for v in c4().vertices})
+        assert q.order == 256
+        assert list(cover_betti(A, q, F3).betti) == _eliminated_betti(A, q, F3)
+
     def test_abelian_prime_to_char_never_specialises(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("specialize called")
