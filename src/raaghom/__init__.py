@@ -63,9 +63,8 @@ from .kernels import (
 from .raags import (
     CoverHomologyReport,
     FiniteQuotient,
-    GroupRingElement,
-    GroupRingMatrix,
     Raag,
+    SalvettiBoundary,
     abelian_quotient,
     cover_betti,
     dfg_betti_raag,

@@ -173,7 +173,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         for k in range(1, L.dim + 2):
             dk = salvetti_boundary(A, k, field)
             dk1 = salvetti_boundary(A, k + 1, field)
-            if not dk.mul(dk1).is_zero_up_to_commutation():
+            if not dk.composes_to_zero(dk1):
                 ok = False
     trivial_ok = True
     for _ in range(15):

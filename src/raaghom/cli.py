@@ -27,7 +27,14 @@ from .fibring import (
     virtually_fpn_fibred,
 )
 from .kernels import Character, InconsistencyError, PreconditionError, fpn_violation, kernel_betti
-from .raags import FiniteQuotient, Raag, abelian_quotient, check_gradient_chain, cover_betti
+from .raags import (
+    FiniteQuotient,
+    Raag,
+    abelian_quotient,
+    check_gradient_chain,
+    cover_betti,
+    dfg_betti_raag,
+)
 
 CACHE_ENV = "AGRARIAN_CACHE"
 CACHE_SCHEMA = 1
@@ -239,8 +246,6 @@ def _cmd_betti(args) -> str:
     if not K.is_flag():
         raise PreconditionError("complex is not flag; Betti numbers of the group need a flag complex")
     A = Raag(K)
-    from .raags import dfg_betti_raag
-
     values = [dfg_betti_raag(A, field, k) for k in degrees]
     if args.format == "csv":
         lines = ["degree,dfg_betti"] + [f"{k},{v}" for k, v in zip(degrees, values)]
@@ -431,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--n", type=int, required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_fpn_check)
+    p.set_defaults(run=_cmd_fpn_check, minimums={"n": 0})
 
     p = sub.add_parser("fibring", help="virtual FP_n fibring verdict over a ring")
     p.add_argument("--complex", required=True)
@@ -455,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_characters, minimums={"bound": 1})
+    p.set_defaults(run=_cmd_characters, minimums={"n": 0, "bound": 1})
 
     p = sub.add_parser("kaz-check", help="closed form <= normalised cover Betti, per quotient")
     p.add_argument("--complex", required=True)

@@ -137,11 +137,7 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
 
     obstruction: Optional[int] = None
     if ring.kind == "field":
-        profile = reduced_betti(L, ring.field)
-        for m in range(0, n + 1):
-            if profile.betti(m - 1) != 0:
-                obstruction = m
-                break
+        obstruction = no_fibring_obstruction(L, n, ring.field)
     elif ring.kind == "Z/m":
         fields = [FieldSpec.prime_field(p) for p in ring.prime_factors()]
         for m in range(0, n + 1):

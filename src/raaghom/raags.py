@@ -6,10 +6,12 @@ cellular chain complex of the universal cover of its Salvetti complex has
 one k-cell per (k-1)-simplex (the empty simplex giving the unique 0-cell)
 and boundary matrices over the group ring,
 
-    d(e_s) = sum_i (-1)^(i-1) (v_i - 1) e_{s minus v_i},   s = [v_1 < ... < v_k].
+    d(e_s) = sum_i (-1)^(i-1) (v_i - 1) e_{s minus v_i},   s = [v_1 < ... < v_k],
 
-Specialising those matrices along a finite permutation quotient of the
-generators turns each group-ring entry into an N x N block and computes
+so every nonzero entry is +-(v - 1) for a single vertex v; a
+`SalvettiBoundary` stores just that vertex and sign.  Specialising along a
+finite permutation quotient of the generators turns each entry into the
+N x N block +-(P_v - I), P_v the permutation matrix of v, and computes
 the homology of the corresponding finite cover; normalised by the cover
 degree these Betti numbers are the gradient approximants that the
 closed-form values `dfg_betti_raag` / `graph_product_betti` bound and,
@@ -25,119 +27,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .complexes import SimplicialComplex, reduced_betti
-from .exact import ExactMatrix, FieldSpec, Scalar, rank
-
-Word = tuple[int, ...]  # letters are +-(generator index + 1), freely reduced
-
-
-def _free_reduce(word: Sequence[int]) -> Word:
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-class GroupRingElement:
-    """A finite F-linear combination of freely reduced generator words."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: FieldSpec, terms: Mapping[Word, Scalar] = ()) -> None:
-        self.field = field
-        clean: dict[Word, Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coef in items:
-            w = _free_reduce(word)
-            c = field.of(coef)
-            if c == 0:
-                continue
-            acc = field.add(clean.get(w, field.zero), c)
-            if acc == 0:
-                clean.pop(w, None)
-            else:
-                clean[w] = acc
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "GroupRingElement":
-        return cls(field)
-
-    @classmethod
-    def one(cls, field: FieldSpec) -> "GroupRingElement":
-        return cls(field, {(): field.one})
-
-    @classmethod
-    def generator_minus_one(cls, g: int, field: FieldSpec, sign: int = 1) -> "GroupRingElement":
-        """(v_g - 1) scaled by +-1; ``g`` is a 1-based generator number."""
-        return cls(field, {(g,): field.of(sign), (): field.of(-sign)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "GroupRingElement") -> "GroupRingElement":
-        merged = dict(self.terms)
-        for w, c in other.terms.items():
-            merged[w] = self.field.add(merged.get(w, self.field.zero), c)
-        return GroupRingElement(self.field, merged)
-
-    def neg(self) -> "GroupRingElement":
-        return GroupRingElement(self.field, {w: self.field.neg(c) for w, c in self.terms.items()})
-
-    def mul(self, other: "GroupRingElement") -> "GroupRingElement":
-        fd = self.field
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = _free_reduce(w1 + w2)
-                out[w] = fd.add(out.get(w, fd.zero), fd.mul(c1, c2))
-        return GroupRingElement(fd, out)
-
-    def normalised_terms(self, commutes: Callable[[int, int], bool]) -> dict[Word, Scalar]:
-        """Coefficients after sorting commuting adjacent letters.
-
-        Bubble-sorts letters by generator number whenever the adjacent pair
-        commutes, cancelling inverse pairs as they meet.  For words whose
-        letters pairwise commute (the only products Salvetti boundaries
-        produce) this reaches a canonical form, which is what the
-        boundary-composition check needs.
-        """
-        fd = self.field
-        out: dict[Word, Scalar] = {}
-        for word, coef in self.terms.items():
-            w = list(word)
-            changed = True
-            while changed:
-                changed = False
-                i = 0
-                while i < len(w) - 1:
-                    a, b = w[i], w[i + 1]
-                    if a == -b:
-                        del w[i : i + 2]
-                        i = max(i - 1, 0)
-                        changed = True
-                        continue
-                    if abs(a) > abs(b) and commutes(abs(a), abs(b)):
-                        w[i], w[i + 1] = b, a
-                        changed = True
-                    i += 1
-            key = tuple(w)
-            acc = fd.add(out.get(key, fd.zero), coef)
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"GroupRingElement(terms={len(self.terms)})"
+from .exact import ExactMatrix, FieldSpec, rank
 
 
 class Raag:
@@ -154,16 +44,6 @@ class Raag:
     def generators(self) -> tuple:
         return self.complex.vertices
 
-    def generator_number(self, v) -> int:
-        """1-based letter number of the generator attached to vertex v."""
-        return self.complex.index(v) + 1
-
-    def commutes(self, g: int, h: int) -> bool:
-        if g == h:
-            return True
-        vs = self.complex.vertices
-        return self.complex.adjacent(vs[g - 1], vs[h - 1])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Raag):
             return NotImplemented
@@ -176,8 +56,8 @@ class Raag:
         return f"Raag(on {len(self.generators)} generators)"
 
 
-class GroupRingMatrix:
-    """A matrix with group-ring entries, e.g. a Salvetti boundary map."""
+class SalvettiBoundary:
+    """A Salvetti boundary map: ``entries[(row, col)] = (v, sign)`` is sign * (v - 1)."""
 
     __slots__ = ("rows", "cols", "over", "field", "entries")
 
@@ -187,49 +67,44 @@ class GroupRingMatrix:
         cols: int,
         over: Raag,
         field: FieldSpec,
-        entries: Mapping[tuple[int, int], GroupRingElement] = (),
+        entries: Mapping[tuple[int, int], tuple[object, int]],
     ) -> None:
         self.rows = rows
         self.cols = cols
         self.over = over
         self.field = field
-        clean: dict[tuple[int, int], GroupRingElement] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (r, c), e in items:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r}, {c}) out of bounds")
-            if not e.is_zero():
-                clean[(r, c)] = e
-        self.entries = clean
+        self.entries = dict(entries)
 
-    def entry(self, r: int, c: int) -> GroupRingElement:
-        return self.entries.get((r, c), GroupRingElement.zero(self.field))
+    def composes_to_zero(self, other: "SalvettiBoundary") -> bool:
+        """True when the group-ring product self * other is zero.
 
-    def mul(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
+        Each product entry is a sum of sign * sign' * (u - 1)(v - 1) over
+        ordered vertex pairs (u, v).  Modulo the relations uv = vu for u = v
+        or u, v adjacent these products are linearly independent (the word
+        uv is the only length-two term of each), so the product vanishes
+        exactly when the signs cancel in the field within every pair class.
+        """
         if self.cols != other.rows:
-            raise ValueError("cannot compose group-ring matrices")
-        by_row: dict[int, list[tuple[int, GroupRingElement]]] = {}
+            raise ValueError("cannot compose Salvetti boundaries")
+        L = self.over.complex
+        by_row: dict[int, list[tuple[int, tuple[object, int]]]] = {}
         for (r, c), e in other.entries.items():
             by_row.setdefault(r, []).append((c, e))
-        out: dict[tuple[int, int], GroupRingElement] = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                prod = a.mul(b)
-                key = (r, c)
-                out[key] = out[key].add(prod) if key in out else prod
-        return GroupRingMatrix(self.rows, other.cols, self.over, self.field, out)
-
-    def is_zero_up_to_commutation(self) -> bool:
-        """True when every entry vanishes after commutation-aware cancellation."""
-        return all(
-            not e.normalised_terms(self.over.commutes) for e in self.entries.values()
-        )
+        sums: dict[tuple, int] = {}
+        for (r, k), (u, s) in self.entries.items():
+            for c, (v, t) in by_row.get(k, ()):
+                a, b = u, v
+                if a != b and L.adjacent(a, b) and L.index(a) > L.index(b):
+                    a, b = b, a
+                key = (r, c, a, b)
+                sums[key] = sums.get(key, 0) + s * t
+        return all(self.field.of(total) == 0 for total in sums.values())
 
     def __repr__(self) -> str:
-        return f"GroupRingMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"SalvettiBoundary({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def salvetti_boundary(A: Raag, k: int, field: FieldSpec) -> GroupRingMatrix:
+def salvetti_boundary(A: Raag, k: int, field: FieldSpec) -> SalvettiBoundary:
     """Degree-k boundary of the Salvetti chain complex, over the group ring.
 
     Rows are indexed by the (k-2)-simplices of the defining complex and
@@ -241,16 +116,11 @@ def salvetti_boundary(A: Raag, k: int, field: FieldSpec) -> GroupRingMatrix:
     rows = L.faces_of_dim(k - 2) if k >= 1 else []
     cols = L.faces_of_dim(k - 1)
     row_pos = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], GroupRingElement] = {}
+    entries = {}
     for j, s in enumerate(cols):
         for i, v in enumerate(s):  # i is 0-based; the sign is (-1)^i
-            sub = s[:i] + s[i + 1 :]
-            elem = GroupRingElement.generator_minus_one(
-                A.generator_number(v), field, sign=(-1) ** i
-            )
-            key = (row_pos[sub], j)
-            entries[key] = entries[key].add(elem) if key in entries else elem
-    return GroupRingMatrix(len(rows), len(cols), A, field, entries)
+            entries[(row_pos[s[:i] + s[i + 1 :]], j)] = (v, (-1) ** i)
+    return SalvettiBoundary(len(rows), len(cols), A, field, entries)
 
 
 class FiniteQuotient:
@@ -262,7 +132,7 @@ class FiniteQuotient:
     regular action of the direct sum of Z/n_v) and is None otherwise.
     """
 
-    __slots__ = ("over", "order", "action", "inverse", "transitive", "moduli")
+    __slots__ = ("over", "order", "action", "transitive", "moduli")
 
     def __init__(self, over: Raag, order: int, action: Mapping[object, Sequence[int]]) -> None:
         if order < 1:
@@ -279,7 +149,6 @@ class FiniteQuotient:
                 raise ValueError(f"action of {v!r} is not a permutation of 0..{order - 1}")
             perms[v] = p
         self.action = perms
-        self.inverse = {v: _invert(p) for v, p in perms.items()}
         for u, v in over.complex.faces_of_dim(1):
             pu, pv = perms[u], perms[v]
             if any(pu[pv[x]] != pv[pu[x]] for x in range(order)):
@@ -287,6 +156,7 @@ class FiniteQuotient:
         self.transitive = self._orbit_count() == 1
 
     def _orbit_count(self) -> int:
+        # forward images suffice: each inverse is a power of its permutation
         seen = [False] * self.order
         count = 0
         for start in range(self.order):
@@ -302,25 +172,11 @@ class FiniteQuotient:
                     if not seen[y]:
                         seen[y] = True
                         stack.append(y)
-                for p in self.inverse.values():
-                    y = p[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
         return count
 
     @property
     def orbit_count(self) -> int:
         return self._orbit_count()
-
-    def permutation_of_word(self, word: Word) -> tuple[int, ...]:
-        """Left action of a word: the first letter acts last."""
-        arr = list(range(self.order))
-        verts = self.over.generators
-        for letter in reversed(word):
-            table = self.action[verts[letter - 1]] if letter > 0 else self.inverse[verts[-letter - 1]]
-            arr = [table[x] for x in arr]
-        return tuple(arr)
 
     def to_json_dict(self) -> dict:
         return {
@@ -331,13 +187,6 @@ class FiniteQuotient:
 
     def __repr__(self) -> str:
         return f"FiniteQuotient(order={self.order}, transitive={self.transitive})"
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:
@@ -373,33 +222,25 @@ def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:
     return q
 
 
-def specialize(m: GroupRingMatrix, q: FiniteQuotient) -> ExactMatrix:
-    """Replace each group-ring entry by the N x N permutation block it acts by.
+def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
+    """Replace each entry sign * (v - 1) by the N x N block sign * (P_v - I).
 
     This is a ring homomorphism on entries, so chain complexes stay chain
     complexes and the result computes the homology of the degree-N cover.
+    Columns x fixed by P_v contribute nothing to the block.
     """
     if q.over != m.over:
         raise ValueError("quotient is for a different group")
-    fd = m.field
     N = q.order
-    out: dict[tuple[int, int], Scalar] = {}
-    perm_cache: dict[Word, tuple[int, ...]] = {}
-    for (i, j), elem in m.entries.items():
-        for word, coef in elem.terms.items():
-            perm = perm_cache.get(word)
-            if perm is None:
-                perm = q.permutation_of_word(word)
-                perm_cache[word] = perm
-            base_r, base_c = i * N, j * N
-            for x in range(N):
-                key = (base_r + perm[x], base_c + x)
-                acc = fd.add(out.get(key, fd.zero), coef)
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return ExactMatrix(m.rows * N, m.cols * N, fd, out)
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), (v, sign) in m.entries.items():
+        perm = q.action[v]
+        base_r, base_c = i * N, j * N
+        for x, y in enumerate(perm):
+            if y != x:
+                out[(base_r + y, base_c + x)] = sign
+                out[(base_r + x, base_c + x)] = -sign
+    return ExactMatrix(m.rows * N, m.cols * N, m.field, out)
 
 
 @dataclass(frozen=True)
@@ -582,11 +423,10 @@ def graph_product_betti(K: SimplicialComplex, field: FieldSpec, degree: int) -> 
 
     Contract: the caller asserts that every factor group is acyclic over
     the coefficient skew field (true e.g. for infinite amenable factors);
-    that hypothesis is not checkable here.  K must be flag.
+    that hypothesis is not checkable here.  K must be flag (`Raag` raises
+    ValueError otherwise), and the value is that of the RAAG on K.
     """
-    if not K.is_flag():
-        raise ValueError("graph products are defined over flag complexes")
-    return reduced_betti(K, field).betti(degree - 1)
+    return dfg_betti_raag(Raag(K), field, degree)
 
 
 def weighted_nerve_betti(

@@ -146,8 +146,10 @@ class TestFibringAndCharacters:
                 "kaz-check", "--complex", "two_points.json", "--field", "F2",
                 "--quotients", "abelian:2", "--max-degree", "-1",
             ),
+            ("fpn-check", "--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "-1"),
+            ("characters", "--complex", "c4.json", "--field", "Q", "--n", "-1", "--bound", "1"),
         ],
-        ids=["characters-bound", "fibring-n", "kaz-check-max-degree"],
+        ids=["characters-bound", "fibring-n", "kaz-check-max-degree", "fpn-check-n", "characters-n"],
     )
     def test_out_of_range_argument_is_input_error(self, workdir, capsys, args):
         code, out, err = run_cli(capsys, *args)

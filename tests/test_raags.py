@@ -15,8 +15,8 @@ from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import F2, QQ, FieldSpec, rank
 from raaghom.raags import (
     FiniteQuotient,
-    GroupRingElement,
     Raag,
+    SalvettiBoundary,
     abelian_quotient,
     cover_betti,
     dfg_betti_raag,
@@ -41,40 +41,29 @@ def raag_edge() -> Raag:
     return Raag(SimplicialComplex("ab", [("a", "b")]))
 
 
-class TestGroupRingElement:
-    def test_free_reduction(self):
-        e = GroupRingElement(QQ, {(1, -1, 2): 1})
-        assert list(e.terms) == [(2,)]
-
-    def test_mul_and_cancellation(self):
-        a = GroupRingElement.generator_minus_one(1, QQ)
-        b = GroupRingElement.generator_minus_one(2, QQ)
-        prod = a.mul(b)  # (x-1)(y-1) = xy - x - y + 1
-        assert len(prod.terms) == 4
-        diff = prod.add(b.mul(a).neg())  # xy - yx, nonzero freely
-        assert not diff.is_zero()
-        assert not diff.normalised_terms(lambda g, h: True)  # zero if x, y commute
-        assert diff.normalised_terms(lambda g, h: False)
-
-
 class TestSalvettiBoundary:
     def test_two_points_d1(self):
         A = raag_two_points()
         d1 = salvetti_boundary(A, 1, QQ)
         assert (d1.rows, d1.cols) == (1, 2)
-        assert d1.entry(0, 0) == GroupRingElement(QQ, {(1,): 1, (): -1})
-        assert d1.entry(0, 1) == GroupRingElement(QQ, {(2,): 1, (): -1})
+        assert d1.entries == {(0, 0): ("a", 1), (0, 1): ("b", 1)}
 
     def test_torus_d2_and_composition(self):
         A = raag_edge()
         d1 = salvetti_boundary(A, 1, QQ)
         d2 = salvetti_boundary(A, 2, QQ)
         # d2(e_ab) = (a-1) e_b - (b-1) e_a
-        assert d2.entry(0, 0) == GroupRingElement(QQ, {(2,): -1, (): 1})  # row e_a
-        assert d2.entry(1, 0) == GroupRingElement(QQ, {(1,): 1, (): -1})  # row e_b
-        comp = d1.mul(d2)
-        assert not comp.entry(0, 0).is_zero()  # ab - ba does not cancel freely
-        assert comp.is_zero_up_to_commutation()
+        assert (d2.rows, d2.cols) == (2, 1)
+        assert d2.entries == {(0, 0): ("b", -1), (1, 0): ("a", 1)}
+        assert d1.composes_to_zero(d2)
+        # a flipped sign is no change over F2, but is over Q
+        flipped = {(0, 0): ("b", 1), (1, 0): ("a", 1)}
+        assert salvetti_boundary(A, 1, F2).composes_to_zero(SalvettiBoundary(2, 1, A, F2, flipped))
+        assert not d1.composes_to_zero(SalvettiBoundary(2, 1, A, QQ, flipped))
+        # the same entries over the free group: ab - ba does not cancel
+        B = raag_two_points()
+        free_d2 = SalvettiBoundary(2, 1, B, QQ, d2.entries)
+        assert not salvetti_boundary(B, 1, QQ).composes_to_zero(free_d2)
 
     def test_dd_zero_random_flag_complexes(self):
         rng = random.Random(987)
@@ -84,7 +73,30 @@ class TestSalvettiBoundary:
             for k in range(1, L.dim + 2):
                 dk = salvetti_boundary(A, k, F2)
                 dk1 = salvetti_boundary(A, k + 1, F2)
-                assert dk.mul(dk1).is_zero_up_to_commutation()
+                assert dk.composes_to_zero(dk1)
+
+    def test_perturbed_boundary_does_not_compose_to_zero(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(40):
+            L = random_flag_complex(rng, 7)
+            A = Raag(L)
+            for k in range(1, L.dim + 1):
+                dk = salvetti_boundary(A, k, QQ)
+                dk1 = salvetti_boundary(A, k + 1, QQ)
+                key = rng.choice(sorted(dk1.entries))
+                v, sign = dk1.entries[key]
+
+                def with_entry(entry):
+                    entries = {**dk1.entries, key: entry}
+                    return SalvettiBoundary(dk1.rows, dk1.cols, A, QQ, entries)
+
+                assert not dk.composes_to_zero(with_entry((v, -sign)))
+                far = [w for w in L.vertices if w != v and not L.adjacent(v, w)]
+                if far:
+                    assert not dk.composes_to_zero(with_entry((rng.choice(far), sign)))
+                checked += 1
+        assert checked >= 20
 
     def test_non_flag_complex_rejected(self):
         hollow = SimplicialComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -151,28 +163,54 @@ class TestSpecialize:
             m = specialize(salvetti_boundary(A, 1, F2), q)
             assert rank(m) == n * n - 1
 
-    def test_specialisation_is_multiplicative(self):
-        rng = random.Random(2024)
-        A = Raag(c4())
-        words = [(), (1,), (2, 3), (-1, 4), (1, 1), (4, -2, 3)]
-        for trial in range(10):
-            moduli = {v: rng.choice((1, 2, 3)) for v in c4().vertices}
-            q = abelian_quotient(A, moduli)
-            if q.order > 24:
-                continue
-            x = GroupRingElement(QQ, {rng.choice(words): rng.randint(-2, 2) for _ in range(3)})
-            y = GroupRingElement(QQ, {rng.choice(words): rng.randint(-2, 2) for _ in range(3)})
-            mx = _as_matrix(A, x, QQ)
-            my = _as_matrix(A, y, QQ)
-            lhs = specialize(mx.mul(my), q)
-            rhs = specialize(mx, q).mul(specialize(my, q))
-            assert lhs == rhs
+    def test_specialised_boundaries_compose_to_zero(self):
+        for q in _mixed_quotients():
+            A = q.over
+            for field in (QQ, F2):
+                for k in range(1, A.complex.dim + 2):
+                    dk = specialize(salvetti_boundary(A, k, field), q)
+                    dk1 = specialize(salvetti_boundary(A, k + 1, field), q)
+                    assert dk.mul(dk1).is_zero()
+
+    def test_blocks_are_signed_permutation_minus_identity(self):
+        # P_v has a 1 at (P_v[x], x): each entry sign * (v - 1) becomes sign * (P_v - I)
+        for q in _mixed_quotients():
+            A, N = q.over, q.order
+            for field in (QQ, F2):
+                for k in range(0, A.complex.dim + 3):
+                    d = salvetti_boundary(A, k, field)
+                    expected = {}
+                    for (i, j), (v, sign) in d.entries.items():
+                        for x in range(N):
+                            for y in range(N):
+                                value = field.of(sign * ((q.action[v][x] == y) - (x == y)))
+                                if value:
+                                    expected[(i * N + y, j * N + x)] = value
+                    assert specialize(d, q).entries == expected
 
 
-def _as_matrix(A, elem, field):
-    from raaghom.raags import GroupRingMatrix
+def _mixed_quotients() -> list[FiniteQuotient]:
+    """Explicit non-abelian quotients whose permutations have fixed points, and abelian ones."""
+    square = c4()  # 0 - 1 - 2 - 3 - 0: the RAAG is F(0, 2) x F(1, 3)
+    pair = [(x, y) for x in range(3) for y in range(3)]
 
-    return GroupRingMatrix(1, 1, A, field, {(0, 0): elem})
+    def on_first(p):
+        return [pair.index((p[x], y)) for x, y in pair]
+
+    def on_second(p):
+        return [pair.index((x, p[y])) for x, y in pair]
+
+    A = Raag(square)
+    return [
+        FiniteQuotient(raag_two_points(), 4, {"a": [1, 2, 0, 3], "b": [0, 1, 3, 2]}),
+        FiniteQuotient(raag_edge(), 4, {"a": [1, 2, 0, 3], "b": [2, 0, 1, 3]}),
+        FiniteQuotient(A, 9, {
+            0: on_first([1, 0, 2]), 2: on_first([1, 2, 0]),
+            1: on_second([0, 2, 1]), 3: on_second([1, 0, 2]),
+        }),
+        abelian_quotient(A, {0: 2, 1: 3, 2: 1, 3: 2}),
+        abelian_quotient(Raag(full_simplex(3)), {0: 2, 1: 3, 2: 2}),
+    ]
 
 
 class TestCoverBetti:
