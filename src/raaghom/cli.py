@@ -487,9 +487,14 @@ def _check_minimums(args) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         _check_minimums(args)
         result = args.run(args)

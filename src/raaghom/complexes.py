@@ -6,15 +6,23 @@ starts in degree -1, and the empty complex has reduced Betti number 1
 there.  A global vertex order is fixed at construction and every face,
 boundary sign, and matrix layout derives from it, so all outputs are
 deterministic.
+
+Each complex carries one memo, keyed by vertex bitmasks over its own
+vertex order: full subcomplexes by mask, the reduced Betti profile per
+field, and the Smith form per boundary degree.  A complex never changes
+after construction, so nothing in the memo goes stale, and it is freed
+with the complex.  For a flag complex the link of a face s is the full
+subcomplex on the common neighbours CN(s) of its vertices, so links, and
+the living links of an Artin kernel (CN(s) intersected with the living
+vertices), are memo lookups by mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .exact import FieldSpec, IntMatrix, Scalar, rank, smith_normal_form
+from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, rank, smith_normal_form
 
 Label = Hashable
 Face = tuple
@@ -24,10 +32,11 @@ class SimplicialComplex:
     """A finite simplicial complex on an ordered vertex list.
 
     Faces are stored explicitly (downward closed, including the empty
-    face) as tuples sorted by the global vertex order.
+    face) as tuples sorted by the global vertex order.  Bit i of a vertex
+    mask stands for ``vertices[i]``.
     """
 
-    __slots__ = ("vertices", "faces", "_index", "_by_dim", "_hash", "_flag")
+    __slots__ = ("vertices", "faces", "_index", "_by_dim", "_hash", "_memo")
 
     def __init__(
         self,
@@ -61,7 +70,9 @@ class SimplicialComplex:
             by_dim[k].sort(key=self._key)
         self._by_dim = by_dim
         self._hash: Optional[int] = None
-        self._flag: Optional[bool] = None
+        # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
+        # ("smith", k) -> SmithForm of d_k, "adjacency", "flag"
+        self._memo: dict = {}
 
     # -- basic queries -------------------------------------------------------
 
@@ -102,6 +113,27 @@ class SimplicialComplex:
     def edges(self) -> list[Face]:
         return self.faces_of_dim(1)
 
+    def mask(self, verts: Iterable[Label]) -> int:
+        """The bitmask of a set of vertices of this complex."""
+        m = 0
+        for v in verts:
+            m |= 1 << self._index[v]
+        return m
+
+    def common_neighbours(self, verts: Iterable[Label]) -> int:
+        """Mask of the vertices adjacent to all of verts (every vertex for none)."""
+        adjacency = self._memo.get("adjacency")
+        if adjacency is None:
+            adjacency = [0] * len(self.vertices)
+            for u, v in self._by_dim.get(1, ()):
+                adjacency[self._index[u]] |= 1 << self._index[v]
+                adjacency[self._index[v]] |= 1 << self._index[u]
+            self._memo["adjacency"] = adjacency
+        m = (1 << len(self.vertices)) - 1
+        for v in verts:
+            m &= adjacency[self._index[v]]
+        return m
+
     def euler_characteristic_reduced(self) -> int:
         """Alternating face count with the empty face contributing -1."""
         return sum((-1) ** (len(f) - 1) for f in self.faces)
@@ -110,9 +142,18 @@ class SimplicialComplex:
 
     def full_subcomplex(self, verts: Iterable[Label]) -> "SimplicialComplex":
         keep = set(verts)
-        sub_vertices = [v for v in self.vertices if v in keep]
-        sub_faces = [f for f in self.faces if all(v in keep for v in f)]
-        return SimplicialComplex(sub_vertices, sub_faces, closed=True)
+        return self.subcomplex(self.mask(v for v in self.vertices if v in keep))
+
+    def subcomplex(self, mask: int) -> "SimplicialComplex":
+        """The full subcomplex on the vertices in a mask, built once per mask."""
+        if mask == (1 << len(self.vertices)) - 1:
+            return self
+        sub = self._memo.get(mask)
+        if sub is None:
+            sub_vertices = [v for i, v in enumerate(self.vertices) if mask >> i & 1]
+            sub_faces = [f for f in self.faces if not self.mask(f) & ~mask]
+            sub = self._memo[mask] = SimplicialComplex(sub_vertices, sub_faces, closed=True)
+        return sub
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
         """The link {t : t disjoint from s, t union s a face} of a face s."""
@@ -121,6 +162,8 @@ class SimplicialComplex:
             raise ValueError(f"{s!r} is not a face")
         if not s:
             return self
+        if self.is_flag():
+            return self.subcomplex(self.common_neighbours(s))
         s_set = set(s)
         lk_faces = []
         for f in self.faces:
@@ -135,10 +178,11 @@ class SimplicialComplex:
 
     def is_flag(self) -> bool:
         """True when every pairwise-adjacent vertex set spans a face."""
-        if self._flag is None:
+        flag = self._memo.get("flag")
+        if flag is None:
             clique = flag_completion(self.vertices, self.faces_of_dim(1))
-            self._flag = clique.faces == self.faces
-        return self._flag
+            flag = self._memo["flag"] = clique.faces == self.faces
+        return flag
 
     # -- equality / hashing ------------------------------------------------------
 
@@ -195,7 +239,9 @@ def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]])
             extend(clique, candidates & adj[verts[i]] & set(range(i + 1, len(verts))))
 
     extend((), set(range(len(verts))))
-    return SimplicialComplex(verts, cliques, closed=True)
+    K = SimplicialComplex(verts, cliques, closed=True)
+    K._memo["flag"] = True
+    return K
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
@@ -266,27 +312,20 @@ class HomologyProfile:
         return {"field": self.field.token(), "reduced_betti": list(self.reduced_betti)}
 
 
-@lru_cache(maxsize=None)
-def _boundary_ranks(K: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
-    """rank of the augmented boundary in degrees 0 .. dim, over the field."""
-    return tuple(
-        rank(boundary_matrix(K, k, augmented=True).over_field(field))
-        for k in range(K.dim + 1)
-    )
-
-
 def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    """Reduced Betti numbers via augmented boundary matrices."""
-    ranks = _boundary_ranks(K, field)
-    values = []
-    for k in range(-1, K.dim + 1):
-        n_k = 1 if k == -1 else K.n_faces(k)
-        r_k = 0 if k == -1 else ranks[k]
-        r_k1 = ranks[k + 1] if k + 1 <= K.dim else 0
-        b = n_k - r_k - r_k1
-        assert b >= 0
-        values.append(b)
-    return HomologyProfile(field=field, reduced_betti=tuple(values))
+    """Reduced Betti numbers via augmented boundary matrices, memoised on K."""
+    profile = K._memo.get(field)
+    if profile is None:
+        ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)]
+        ranks.append(0)
+        values = []
+        for k in range(-1, K.dim + 1):
+            n_k = 1 if k == -1 else K.n_faces(k)
+            b = n_k - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
+            assert b >= 0
+            values.append(b)
+        profile = K._memo[field] = HomologyProfile(field=field, reduced_betti=tuple(values))
+    return profile
 
 
 def betti_numbers(K: SimplicialComplex, field: FieldSpec, *, reduced: bool = True) -> list[int]:
@@ -298,26 +337,24 @@ def betti_numbers(K: SimplicialComplex, field: FieldSpec, *, reduced: bool = Tru
     return values
 
 
-@lru_cache(maxsize=None)
-def _integral_data(K: SimplicialComplex, k: int) -> tuple[int, tuple[int, ...]]:
-    n_k = 1 if k == -1 else K.n_faces(k)
-    r_k = 0 if k <= -1 else smith_normal_form(boundary_matrix(K, k, augmented=True)).rank
-    if k + 1 <= K.dim:
-        sf_next = smith_normal_form(boundary_matrix(K, k + 1, augmented=True))
-        r_k1 = sf_next.rank
-        torsion = sf_next.torsion_divisors
-    else:
-        r_k1 = 0
-        torsion = ()
-    return n_k - r_k - r_k1, torsion
+def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
+    """Smith form of the augmented degree-k boundary, memoised on K."""
+    sf = K._memo.get(("smith", k))
+    if sf is None:
+        sf = K._memo[("smith", k)] = smith_normal_form(boundary_matrix(K, k))
+    return sf
 
 
 def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
     """Reduced integral homology in degree k: (free rank, torsion divisors > 1)."""
     if k < -1 or k > K.dim:
         return 0, []
-    betti, torsion = _integral_data(K, k)
-    return betti, list(torsion)
+    n_k = 1 if k == -1 else K.n_faces(k)
+    r_k = 0 if k == -1 else _smith_form(K, k).rank
+    if k == K.dim:
+        return n_k - r_k, []
+    sf_next = _smith_form(K, k + 1)
+    return n_k - r_k - sf_next.rank, list(sf_next.torsion_divisors)
 
 
 def is_n_acyclic(K: SimplicialComplex, n: int, field: FieldSpec) -> bool:

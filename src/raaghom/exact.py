@@ -609,8 +609,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     since 1 divides everything.  Only when no unit remains is the pivot
     the entry of least absolute value, ties at the lowest (row, col); it
     is reduced by gcd steps until it divides the rest of the matrix.
-    Phase two repairs the divisibility chain via gcd/lcm exchanges on the
-    diagonal.
+    Phase two repairs the divisibility chain via gcd/lcm exchanges among
+    the diagonal entries > 1 and puts the 1s first.
     """
     rows, cols = _row_index(m)
     buckets = _length_buckets(rows)
@@ -667,8 +667,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         diagonal.append(abs(piv))
         _pop_row(rows, cols, buckets, pr)
 
-    # repair the divisibility chain (diag(a, b) ~ diag(gcd, lcm))
-    ds = diagonal
+    # repair the divisibility chain (diag(a, b) ~ diag(gcd, lcm)); units
+    # divide everything, so only the entries > 1 take part
+    ds = [d for d in diagonal if d > 1]
     changed = True
     while changed:
         changed = False
@@ -679,7 +680,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     ds[i], ds[j] = g, ds[i] * ds[j] // g
                     changed = True
     ds.sort()
-    return SmithForm(rank=len(ds), elementary_divisors=tuple(ds))
+    units = len(diagonal) - len(ds)
+    return SmithForm(rank=len(diagonal), elementary_divisors=(1,) * units + tuple(ds))
 
 
 # ---------------------------------------------------------------------------

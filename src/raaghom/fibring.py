@@ -20,9 +20,9 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .complexes import SimplicialComplex, integral_homology, reduced_betti
+from .complexes import SimplicialComplex, integral_homology, is_n_acyclic, reduced_betti
 from .exact import FieldSpec
-from .kernels import Character, is_fpn
+from .kernels import Character, is_fpn, living_set_violation
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 
@@ -175,52 +175,26 @@ def find_characters(
 ) -> list[Character]:
     """All surjective characters with entries in [-bound, bound] passing FP_n.
 
-    The search normalises by sign (first nonzero value positive) and emits
-    each survivor together with its negation, in lexicographic order of
-    the value tuples.
+    FP_n depends only on the living set of a character, so each nonempty
+    living set is checked once and all its surjective value tuples are
+    emitted, in lexicographic order of the value tuples.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    found = []
-    for values in _normalised_candidates(len(L.vertices), bound):
-        support = frozenset(i for i, x in enumerate(values) if x != 0)
-        if _support_passes(L, field, n, support):
-            found.append(values)
+    nonzero = [x for x in range(-bound, bound + 1) if x]
     out = []
-    for values in found:
-        out.append(values)
-        out.append(tuple(-x for x in values))
+    for living in range(1, 1 << len(L.vertices)):
+        if living_set_violation(L, living, n, field) is not None:
+            continue
+        positions = [i for i in range(len(L.vertices)) if living >> i & 1]
+        for values in product(nonzero, repeat=len(positions)):
+            if gcd(*values) == 1:
+                full = [0] * len(L.vertices)
+                for i, x in zip(positions, values):
+                    full[i] = x
+                out.append(tuple(full))
     out.sort()
     return [Character(L, dict(zip(L.vertices, values))) for values in out]
-
-
-def _normalised_candidates(n_vertices: int, bound: int):
-    """Sign-normalised value tuples with gcd of nonzero entries equal to 1."""
-    for values in product(range(-bound, bound + 1), repeat=n_vertices):
-        first = next((x for x in values if x != 0), 0)
-        if first <= 0:
-            continue
-        g = 0
-        for x in values:
-            g = gcd(g, abs(x))
-        if g == 1:
-            yield values
-
-
-def _support_passes(L: SimplicialComplex, field: FieldSpec, n: int, support: frozenset) -> bool:
-    """FP_n for any character with the given living set (values are irrelevant)."""
-    key = (L, field, n, support)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is None:
-        rep = Character(
-            L, {v: (1 if i in support else 0) for i, v in enumerate(L.vertices)}
-        )
-        cached = is_fpn(L, rep, n, field)
-        _SUPPORT_CACHE[key] = cached
-    return cached
-
-
-_SUPPORT_CACHE: dict = {}
 
 
 def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: int) -> bool:
@@ -232,26 +206,20 @@ def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: in
 
     Both the finiteness check and the vanishing predicate depend only on
     the living set of a character, and every nonempty living set is
-    realised at any bound >= 1, so the scan runs over supports.
+    realised at any bound >= 1, so the scan runs over living sets.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if not L.vertices:
-        return True
-    link_ok = {}
-    for v in L.vertices:
-        profile = reduced_betti(L.link((v,)), field)
-        link_ok[v] = all(profile.betti(m - 1) == 0 for m in range(0, n + 1))
+    acyclic_links = 0  # vertices whose link is (n-1)-acyclic
+    for i, v in enumerate(L.vertices):
+        if is_n_acyclic(L.link((v,)), n - 1, field):
+            acyclic_links |= 1 << i
     verdicts = set()
-    n_verts = len(L.vertices)
-    for mask in range(1, 1 << n_verts):
-        support = frozenset(i for i in range(n_verts) if mask >> i & 1)
-        if not _support_passes(L, field, n, support):
-            continue
-        vanish = all(link_ok[L.vertices[i]] for i in support)
-        verdicts.add(vanish)
-        if len(verdicts) > 1:
-            return False
+    for living in range(1, 1 << len(L.vertices)):
+        if living_set_violation(L, living, n, field) is None:
+            verdicts.add(not living & ~acyclic_links)
+            if len(verdicts) > 1:
+                return False
     return True
 
 

@@ -149,19 +149,28 @@ def fpn_violation(
     The empty simplex stands for the condition on the living part itself.
     Dead simplices are scanned by dimension, then lexicographically.
     """
-    if not L.is_flag():
-        raise ValueError("finiteness checking needs a flag complex")
     if phi.complex != L:
         raise ValueError("character is not defined on this complex")
-    living = [v for v in L.vertices if phi(v) != 0]
-    if not is_n_acyclic(L.full_subcomplex(living), n - 1, field):
+    return living_set_violation(L, L.mask(phi.living_vertices()), n, field)
+
+
+def living_set_violation(
+    L: SimplicialComplex, living: int, n: int, field: FieldSpec
+) -> Optional[Face]:
+    """``fpn_violation`` for every character whose living vertices form a mask.
+
+    L being flag, the living link of a dead simplex s is the full
+    subcomplex on CN(s) & living, so each test is a lookup in L's memo.
+    """
+    if not L.is_flag():
+        raise ValueError("finiteness checking needs a flag complex")
+    if not is_n_acyclic(L.subcomplex(living), n - 1, field):
         return ()
-    dead = L.full_subcomplex(phi.dead_vertices())
-    for k in range(0, dead.dim + 1):
-        if n - k - 1 < -1:
-            break  # deeper dead simplices impose vacuous conditions
-        for s in dead.faces_of_dim(k):
-            if not is_n_acyclic(living_link(L, phi, s), n - k - 1, field):
+    for k in range(0, n + 1):  # deeper dead simplices impose vacuous conditions
+        for s in L.faces_of_dim(k):
+            if not L.mask(s) & living and not is_n_acyclic(
+                L.subcomplex(L.common_neighbours(s) & living), n - k - 1, field
+            ):
                 return s
     return None
 

@@ -281,37 +281,19 @@ def _character_sum_betti(
 
         b_k = sum_W prod_{v in W} (n_v - 1) * sum_s b~_{k-1-|s|}(L[W & CN(s)]).
     """
-    verts = L.vertices
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    neighbours = dict.fromkeys(verts, 0)
-    for u, v in L.faces_of_dim(1):
-        neighbours[u] |= bit[v]
-        neighbours[v] |= bit[u]
-    faces = []  # (|s|, vertex mask of s, common neighbours of s)
-    for f in L.faces:
-        mask, common = 0, (1 << len(verts)) - 1
-        for v in f:
-            mask |= bit[v]
-            common &= neighbours[v]
-        faces.append((len(f), mask, common))
     living_sets = [(0, 1)]  # (mask of W, number of characters with living set W)
-    for v in verts:
+    for i, v in enumerate(L.vertices):
         if moduli[v] > 1:
-            living_sets += [(w | bit[v], c * (moduli[v] - 1)) for w, c in living_sets]
-    profiles: dict[int, tuple[int, ...]] = {}
+            living_sets += [(w | 1 << i, c * (moduli[v] - 1)) for w, c in living_sets]
     betti = [0] * (L.dim + 2)
     for w, count in living_sets:
-        for size, mask, common in faces:
-            if mask & w:
+        for s in L.faces:
+            if L.mask(s) & w:
                 continue
-            living = common & w
-            profile = profiles.get(living)
-            if profile is None:
-                sub = L.full_subcomplex(v for v in verts if living & bit[v])
-                profile = profiles[living] = reduced_betti(sub, field).reduced_betti
-            for i, b in enumerate(profile):  # profile[i] is b~_{i-1}
-                if b:
-                    betti[size + i] += count * b
+            sub = L.subcomplex(L.common_neighbours(s) & w)
+            for i, b in enumerate(reduced_betti(sub, field).reduced_betti):
+                if b:  # b is b~_{i-1}
+                    betti[len(s) + i] += count * b
     return betti
 
 

@@ -128,6 +128,27 @@ class TestLink:
         with pytest.raises(ValueError):
             c4().link((0, 2))
 
+    def test_non_flag_links_follow_the_definition(self):
+        # in a non-flag complex the link is not the full subcomplex on the
+        # common neighbours: the hollow triangle's vertex link is two points
+        assert cycle_complex(3).link((0,)).faces == {(), (1,), (2,)}
+        lk = rp2_six().link((1,))
+        assert lk.dim == 1 and lk.n_faces(1) == 5  # a 5-cycle
+        rng = random.Random(77)
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            faces = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(10)]
+            K = SimplicialComplex(range(n), faces[: rng.randint(0, 10)])
+            for s in K.faces:
+                expected = {t for t in K.faces if not set(t) & set(s) and K.has_face(t + s)}
+                assert K.link(s).faces == expected
+
+    def test_full_subcomplexes_are_built_once(self):
+        K = octahedron()
+        assert K.full_subcomplex(["a0", "b0"]) is K.full_subcomplex(["b0", "a0"])
+        assert K.link(("a0",)) is K.link(("a0",))
+        assert K.full_subcomplex(K.vertices) is K
+
 
 class TestBoundaryMatrix:
     def test_single_edge_column(self):

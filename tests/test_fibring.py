@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from raaghom.complexes import barycentric_subdivision, flag_completion
+from raaghom.complexes import barycentric_subdivision, flag_completion, reduced_betti
 from raaghom.exact import F2, QQ, FieldSpec
 from raaghom.fibring import (
     CoefficientRing,
@@ -17,6 +18,7 @@ from raaghom.fibring import (
     no_fibring_obstruction,
     virtually_fpn_fibred,
 )
+from raaghom.kernels import Character, fpn_violation, is_fpn, kernel_betti, living_link
 from raaghom.raags import Raag, abelian_quotient
 
 from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
@@ -158,6 +160,77 @@ class TestFibresFibre:
             for field in (QQ, F2):
                 for n in (0, 1, 2):
                     assert fibres_fibre_check(L, n, field, 2)
+
+
+def brute_force_characters(L, n, field, bound) -> list[tuple]:
+    """Value tuples of every surjective character in the box passing FP_n."""
+    out = []
+    for values in product(range(-bound, bound + 1), repeat=len(L.vertices)):
+        if any(values):
+            phi = Character(L, dict(zip(L.vertices, values)))
+            if phi.is_surjective and is_fpn(L, phi, n, field):
+                out.append(values)
+    return out
+
+
+def brute_force_fibres_fibre(L, n, field, bound) -> bool:
+    verdicts = set()
+    for values in brute_force_characters(L, n, field, bound):
+        phi = Character(L, dict(zip(L.vertices, values)))
+        verdicts.add(all(kernel_betti(L, phi, m, field, enforce=False) == 0 for m in range(n + 1)))
+    return len(verdicts) <= 1
+
+
+class TestNoLeaksBetweenComplexes:
+    """Living sets and memos belong to one complex; equal masks on another do not share."""
+
+    def test_searches_match_brute_force_over_characters(self):
+        rng = random.Random(2718)
+        for trial in range(16):
+            bound = 1 if trial < 12 else 2  # bound 2 exercises the gcd filter
+            L = random_flag_complex(rng, 6 if bound == 1 else 4)
+            # the brute force runs on an equal but separate complex
+            twin = flag_completion(L.vertices, L.edges())
+            for field in (QQ, F2):
+                for n in (0, 1, 2):
+                    found = [phi.value_tuple() for phi in find_characters(L, n, field, bound)]
+                    assert found == brute_force_characters(twin, n, field, bound)
+                    assert fibres_fibre_check(L, n, field, bound) == brute_force_fibres_fibre(
+                        twin, n, field, bound
+                    )
+
+    def test_non_flag_complex_rejected(self):
+        L = rp2_six()  # every pair of vertices is an edge, but not every triple a face
+        with pytest.raises(ValueError):
+            find_characters(L, 1, QQ, 1)
+        with pytest.raises(ValueError):
+            fibres_fibre_check(L, 1, QQ, 1)
+
+    def test_c4_and_path_interleaved(self):
+        # the same labels, so a mask names the same vertex set in both; only
+        # the edge 3-0 differs, and with it every answer involving {0, 3}
+        square = flag_completion(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        path = flag_completion(range(4), [(0, 1), (1, 2), (2, 3)])
+
+        def answers(L):
+            ends_living = Character(L, {0: 1, 1: 0, 2: 0, 3: 1})
+            zero_dead = Character(L, {0: 0, 1: 1, 2: 1, 3: 1})
+            return (
+                reduced_betti(L.full_subcomplex([0, 3]), QQ).reduced_betti,
+                fpn_violation(L, ends_living, 1, QQ),
+                living_link(L, zero_dead, (0,)).faces,
+                reduced_betti(L.link((0,)), F2).reduced_betti,
+                len(find_characters(L, 1, QQ, 1)),
+                [fibres_fibre_check(L, n, F2, 1) for n in (0, 1, 2)],
+            )
+
+        expected = {
+            "square": ((0, 0, 0), (1, 2), {(), (1,), (3,)}, (0, 1), 16, [True, True, True]),
+            "path": ((0, 1), (), {(), (1,)}, (0, 0), 36, [True, True, True]),
+        }
+        shared = {"square": square, "path": path}
+        for name in ("square", "path", "path", "square", "square", "path"):
+            assert answers(shared[name]) == expected[name]
 
 
 class TestKazInequality:

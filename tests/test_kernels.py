@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raaghom.complexes import (
     ChainVector,
@@ -31,6 +35,7 @@ from raaghom.kernels import (
 )
 
 from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
+from oracles import dense_rank_mod_p, dense_rank_rationals
 
 F3 = FieldSpec.prime_field(3)
 
@@ -111,6 +116,11 @@ class TestIsFpn:
         L = SimplicialComplex("ab", [("a", "b")])
         for vals in [(1, 1), (1, -1), (1, 0)]:
             assert is_fpn(L, char(L, *vals), 1, QQ)
+
+    def test_non_flag_complex_rejected(self):
+        L = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])  # hollow triangle
+        with pytest.raises(ValueError):
+            fpn_violation(L, char(L, 1, 0, 1), 1, QQ)
 
     def test_all_living_calibration(self):
         # with no dead vertices FP_n is exactly (n-1)-acyclicity of L
@@ -400,3 +410,79 @@ class TestVanishingTransfer:
                         )
                         verdicts.append(vanish)
                     assert len(set(verdicts)) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the mask path against the definitions, with dense homology
+# ---------------------------------------------------------------------------
+
+
+def definition_link(L, s) -> set:
+    """lk(s) = {t : t and s disjoint, t union s a face}, as vertex sets."""
+    faces = {frozenset(f) for f in L.faces}
+    return {t for t in faces if not t & set(s) and t | set(s) in faces}
+
+
+def dense_reduced_betti(faces: set, field: FieldSpec) -> list[int]:
+    """b~_{-1}, b~_0, ... of a set of vertex sets, by dense augmented ranks."""
+    by_dim: dict[int, list] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    top = max(by_dim)
+    ranks = [0]  # rank of the boundary out of degree -1
+    for k in range(0, top + 1):
+        rows, cols = sorted(by_dim[k - 1]), sorted(by_dim[k])
+        dense = [[0] * len(cols) for _ in rows]
+        for j, f in enumerate(cols):
+            for i in range(len(f)):
+                dense[rows.index(f[:i] + f[i + 1 :])][j] = (-1) ** i
+        if field.char == 0:
+            ranks.append(dense_rank_rationals([[Fraction(v) for v in row] for row in dense]))
+        else:
+            ranks.append(dense_rank_mod_p(dense, field.char))
+    ranks.append(0)
+    return [len(by_dim[k]) - ranks[k + 1] - ranks[k + 2] for k in range(-1, top + 1)]
+
+
+def definition_acyclic(faces: set, m: int, field: FieldSpec) -> bool:
+    return all(b == 0 for b in dense_reduced_betti(faces, field)[: m + 2])
+
+
+def definition_violation(L, living: set, n: int, field: FieldSpec):
+    """FP_n scanned straight from its definition: living part, then dead simplices."""
+    if not definition_acyclic({frozenset(f) for f in L.faces if set(f) <= living}, n - 1, field):
+        return ()
+    for k in range(0, n + 1):
+        for s in L.faces_of_dim(k):
+            if set(s) & living:
+                continue
+            living_lk = {t for t in definition_link(L, s) if t <= living}
+            if not definition_acyclic(living_lk, n - k - 1, field):
+                return s
+    return None
+
+
+@st.composite
+def flag_complexes_with_characters(draw):
+    """A flag complex on 1..7 vertices and a character, dead vertices allowed."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    L = flag_completion(range(n), edges)
+    values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    return L, char(L, *values)
+
+
+class TestMaskPathAgainstDefinition:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(flag_complexes_with_characters(), st.sampled_from((QQ, F2, F3)), st.integers(0, 3))
+    def test_fpn_violation_and_living_links(self, instance, field, n):
+        L, phi = instance
+        living = set(phi.living_vertices())
+        assert fpn_violation(L, phi, n, field) == definition_violation(L, living, n, field)
+        for s in L.faces:
+            expected = {t for t in definition_link(L, s) if t <= living}
+            got = living_link(L, phi, s)
+            assert {frozenset(f) for f in got.faces} == expected
+            assert got.vertices == tuple(v for v in L.vertices if frozenset((v,)) in expected)
