@@ -97,6 +97,21 @@ def _parse_degrees(spec: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+def _json_int(value: object, where: str) -> int:
+    """A JSON integer, booleans excluded; anything else is malformed input."""
+    if type(value) is not int:
+        raise InputError(f"{where}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_mapping(obj: dict, key: str, source: str) -> dict:
+    """The object under key (empty when absent); anything else is malformed input."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"{source}: '{key}' must be an object keyed by vertex")
+    return value
+
+
 def _vertex_lookup(K: SimplicialComplex) -> dict[str, object]:
     return {str(v): v for v in K.vertices}
 
@@ -110,7 +125,7 @@ def _parse_character(path: str, K: SimplicialComplex) -> Character:
     for key, val in obj["phi"].items():
         if key not in lookup:
             raise InputError(f"{path}: unknown vertex {key!r}")
-        values[lookup[key]] = int(val)
+        values[lookup[key]] = _json_int(val, f"{path}: phi of {key!r}")
     try:
         return Character(K, values)
     except ValueError as e:
@@ -122,11 +137,19 @@ def _parse_quotient(obj: dict, A: Raag, source: str) -> FiniteQuotient:
     lookup = _vertex_lookup(A.complex)
     try:
         if kind == "abelian":
-            moduli = {lookup[k]: int(v) for k, v in obj.get("moduli", {}).items()}
+            moduli = {
+                lookup[k]: _json_int(v, f"{source}: modulus of {k!r}")
+                for k, v in _json_mapping(obj, "moduli", source).items()
+            }
             return abelian_quotient(A, moduli)
         if kind == "explicit":
-            action = {lookup[k]: [int(x) for x in perm] for k, perm in obj.get("action", {}).items()}
-            return FiniteQuotient(A, int(obj["order"]), action)
+            order = _json_int(obj.get("order"), f"{source}: order")
+            action = {}
+            for k, perm in _json_mapping(obj, "action", source).items():
+                if not isinstance(perm, list):
+                    raise InputError(f"{source}: action of {k!r} must be a list")
+                action[lookup[k]] = [_json_int(x, f"{source}: action of {k!r}") for x in perm]
+            return FiniteQuotient(A, order, action)
     except KeyError as e:
         raise InputError(f"{source}: unknown vertex {e}") from e
     except ValueError as e:

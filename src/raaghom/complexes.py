@@ -15,6 +15,16 @@ with the complex.  For a flag complex the link of a face s is the full
 subcomplex on the common neighbours CN(s) of its vertices, so links, and
 the living links of an Artin kernel (CN(s) intersected with the living
 vertices), are memo lookups by mask.
+
+Homology is read from a core.  In a flag complex a vertex u of a mask U
+is dominated when another v in U is adjacent to every vertex of U that u
+is adjacent to; removing u is then a strong collapse, which keeps the
+homotopy type and so the homology over every ring.  ``core(mask)``
+removes dominated vertices until none is left, and ``reduced_betti`` and
+``integral_homology`` eliminate the full subcomplex on the core, padding
+the profile with zeros to the complex's own degrees.  Callers that look
+up ``subcomplex(core(mask))`` share one elimination among all masks with
+one core.
 """
 
 from __future__ import annotations
@@ -120,8 +130,8 @@ class SimplicialComplex:
             m |= 1 << self._index[v]
         return m
 
-    def common_neighbours(self, verts: Iterable[Label]) -> int:
-        """Mask of the vertices adjacent to all of verts (every vertex for none)."""
+    def _adjacency(self) -> list[int]:
+        """Per vertex index, the mask of its neighbours."""
         adjacency = self._memo.get("adjacency")
         if adjacency is None:
             adjacency = [0] * len(self.vertices)
@@ -129,10 +139,48 @@ class SimplicialComplex:
                 adjacency[self._index[u]] |= 1 << self._index[v]
                 adjacency[self._index[v]] |= 1 << self._index[u]
             self._memo["adjacency"] = adjacency
+        return adjacency
+
+    def common_neighbours(self, verts: Iterable[Label]) -> int:
+        """Mask of the vertices adjacent to all of verts (every vertex for none)."""
+        adjacency = self._adjacency()
         m = (1 << len(self.vertices)) - 1
         for v in verts:
             m &= adjacency[self._index[v]]
         return m
+
+    def core(self, mask: int) -> int:
+        """The mask left after removing dominated vertices from a mask U.
+
+        In a flag complex, u in U is dominated by another v in U when
+        N[u] & U lies inside N[v], with N[.] the closed neighbourhood.  The
+        link of u in the full subcomplex on U is then a cone on v, so
+        removing u is a strong collapse and keeps the homotopy type
+        (Barmak-Minian).  Vertices are removed in index order until none is
+        dominated.  A complex that is not flag keeps every vertex: its
+        links need not be the full subcomplexes that make this test work.
+        """
+        if not self.is_flag():
+            return mask
+        adjacency = self._adjacency()
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            rest = mask
+            while rest:
+                u_bit = rest & -rest
+                rest ^= u_bit
+                u = u_bit.bit_length() - 1
+                closed = (adjacency[u] | u_bit) & mask
+                others = adjacency[u] & mask
+                while others:
+                    v_bit = others & -others
+                    others ^= v_bit
+                    if not closed & ~(adjacency[v_bit.bit_length() - 1] | v_bit):
+                        mask ^= u_bit
+                        shrunk = True
+                        break
+        return mask
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating face count with the empty face contributing -1."""
@@ -153,6 +201,8 @@ class SimplicialComplex:
             sub_vertices = [v for i, v in enumerate(self.vertices) if mask >> i & 1]
             sub_faces = [f for f in self.faces if not self.mask(f) & ~mask]
             sub = self._memo[mask] = SimplicialComplex(sub_vertices, sub_faces, closed=True)
+            if self._memo.get("flag"):
+                sub._memo["flag"] = True  # a full subcomplex of a flag complex is flag
         return sub
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
@@ -177,11 +227,25 @@ class SimplicialComplex:
         return SimplicialComplex(lk_vertices, lk_faces, closed=True)
 
     def is_flag(self) -> bool:
-        """True when every pairwise-adjacent vertex set spans a face."""
+        """True when every pairwise-adjacent vertex set spans a face.
+
+        By induction on size every clique is a face exactly when each face
+        f, extended by any common neighbour of f after its last vertex, is
+        a face; this test reads each face once and lists no clique.
+        """
         flag = self._memo.get("flag")
         if flag is None:
-            clique = flag_completion(self.vertices, self.faces_of_dim(1))
-            flag = self._memo["flag"] = clique.faces == self.faces
+            flag = True
+            for f in self.faces:
+                neighbours = self.common_neighbours(f)
+                start = self._index[f[-1]] + 1 if f else 0
+                if any(
+                    neighbours >> i & 1 and f + (self.vertices[i],) not in self.faces
+                    for i in range(start, len(self.vertices))
+                ):
+                    flag = False
+                    break
+            self._memo["flag"] = flag
         return flag
 
     # -- equality / hashing ------------------------------------------------------
@@ -210,7 +274,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SimplicialComplex":
+        """A flag complex from ``edges`` or a complex from ``faces``, never both."""
         vertices = list(obj["vertices"])
+        if "edges" in obj and "faces" in obj:
+            raise ValueError("give either 'edges' or 'faces', not both")
         if "edges" in obj:
             return flag_completion(vertices, [tuple(e) for e in obj["edges"]])
         return cls(vertices, [tuple(f) for f in obj.get("faces", [])])
@@ -312,18 +379,34 @@ class HomologyProfile:
         return {"field": self.field.token(), "reduced_betti": list(self.reduced_betti)}
 
 
+def _core_complex(K: SimplicialComplex) -> Optional[SimplicialComplex]:
+    """The full subcomplex on K's core, or None when K is its own core."""
+    full = (1 << len(K.vertices)) - 1
+    core = K.core(full)
+    return None if core == full else K.subcomplex(core)
+
+
 def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    """Reduced Betti numbers via augmented boundary matrices, memoised on K."""
+    """Reduced Betti numbers of K's core, padded to K's degrees and memoised on K.
+
+    A core is eliminated by augmented boundary matrices; a larger complex
+    reads its core's profile, which strong collapses leave unchanged.
+    """
     profile = K._memo.get(field)
     if profile is None:
-        ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)]
-        ranks.append(0)
-        values = []
-        for k in range(-1, K.dim + 1):
-            n_k = 1 if k == -1 else K.n_faces(k)
-            b = n_k - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
-            assert b >= 0
-            values.append(b)
+        core = _core_complex(K)
+        if core is not None:
+            values = list(reduced_betti(core, field).reduced_betti)
+            values += [0] * (K.dim + 2 - len(values))
+        else:
+            ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)]
+            ranks.append(0)
+            values = []
+            for k in range(-1, K.dim + 1):
+                n_k = 1 if k == -1 else K.n_faces(k)
+                b = n_k - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
+                assert b >= 0
+                values.append(b)
         profile = K._memo[field] = HomologyProfile(field=field, reduced_betti=tuple(values))
     return profile
 
@@ -349,6 +432,9 @@ def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
     """Reduced integral homology in degree k: (free rank, torsion divisors > 1)."""
     if k < -1 or k > K.dim:
         return 0, []
+    core = _core_complex(K)
+    if core is not None:  # the Smith forms of K's own boundaries have K's shape
+        return integral_homology(core, k)
     n_k = 1 if k == -1 else K.n_faces(k)
     r_k = 0 if k == -1 else _smith_form(K, k).rank
     if k == K.dim:

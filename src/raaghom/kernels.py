@@ -160,16 +160,17 @@ def living_set_violation(
     """``fpn_violation`` for every character whose living vertices form a mask.
 
     L being flag, the living link of a dead simplex s is the full
-    subcomplex on CN(s) & living, so each test is a lookup in L's memo.
+    subcomplex on CN(s) & living.  Each test reads the subcomplex on that
+    mask's core, so masks with one core share one entry of L's memo.
     """
     if not L.is_flag():
         raise ValueError("finiteness checking needs a flag complex")
-    if not is_n_acyclic(L.subcomplex(living), n - 1, field):
+    if not is_n_acyclic(L.subcomplex(L.core(living)), n - 1, field):
         return ()
     for k in range(0, n + 1):  # deeper dead simplices impose vacuous conditions
         for s in L.faces_of_dim(k):
             if not L.mask(s) & living and not is_n_acyclic(
-                L.subcomplex(L.common_neighbours(s) & living), n - k - 1, field
+                L.subcomplex(L.core(L.common_neighbours(s) & living)), n - k - 1, field
             ):
                 return s
     return None

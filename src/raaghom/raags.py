@@ -280,6 +280,9 @@ def _character_sum_betti(
     the same, so
 
         b_k = sum_W prod_{v in W} (n_v - 1) * sum_s b~_{k-1-|s|}(L[W & CN(s)]).
+
+    Each living link is read from the subcomplex on its mask's core, which
+    has the same homology, so links with one core share one elimination.
     """
     living_sets = [(0, 1)]  # (mask of W, number of characters with living set W)
     for i, v in enumerate(L.vertices):
@@ -290,7 +293,7 @@ def _character_sum_betti(
         for s in L.faces:
             if L.mask(s) & w:
                 continue
-            sub = L.subcomplex(L.common_neighbours(s) & w)
+            sub = L.subcomplex(L.core(L.common_neighbours(s) & w))
             for i, b in enumerate(reduced_betti(sub, field).reduced_betti):
                 if b:  # b is b~_{i-1}
                     betti[len(s) + i] += count * b

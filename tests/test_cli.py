@@ -248,6 +248,62 @@ class TestGradient:
         assert code == 2
 
 
+class TestStrictIntegers:
+    """Only JSON integers, booleans excluded, are read as numbers in input files."""
+
+    @pytest.mark.parametrize("bad", [1.5, True, "x", None])
+    def test_phi(self, workdir, capsys, bad):
+        (workdir / "phi_bad.json").write_text(json.dumps({"phi": {"0": bad, "1": 1, "2": 1, "3": 1}}))
+        code, out, err = run_cli(
+            capsys, "fpn-check", "--complex", "c4.json", "--phi", "phi_bad.json", "--field", "Q", "--n", "1"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and "phi of '0'" in error["message"]
+
+    @pytest.mark.parametrize(
+        "fragment, quotient",
+        [
+            ("modulus", {"type": "abelian", "moduli": {"0": 2.7, "1": 2}}),
+            ("modulus", {"type": "abelian", "moduli": {"0": "3"}}),
+            ("modulus", {"type": "abelian", "moduli": {"0": True}}),
+            ("moduli", {"type": "abelian", "moduli": [2, 2]}),
+            ("order", {"type": "explicit", "order": 2.0, "action": {"0": [1, 0]}}),
+            ("order", {"type": "explicit", "order": True, "action": {"0": [1, 0]}}),
+            ("order", {"type": "explicit", "action": {"0": [1, 0]}}),
+            ("action", {"type": "explicit", "order": 2, "action": {"0": [1.0, 0]}}),
+            ("action", {"type": "explicit", "order": 2, "action": {"0": [True, False]}}),
+            ("action", {"type": "explicit", "order": 2, "action": {"0": 1}}),
+            ("action", {"type": "explicit", "order": 2, "action": [[1, 0]]}),
+        ],
+    )
+    def test_quotient_fields(self, workdir, capsys, fragment, quotient):
+        (workdir / "q_bad.json").write_text(json.dumps(quotient))
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "Q", "--chain", "q_bad.json", "--degree", "1"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and fragment in error["message"]
+
+    def test_integer_moduli_still_read(self, workdir, capsys):
+        (workdir / "q.json").write_text(json.dumps({"type": "abelian", "moduli": {"0": 2}}))
+        code, out, _ = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "Q", "--chain", "q.json", "--degree", "1"
+        )
+        assert code == 0 and json.loads(out)["orders"] == [2]
+
+
+class TestComplexFiles:
+    def test_edges_and_faces_together_are_input_error(self, workdir, capsys):
+        (workdir / "both.json").write_text(
+            json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1]], "faces": [[0, 1, 2]]})
+        )
+        code, out, err = run_cli(capsys, "betti", "--complex", "both.json", "--field", "Q", "--degrees", "0")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+
 class TestReportCommand:
     def test_report_subset(self, workdir, capsys):
         code, out, _ = run_cli(capsys, "report", "--criteria", "1,10,11")

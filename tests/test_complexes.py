@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raaghom import complexes
 from raaghom.complexes import (
     ChainVector,
     SimplicialComplex,
@@ -71,6 +74,19 @@ class TestFlagCompletion:
         assert c4().is_flag()
         hollow = SimplicialComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert not hollow.is_flag()
+
+    def test_flag_test_agrees_with_clique_completion(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            faces = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 10))]
+            for K in (SimplicialComplex(range(n), faces), random_flag_complex(rng, 7)):
+                fresh = SimplicialComplex(K.vertices, K.faces, closed=True)
+                verdict = flag_completion(K.vertices, K.edges()).faces == K.faces
+                assert fresh.is_flag() == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestBarycentricSubdivision:
@@ -148,6 +164,108 @@ class TestLink:
         assert K.full_subcomplex(["a0", "b0"]) is K.full_subcomplex(["b0", "a0"])
         assert K.link(("a0",)) is K.link(("a0",))
         assert K.full_subcomplex(K.vertices) is K
+
+
+def eliminated_profile(K: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
+    """Reduced Betti numbers of K from the ranks of all of its own boundaries."""
+    ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)] + [0]
+    return tuple(
+        (1 if k == -1 else K.n_faces(k)) - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
+        for k in range(-1, K.dim + 1)
+    )
+
+
+def eliminated_integral(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
+    """Reduced H_k(K; Z) from the Smith forms of K's own boundaries."""
+    r_k = smith_normal_form(boundary_matrix(K, k)).rank if k >= 0 else 0
+    if k == K.dim:
+        return K.n_faces(k) - r_k, []
+    sf = smith_normal_form(boundary_matrix(K, k + 1))
+    return (1 if k == -1 else K.n_faces(k)) - r_k - sf.rank, list(sf.torsion_divisors)
+
+
+def assert_core_homology_matches(L: SimplicialComplex, mask: int) -> None:
+    """Core-based homology of L[mask] against elimination of L[mask] itself."""
+    sub = L.subcomplex(mask)
+    core = L.subcomplex(L.core(mask))
+    for field in (QQ, F2, F3):
+        expected = eliminated_profile(sub, field)
+        assert reduced_betti(sub, field).reduced_betti == expected
+        assert all(reduced_betti(core, field).betti(k) == b for k, b in enumerate(expected, -1))
+    for k in range(-1, sub.dim + 1):
+        expected = eliminated_integral(sub, k)
+        assert integral_homology(sub, k) == expected
+        assert integral_homology(core, k) == expected
+
+
+@st.composite
+def flag_complexes(draw, max_vertices: int = 8) -> SimplicialComplex:
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return flag_completion(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+class TestCore:
+    def test_small_cores(self):
+        path = flag_completion("abc", [("a", "b"), ("b", "c")])
+        assert path.core(path.mask("abc")) == path.mask("c")  # a goes under b, then b under c
+        # a and c share the neighbour b, but b lies outside U = {a, c}
+        assert path.core(path.mask("ac")) == path.mask("ac")
+        K = c4()
+        assert K.core(K.mask(K.vertices)) == K.mask(K.vertices)
+        cone = flag_completion(range(5), [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, 4) for i in range(4)])
+        assert bin(cone.core(0b11111)).count("1") == 1
+        assert cone.core(0b01111) == 0b01111
+        assert cone.core(0) == 0
+
+    def test_non_flag_complexes_keep_their_homology(self):
+        # each of these has a complete 1-skeleton, whose clique complex is a point
+        hollow = cycle_complex(3)
+        sphere = SimplicialComplex(range(4), full_simplex(4).faces_of_dim(2))
+        for K in (hollow, sphere, rp2_six()):
+            assert K.core(K.mask(K.vertices)) == K.mask(K.vertices)
+        assert reduced_betti(hollow, QQ).betti(1) == 1
+        assert integral_homology(hollow, 1) == (1, [])
+        assert reduced_betti(sphere, F2).reduced_betti == (0, 0, 0, 1)
+        assert reduced_betti(rp2_six(), F2).reduced_betti == (0, 0, 1, 1)
+        assert integral_homology(rp2_six(), 1) == (0, [2])
+
+    def test_subcomplexes_of_flag_complexes_inherit_the_verdict(self, monkeypatch):
+        L = barycentric_subdivision(rp2_six())
+        assert L.is_flag()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return flag_completion(*args)
+
+        monkeypatch.setattr(complexes, "flag_completion", counting)
+        rng = random.Random(5)
+        for _ in range(20):
+            mask = rng.getrandbits(len(L.vertices))
+            sub = L.subcomplex(mask)
+            assert sub._memo["flag"] is True  # set on construction, not tested again
+            reduced_betti(sub, F2)
+            reduced_betti(L.subcomplex(L.core(mask)), QQ)
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(flag_complexes())
+    def test_core_homology_matches_elimination_on_every_mask(self, L):
+        for mask in range(1 << len(L.vertices)):
+            assert_core_homology_matches(L, mask)
+
+    def test_barycentric_rp2_subcomplexes(self):
+        L = barycentric_subdivision(rp2_six())
+        everything = (1 << len(L.vertices)) - 1
+        assert integral_homology(L, 1) == (0, [2])
+        masks = [everything] + [everything ^ 1 << i for i in range(0, len(L.vertices), 5)]
+        masks += [L.common_neighbours((v,)) for v in L.vertices[::4]]
+        rng = random.Random(31)
+        masks += [rng.getrandbits(len(L.vertices)) | rng.getrandbits(len(L.vertices)) for _ in range(15)]
+        for mask in masks:
+            assert_core_homology_matches(L, mask)
 
 
 class TestBoundaryMatrix:
@@ -298,6 +416,11 @@ class TestJson:
         K = rp2_six()
         again = SimplicialComplex.from_json_dict(K.to_json_dict())
         assert again == K
+
+    def test_edges_and_faces_together_rejected(self):
+        obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]], "faces": [["a", "b", "c"]]}
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_json_dict(obj)
 
     def test_edges_input_applies_flag_completion(self):
         obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
