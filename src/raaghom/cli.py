@@ -32,8 +32,8 @@ from .raags import (
     Raag,
     abelian_quotient,
     check_gradient_chain,
-    cover_betti,
     dfg_betti_raag,
+    gradient_sequence,
 )
 
 CACHE_ENV = "AGRARIAN_CACHE"
@@ -188,17 +188,26 @@ def _cache_dir(args) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _cached_rank_hook(cache: Path, job_key: str):
-    """Memoise (job-key, degree) -> rank as small JSON files on disk.
+def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
+    """Memoise (complex, quotient, field, degree) -> rank as small JSON files on disk.
 
-    An entry is ``{"schema": 1, "shape": [rows, cols], "rank": r}``.  It is
-    trusted only when its schema and matrix shape match and the rank fits
-    the shape; anything else is recomputed and overwritten, so a stale or
+    The hook takes the quotient first, as `gradient_sequence` passes it,
+    and keys its entry by the quotient's explicit JSON form.  An entry is
+    ``{"schema": 1, "shape": [rows, cols], "rank": r}``.  It is trusted
+    only when its schema and matrix shape match and the rank fits the
+    shape; anything else is recomputed and overwritten, so a stale or
     foreign file cannot change a report.
     """
-    cache.mkdir(parents=True, exist_ok=True)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot use cache directory {cache}: {e}") from e
+    complex_json = json.dumps(K.to_json_dict(), sort_keys=True, default=str)
 
-    def hook(degree: int, shape: tuple[int, int], compute: Callable[[], int]) -> int:
+    def hook(
+        q: FiniteQuotient, degree: int, shape: tuple[int, int], compute: Callable[[], int]
+    ) -> int:
+        job_key = _job_key(complex_json, json.dumps(q.to_json_dict(), sort_keys=True), field.token())
         digest = hashlib.sha256(f"{job_key}:{degree}".encode()).hexdigest()
         path = cache / f"rank-{digest}.json"
         try:
@@ -244,7 +253,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        _atomic_write(Path(out), text)
+        try:
+            _atomic_write(Path(out), text)
+        except OSError as e:
+            raise InputError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -337,21 +349,9 @@ def _cmd_gradient(args) -> str:
     except ValueError as e:
         raise InputError(str(e)) from e
     cache = _cache_dir(args)
-    rows = []
-    for q in chain:
-        hook = None
-        if cache is not None:
-            hook = _cached_rank_hook(
-                cache,
-                _job_key(
-                    json.dumps(K.to_json_dict(), sort_keys=True, default=str),
-                    json.dumps(q.to_json_dict(), sort_keys=True),
-                    field.token(),
-                ),
-            )
-        report = cover_betti(A, q, field, rank_hook=hook)
-        b = report.betti[args.degree] if args.degree < len(report.betti) else 0
-        rows.append((q.order, b, Fraction(b, q.order)))
+    hook = None if cache is None else _cached_rank_hook(cache, K, field)
+    values = gradient_sequence(A, chain, field, args.degree, rank_hook=hook)
+    rows = [(q.order, int(v * q.order), v) for q, v in zip(chain, values)]
     if args.format == "csv":
         lines = [f"N,b_{args.degree},b_{args.degree}/N"]
         lines += [f"{n},{b},{_frac(v)}" for n, b, v in rows]
@@ -521,17 +521,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_minimums(args)
         result = args.run(args)
+        code, text = result if isinstance(result, tuple) else (0, result)
+        _emit(text, args.out)
     except InputError as e:
         sys.stderr.write(json.dumps({"error": {"kind": "input", "message": str(e)}}) + "\n")
         return 2
     except (PreconditionError, InconsistencyError, ValueError) as e:
         sys.stderr.write(json.dumps({"error": {"kind": "precondition", "message": str(e)}}) + "\n")
         return 1
-    if isinstance(result, tuple):
-        code, text = result
-    else:
-        code, text = 0, result
-    _emit(text, args.out)
     return code
 
 

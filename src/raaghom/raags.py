@@ -15,15 +15,18 @@ N x N block +-(P_v - I), P_v the permutation matrix of v, and computes
 the homology of the corresponding finite cover; normalised by the cover
 degree these Betti numbers are the gradient approximants that the
 closed-form values `dfg_betti_raag` / `graph_product_betti` bound and,
-along suitable chains, match in the limit.  For abelian quotients over a
-field whose characteristic does not divide N, `cover_betti` gets the same
-numbers from a character sum over living links instead.
+along suitable chains, match in the limit.  `cover_betti` eliminates
+these blocks only for explicit quotients: for an abelian quotient it gets
+the same numbers, over every field, from a character sum over living
+links, and the quotient never builds its permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import prod
 from typing import Callable, Mapping, Optional, Sequence
 
 from .complexes import SimplicialComplex, reduced_betti
@@ -127,19 +130,29 @@ class FiniteQuotient:
     """A finite permutation action of the RAAG generators on {0..N-1}.
 
     Each generator acts by a bijection; the actions of adjacent vertices
-    must commute so the RAAG relators hold in the quotient.  ``moduli``
-    maps each vertex to n_v when `abelian_quotient` built the action (the
-    regular action of the direct sum of Z/n_v) and is None otherwise.
+    must commute so the RAAG relators hold in the quotient.  An explicit
+    quotient is given its permutations, which are validated here.  An
+    abelian quotient (see `abelian_quotient`) is given ``moduli`` instead,
+    n_v per vertex, and ``action`` builds its regular action on each read;
+    ``moduli`` is None for explicit quotients.
     """
 
-    __slots__ = ("over", "order", "action", "transitive", "moduli")
+    __slots__ = ("over", "order", "moduli", "_perms")
 
-    def __init__(self, over: Raag, order: int, action: Mapping[object, Sequence[int]]) -> None:
+    def __init__(
+        self, over: Raag, order: int, action: Optional[Mapping[object, Sequence[int]]] = None,
+        *, moduli: Optional[Mapping[object, int]] = None,
+    ) -> None:
         if order < 1:
             raise ValueError("quotient order must be >= 1")
         self.over = over
         self.order = order
-        self.moduli: Optional[dict[object, int]] = None
+        self.moduli = None if moduli is None else dict(moduli)
+        if moduli is not None:
+            if prod(moduli.values()) != order:
+                raise ValueError("the moduli of an abelian quotient must multiply to its order")
+            self._perms = None
+            return
         perms: dict[object, tuple[int, ...]] = {}
         for v in over.generators:
             if v not in action:
@@ -148,15 +161,32 @@ class FiniteQuotient:
             if sorted(p) != list(range(order)):
                 raise ValueError(f"action of {v!r} is not a permutation of 0..{order - 1}")
             perms[v] = p
-        self.action = perms
         for u, v in over.complex.faces_of_dim(1):
             pu, pv = perms[u], perms[v]
             if any(pu[pv[x]] != pv[pu[x]] for x in range(order)):
                 raise ValueError(f"actions of adjacent generators {u!r}, {v!r} do not commute")
-        self.transitive = self._orbit_count() == 1
+        self._perms = perms
 
-    def _orbit_count(self) -> int:
+    @property
+    def action(self) -> dict[object, tuple[int, ...]]:
+        """Generator -> permutation; for an abelian quotient, built anew on each read."""
+        if self._perms is not None:
+            return self._perms
+        perms, stride = {}, 1
+        for v in self.over.generators:
+            nv = self.moduli[v]
+            # x + stride steps digit v of x up by one, wrapping at n_v
+            perms[v] = tuple(
+                x + stride if (x // stride) % nv != nv - 1 else x - stride * (nv - 1)
+                for x in range(self.order)
+            )
+            stride *= nv
+        return perms
+
+    @property
+    def orbit_count(self) -> int:
         # forward images suffice: each inverse is a power of its permutation
+        perms = self.action.values()
         seen = [False] * self.order
         count = 0
         for start in range(self.order):
@@ -167,7 +197,7 @@ class FiniteQuotient:
             seen[start] = True
             while stack:
                 x = stack.pop()
-                for p in self.action.values():
+                for p in perms:
                     y = p[x]
                     if not seen[y]:
                         seen[y] = True
@@ -175,8 +205,9 @@ class FiniteQuotient:
         return count
 
     @property
-    def orbit_count(self) -> int:
-        return self._orbit_count()
+    def transitive(self) -> bool:
+        # the regular action of a group is transitive
+        return self.moduli is not None or self.orbit_count == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,33 +224,17 @@ def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:
     """The quotient onto the direct sum of Z/n_v, acting regularly on itself.
 
     Vertices absent from ``moduli`` get modulus 1.  The order is the
-    product of the moduli and the action is transitive.  The moduli are
-    recorded on the quotient, which is what lets `cover_betti` use the
-    character sum.
+    product of the moduli and the action is transitive.  The quotient
+    stores the moduli, which is what `cover_betti` reads, and builds its
+    permutations only when its ``action`` is read.
     """
-    verts = A.generators
-    n = {v: int(moduli.get(v, 1)) for v in verts}
+    n = {v: int(moduli.get(v, 1)) for v in A.generators}
     if any(nv < 1 for nv in n.values()):
         raise ValueError("moduli must be >= 1")
     for v in moduli:
         if v not in n:
             raise ValueError(f"modulus given for unknown vertex {v!r}")
-    order = 1
-    stride: dict[object, int] = {}
-    for v in verts:
-        stride[v] = order
-        order *= n[v]
-    action = {}
-    for v in verts:
-        s, nv = stride[v], n[v]
-        perm = []
-        for x in range(order):
-            digit = (x // s) % nv
-            perm.append(x + s * (((digit + 1) % nv) - digit))
-        action[v] = perm
-    q = FiniteQuotient(A, order, action)
-    q.moduli = n
-    return q
+    return FiniteQuotient(A, prod(n.values()), moduli=n)
 
 
 def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
@@ -232,9 +247,10 @@ def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
     if q.over != m.over:
         raise ValueError("quotient is for a different group")
     N = q.order
+    action = q.action
     out: dict[tuple[int, int], int] = {}
     for (i, j), (v, sign) in m.entries.items():
-        perm = q.action[v]
+        perm = action[v]
         base_r, base_c = i * N, j * N
         for x, y in enumerate(perm):
             if y != x:
@@ -270,16 +286,31 @@ def _character_sum_betti(
 ) -> list[int]:
     """Betti numbers of the abelian cover with moduli n_v, by characters.
 
-    Needs char F prime to N = prod n_v.  Then F[sum Z/n_v] splits (after
-    extending F) into characters chi; the Salvetti complex twisted by chi
-    only removes the living vertices W = {v : chi(v) != 1}, and after a
-    rescaling it splits over the dead faces s (the empty face included)
-    into augmented chains of the living links L[W & CN(s)], shifted by |s|,
-    where CN(s) is the set of common neighbours of s (L is flag).  The
-    prod_{v in W} (n_v - 1) characters with living set W all contribute
-    the same, so
+    Over a field F whose characteristic does not divide N = prod n_v,
+    F[sum Z/n_v] splits (after extending F) into characters chi; the
+    Salvetti complex twisted by chi only removes the living vertices
+    W = {v : chi(v) != 1}, and after a rescaling it splits over the dead
+    faces s (the empty face included) into augmented chains of the living
+    links L[W & CN(s)], shifted by |s|, where CN(s) is the set of common
+    neighbours of s (L is flag).  The prod_{v in W} (n_v - 1) characters
+    with living set W all contribute the same, so
 
         b_k = sum_W prod_{v in W} (n_v - 1) * sum_s b~_{k-1-|s|}(L[W & CN(s)]).
+
+    The same formula holds when char F = p divides N.  Write n_v = q_v m_v
+    with q_v a power of p and p prime to m_v.  Over the algebraic closure,
+    F[sum Z/n_v] is the sum over the characters chi of sum Z/m_v of copies
+    of F[P], P = sum Z/q_v, F[P] = F[x_v]/(x_v^q_v), with t_v acting as
+    chi(v)(1 + x_v).  Where chi(v) != 1 the entry chi(v)(1 + x_v) - 1 is a
+    unit and rescales to 1; where chi(v) = 1 it is x_v.  Grading each
+    dead v by deg x_v = e_v, with the cell s in degree sum_{v in s dead}
+    e_v, makes the differential homogeneous.  In multidegree d, with
+    T = {v : d_v = q_v} and I = {v : 0 < d_v < q_v}, only cells containing
+    T survive, and the graded piece is the augmented chain complex of
+    L[CN(T) & (W | I)] shifted by |T|, with multiplicity prod_{v in W} q_v.
+    Per vertex, the living or interior choices number
+    (m_v - 1) q_v + (q_v - 1) = n_v - 1, so the sum is the one above;
+    extending F does not change the Betti numbers of a full subcomplex.
 
     Each living link is read from the subcomplex on its mask's core, which
     has the same homology, so links with one core share one elimination.
@@ -300,21 +331,20 @@ def _character_sum_betti(
     return betti
 
 
-def _ranks_from_betti(betti: Sequence[int], cells: Sequence[int], N: int) -> list[int]:
-    """Boundary ranks r_0 = 0, r_{k+1} = cells_k * N - b_k - r_k, checked.
+def _check_betti(betti: Sequence[int], cells: Sequence[int], N: int) -> None:
+    """Raise ArithmeticError unless the Betti numbers fit the boundary shapes.
 
+    They fix the boundary ranks r_0 = 0, r_{k+1} = cells_k * N - b_k - r_k.
     Each rank must fit its matrix and the top equation must close with
     r_{top+1} = 0, which is chi(cover) = N * chi(Salvetti); a failure is a
     bug in the Betti numbers and raises rather than being corrected.
     """
-    ranks = [0]
+    r = 0
     for k, b in enumerate(betti):
-        r = cells[k] * N - b - ranks[k]
+        r = cells[k] * N - b - r
         limit = min(cells[k], cells[k + 1]) * N if k + 1 < len(cells) else 0
         if not 0 <= r <= limit:
             raise ArithmeticError(f"rank of d_{k + 1} would be {r}, outside [0, {limit}]")
-        ranks.append(r)
-    return ranks
 
 
 def cover_betti(
@@ -327,21 +357,21 @@ def cover_betti(
     """Betti numbers of the finite cover determined by a quotient.
 
     In degree k the answer is (#k-cells) * N - rank d_k - rank d_{k+1};
-    degree 0 comes out as the number of orbits of the action.  The ranks
-    come from one of two computations:
+    degree 0 comes out as the number of orbits of the action.  There are
+    two computations, chosen by the kind of quotient alone:
 
-    * an abelian quotient from `abelian_quotient` over a field whose
-      characteristic does not divide N: the Betti numbers are a character
-      sum over living links (`_character_sum_betti`), and the ranks follow
-      from them, checked against each matrix shape and the Euler
-      characteristic (ArithmeticError on a mismatch);
-    * every other quotient, and char F dividing N: each boundary is
-      specialised to an N-fold block matrix and eliminated.
+    * an abelian quotient from `abelian_quotient`, over every field: the
+      Betti numbers are a character sum over living links
+      (`_character_sum_betti`), checked against each boundary's shape and
+      the Euler characteristic (ArithmeticError on a mismatch);
+    * an explicit quotient: each boundary is specialised to an N-fold
+      block matrix and eliminated.
 
     The optional ``rank_hook(degree, shape, compute)`` lets callers memoise
-    ranks: ``shape`` is the (rows, cols) of the specialised boundary and
-    ``compute()`` returns its rank, building the matrix only when called.
-    The hook returns the rank.
+    the eliminated ranks: ``shape`` is the (rows, cols) of the specialised
+    boundary and ``compute()`` returns its rank, building the matrix only
+    when called.  The hook returns the rank.  Abelian quotients eliminate
+    nothing, so they never call it.
     """
     if q.over != A:
         raise ValueError("quotient is for a different group")
@@ -349,20 +379,18 @@ def cover_betti(
     N = q.order
     top = L.dim + 1
     cells = [L.n_faces(k - 1) for k in range(top + 1)]
-    if q.moduli is not None and (field.char == 0 or N % field.char):
-        known = _ranks_from_betti(_character_sum_betti(L, q.moduli, field), cells, N)
-        compute = known.__getitem__
+    if q.moduli is not None:
+        betti = _character_sum_betti(L, q.moduli, field)
+        _check_betti(betti, cells, N)
     else:
-        def compute(k: int) -> int:
-            return rank(specialize(salvetti_boundary(A, k, field), q))
-    ranks = [0] * (top + 2)
-    for k in range(1, top + 1):
-        if rank_hook is None:
-            ranks[k] = compute(k)
-        else:
+        ranks = [0] * (top + 2)
+        for k in range(1, top + 1):
+            def compute(k: int = k) -> int:
+                return rank(specialize(salvetti_boundary(A, k, field), q))
+
             shape = (cells[k - 1] * N, cells[k] * N)
-            ranks[k] = rank_hook(k, shape, lambda k=k: compute(k))
-    betti = [cells[k] * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+            ranks[k] = compute() if rank_hook is None else rank_hook(k, shape, compute)
+        betti = [cells[k] * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     return CoverHomologyReport(
         order=N,
         betti=tuple(betti),
@@ -380,16 +408,20 @@ def check_gradient_chain(chain: Sequence[FiniteQuotient], degree: int) -> None:
 
 
 def gradient_sequence(
-    A: Raag, chain: Sequence[FiniteQuotient], field: FieldSpec, degree: int
+    A: Raag, chain: Sequence[FiniteQuotient], field: FieldSpec, degree: int,
+    *, rank_hook: Optional[Callable[..., int]] = None,
 ) -> list[Fraction]:
     """Normalised Betti numbers b_k/N along a chain of quotients.
 
-    The values are reported raw; no convergence judgement is made.
+    The values are reported raw; no convergence judgement is made.  The
+    optional ``rank_hook(q, degree, shape, compute)`` is `cover_betti`'s
+    hook with the quotient being computed passed first.
     """
     check_gradient_chain(chain, degree)
     out = []
     for q in chain:
-        report = cover_betti(A, q, field)
+        hook = None if rank_hook is None else partial(rank_hook, q)
+        report = cover_betti(A, q, field, rank_hook=hook)
         out.append(report.normalized[degree] if degree < len(report.betti) else Fraction(0))
     return out
 

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from raaghom.cli import main
+from raaghom.complexes import flag_completion
+from raaghom.raags import Raag, abelian_quotient
+
+
+def write_regular_quotient(path, vertices, edges, n):
+    """The regular action of (Z/n)^vertices, written as an explicit quotient file."""
+    A = Raag(flag_completion(vertices, edges))
+    path.write_text(json.dumps(abelian_quotient(A, {v: n for v in vertices}).to_json_dict()))
 
 
 @pytest.fixture()
@@ -20,6 +29,8 @@ def workdir(tmp_path, monkeypatch):
         json.dumps({"vertices": [0, 1, 2], "faces": [[0, 1], [1, 2], [0, 2]]})
     )
     (tmp_path / "phi_ones.json").write_text(json.dumps({"phi": {"0": 1, "1": 1, "2": 1, "3": 1}}))
+    write_regular_quotient(tmp_path / "c4_z2.json", range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+    write_regular_quotient(tmp_path / "two_points_z3.json", "ab", [], 3)
     return tmp_path
 
 
@@ -51,6 +62,14 @@ class TestBetti:
         )
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["degrees"] == [0, 1]
+
+    def test_out_path_in_missing_directory_is_input_error(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..1",
+            "--out", str(workdir / "missing" / "dir" / "x.json"),
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
 
 
 class TestErrors:
@@ -173,7 +192,7 @@ class TestGradient:
         cache = workdir / "cache"
         args = (
             "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "abelian:3", "--degree", "1", "--cache", str(cache),
+            "--chain", "two_points_z3.json", "--degree", "1", "--cache", str(cache),
         )
         code1, out1, _ = run_cli(capsys, *args)
         assert code1 == 0
@@ -187,17 +206,17 @@ class TestGradient:
         monkeypatch.setenv("AGRARIAN_CACHE", str(cache))
         code, _, _ = run_cli(
             capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "abelian:2", "--degree", "0",
+            "--chain", "two_points_z3.json", "--degree", "0",
         )
         assert code == 0
         assert list(cache.glob("rank-*.json"))
 
-    @pytest.mark.parametrize("field", ["Q", "F2"])  # character sum, elimination
+    @pytest.mark.parametrize("field", ["Q", "F2"])
     def test_cache_entries_with_wrong_shape_or_no_schema_are_recomputed(self, workdir, capsys, field):
         cache = workdir / "cache"
         args = (
             "gradient", "--complex", "c4.json", "--field", field,
-            "--chain", "abelian:2", "--degree", "2", "--cache", str(cache),
+            "--chain", "c4_z2.json", "--degree", "2", "--cache", str(cache),
         )
         code, fresh, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(fresh)["betti"] == [25]
@@ -212,6 +231,43 @@ class TestGradient:
         code, again, _ = run_cli(capsys, *args)
         assert code == 0 and again == fresh
         assert {p: json.loads(p.read_text()) for p in entries} == good
+
+    def test_abelian_chain_writes_no_cache_entries(self, workdir, capsys):
+        args = ("gradient", "--complex", "c4.json", "--field", "F2", "--chain", "abelian:2,3", "--degree", "2")
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, cached, _ = run_cli(capsys, *args, "--cache", str(workdir / "cache"))
+        assert code == 0 and cached == plain
+        assert not list((workdir / "cache").glob("rank-*.json"))
+
+    def test_cache_path_that_is_a_file_is_input_error(self, workdir, capsys):
+        (workdir / "cache").write_text("")
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
+            "--chain", "two_points_z3.json", "--degree", "1", "--cache", str(workdir / "cache"),
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_abelian_chain_with_char_dividing_order(self, workdir, capsys):
+        # N = n^4 reaches 2^40: only the character sum can take this chain
+        ns = [2 ** i for i in range(1, 11)]
+        start = time.process_time()
+        code, out, _ = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "F2",
+            "--chain", "abelian:" + ",".join(map(str, ns)), "--degree", "2",
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["orders"] == [n ** 4 for n in ns]
+        code, out, _ = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "F2",
+            "--chain", "c4_z2.json", "--degree", "2",
+        )
+        assert code == 0
+        eliminated = json.loads(out)
+        assert (obj["betti"][0], obj["normalized"][0]) == (eliminated["betti"][0], eliminated["normalized"][0])
 
     def test_negative_degree_is_input_error(self, workdir, capsys):
         code, out, err = run_cli(

@@ -276,22 +276,27 @@ def _eliminated_betti(A: Raag, q: FiniteQuotient, field: FieldSpec) -> list[int]
 
 @st.composite
 def abelian_covers(draw):
-    """A flag complex on <= 6 vertices, moduli with N <= 150, char F prime to N."""
-    field = draw(st.sampled_from((QQ, F3, F5)))
+    """A flag complex on <= 6 vertices and moduli <= 10 with N <= 150.
+
+    The moduli include powers of char F and multiples of it by other
+    primes (2, 4, 8, 6, 10 over F2; 3, 9, 6 over F3; 5, 10 over F5), so
+    char F divides N in many cases.
+    """
+    field = draw(st.sampled_from((QQ, F2, F3, F5)))
     n = draw(st.integers(0, 6))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     L = flag_completion(range(n), edges)
     moduli, order = {}, 1
     for v in range(n):
-        allowed = [m for m in range(1, 8) if order * m <= 150 and (field.char == 0 or m % field.char)]
+        allowed = [m for m in range(1, 11) if order * m <= 150]
         moduli[v] = draw(st.sampled_from(allowed))
         order *= moduli[v]
     return Raag(L), moduli, field
 
 
 class TestCharacterSum:
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(abelian_covers())
     def test_matches_elimination(self, case):
         A, moduli, field = case
@@ -305,17 +310,19 @@ class TestCharacterSum:
         assert q.order == 256
         assert list(cover_betti(A, q, F3).betti) == _eliminated_betti(A, q, F3)
 
-    def test_abelian_prime_to_char_never_specialises(self, monkeypatch):
+    def test_abelian_quotients_never_specialise(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("specialize called")
 
         monkeypatch.setattr(raags, "specialize", refuse)
         A = Raag(c4())
-        for field, n in ((QQ, 4), (F2, 3), (F3, 2), (F5, 6)):
+        cases = [(QQ, 4), (F2, 3), (F3, 2), (F5, 6)]  # char F prime to N
+        cases += [(F2, 2), (F2, 4), (F2, 6), (F3, 3), (F3, 9)]  # char F divides N
+        for field, n in cases:
             q = abelian_quotient(A, {v: n for v in c4().vertices})
             assert cover_betti(A, q, field).betti[2] == (n * n + 1) ** 2
 
-    def test_char_dividing_order_and_explicit_quotients_eliminate(self, monkeypatch):
+    def test_explicit_quotients_eliminate(self, monkeypatch):
         class Specialised(Exception):
             pass
 
@@ -325,23 +332,27 @@ class TestCharacterSum:
         monkeypatch.setattr(raags, "specialize", refuse)
         A = raag_two_points()
         with pytest.raises(Specialised):
-            cover_betti(A, abelian_quotient(A, {"a": 2, "b": 4}), F2)
-        with pytest.raises(Specialised):
             cover_betti(A, FiniteQuotient(A, 2, {"a": [1, 0], "b": [0, 1]}), QQ)
 
     def test_hook_sees_shapes_and_ranks_on_both_paths(self):
         A = Raag(c4())
+        abelian = abelian_quotient(A, {v: 2 for v in c4().vertices})
+        explicit = FiniteQuotient(A, abelian.order, abelian.action)
         for field in (QQ, F2):
-            q = abelian_quotient(A, {v: 2 for v in c4().vertices})
             seen = []
 
             def hook(degree, shape, compute):
-                seen.append((degree, shape))
-                return compute()
+                r = compute()
+                seen.append((degree, shape, r))
+                return r
 
-            report = cover_betti(A, q, field, rank_hook=hook)
-            assert seen == [(1, (16, 64)), (2, (64, 64))]
-            assert report.betti == cover_betti(A, q, field).betti
+            report = cover_betti(A, explicit, field, rank_hook=hook)
+            ranks = [rank(specialize(salvetti_boundary(A, k, field), explicit)) for k in (1, 2)]
+            assert seen == [(1, (16, 64), ranks[0]), (2, (64, 64), ranks[1])]
+            assert report.betti == cover_betti(A, explicit, field).betti
+            seen.clear()
+            assert cover_betti(A, abelian, field, rank_hook=hook).betti == report.betti
+            assert seen == []
 
     def test_inconsistent_betti_numbers_raise(self, monkeypatch):
         real = raags._character_sum_betti
