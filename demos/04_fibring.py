@@ -47,10 +47,10 @@ print("obstruction scan over Q: ", no_fibring_obstruction(rp2, 3, QQ))
 square = flag_completion(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
 chars = find_characters(square, 1, QQ, 1)
 print(f"\n4-cycle characters passing FP_1 with entries in [-1, 1]: {len(chars)}")
-print("  sample:", [c.value_tuple() for c in chars[:4]])
+print("  sample:", chars[:4])
 
 edge = flag_completion("ab", [("a", "b")])
-print("Z^2 characters passing FP_1:", [c.value_tuple() for c in find_characters(edge, 1, QQ, 1)])
+print("Z^2 characters passing FP_1:", find_characters(edge, 1, QQ, 1))
 
 # ---------------------------------------------------------------------------
 # All fibres agree: either every FP_n fibre has vanishing Betti numbers up

@@ -1,7 +1,12 @@
 """Command-line front end: parse inputs, run one job, emit one report.
 
 Reports are byte-deterministic for identical inputs: JSON is emitted with
-sorted keys, rationals as "p/q" strings, and no timestamps.  Exit status
+sorted keys, rationals as "p/q" strings, and no timestamps.  Every report
+is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  The one
+list not passed through that encoder, whose indented form runs in pure
+Python, is the ``characters`` list, often tens of thousands of rows:
+`_characters_json` writes it straight from `find_characters`'s value
+tuples with one format string per report, in the encoder's bytes.  Exit status
 is 0 on success, 1 on a precondition failure, 2 on malformed input; the
 diagnostic goes to stderr as a one-line JSON object.
 """
@@ -15,6 +20,8 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -265,6 +272,24 @@ def _json_report(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _characters_json(labels: Sequence[str], rows: Sequence[tuple[int, ...]]) -> str:
+    """The list of ``{labels[i]: row[i]}`` objects as `_json_report` lays it out one level in.
+
+    One format string serves every row.  Its ``%d`` fields stand under the
+    labels in ``sort_keys`` order, each label escaped once by the stdlib's
+    own string encoder, and an index permutation picks a row's values into
+    that order.  Labels must be distinct.
+    """
+    if not rows:
+        return "[]"
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [encode_basestring_ascii(labels[i]).replace("%", "%%") for i in order]
+    row = "    {\n" + ",\n".join(f"      {k}: %d" for k in keys) + "\n    }"
+    # with one index itemgetter yields a bare int, which % takes as well
+    picked = map(itemgetter(*order), rows)
+    return "[\n" + ",\n".join(map(row.__mod__, picked)) + "\n  ]"
+
+
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -372,14 +397,11 @@ def _cmd_characters(args) -> str:
     field = _parse_field(args.field)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
-    chars = find_characters(K, args.n, field, args.bound)
-    return _json_report(
-        {
-            "field": field.token(),
-            "n": args.n,
-            "bound": args.bound,
-            "characters": [c.to_json_dict()["phi"] for c in chars],
-        }
+    rows = find_characters(K, args.n, field, args.bound)
+    characters = _characters_json([str(v) for v in K.vertices], rows)
+    return (
+        f'{{\n  "bound": {args.bound},\n  "characters": {characters},\n'
+        f'  "field": {encode_basestring_ascii(field.token())},\n  "n": {args.n}\n}}\n'
     )
 
 

@@ -274,8 +274,18 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SimplicialComplex":
-        """A flag complex from ``edges`` or a complex from ``faces``, never both."""
+        """A flag complex from ``edges`` or a complex from ``faces``, never both.
+
+        The only keys read are ``vertices``, ``edges`` and ``faces``; any
+        other key, and two vertex labels with one string form (``1`` and
+        ``"1"``), raise ValueError, since reports key vertices by ``str``.
+        """
+        unknown = set(obj) - {"vertices", "edges", "faces"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(map(str, unknown))}: only vertices, edges, faces")
         vertices = list(obj["vertices"])
+        if len({str(v) for v in vertices}) != len(vertices):
+            raise ValueError("vertex labels must be distinct as strings")
         if "edges" in obj and "faces" in obj:
             raise ValueError("give either 'edges' or 'faces', not both")
         if "edges" in obj:

@@ -172,29 +172,26 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
 
 def find_characters(
     L: SimplicialComplex, n: int, field: FieldSpec, bound: int
-) -> list[Character]:
+) -> list[tuple[int, ...]]:
     """All surjective characters with entries in [-bound, bound] passing FP_n.
 
+    Returns the value tuples, each listing the character's values in
+    ``L.vertices`` order, sorted lexicographically; no `Character` is built.
     FP_n depends only on the living set of a character, so each nonempty
     living set is checked once and all its surjective value tuples are
-    emitted, in lexicographic order of the value tuples.
+    emitted.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    nonzero = [x for x in range(-bound, bound + 1) if x]
+    nonzero = tuple(x for x in range(-bound, bound + 1) if x)
     out = []
     for living in range(1, 1 << len(L.vertices)):
         if living_set_violation(L, living, n, field) is not None:
             continue
-        positions = [i for i in range(len(L.vertices)) if living >> i & 1]
-        for values in product(nonzero, repeat=len(positions)):
-            if gcd(*values) == 1:
-                full = [0] * len(L.vertices)
-                for i, x in zip(positions, values):
-                    full[i] = x
-                out.append(tuple(full))
+        choices = [nonzero if living >> i & 1 else (0,) for i in range(len(L.vertices))]
+        out.extend(values for values in product(*choices) if gcd(*values) == 1)
     out.sort()
-    return [Character(L, dict(zip(L.vertices, values))) for values in out]
+    return out
 
 
 def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: int) -> bool:

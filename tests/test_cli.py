@@ -6,9 +6,13 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from raaghom.cli import main
-from raaghom.complexes import flag_completion
+from raaghom.complexes import SimplicialComplex, flag_completion
+from raaghom.exact import FieldSpec
+from raaghom.fibring import find_characters
 from raaghom.raags import Raag, abelian_quotient
 
 
@@ -359,6 +363,109 @@ class TestComplexFiles:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize(
+        "complex_obj",
+        [
+            {"vertices": [0, 1], "edge": [[0, 1]]},
+            {"vertices": [0, 1], "edges": [[0, 1]], "name": "segment"},
+            {"vertices": [1, "1", 2], "edges": [[1, 2]]},
+            {"vertices": [True, "True"], "faces": []},
+        ],
+        ids=["misspelled-edges", "extra-key", "int-and-string-label", "bool-and-string-label"],
+    )
+    def test_unknown_key_or_colliding_labels_are_input_error(self, workdir, capsys, complex_obj):
+        (workdir / "bad.json").write_text(json.dumps(complex_obj))
+        code, out, err = run_cli(
+            capsys, "characters", "--complex", "bad.json", "--field", "Q", "--n", "1", "--bound", "1"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+
+def characters_report(complex_obj, field, n, bound):
+    """The characters report as the stdlib encoder writes it, from the report's definition."""
+    K = SimplicialComplex.from_json_dict(complex_obj)
+    rows = find_characters(K, n, FieldSpec.from_token(field), bound)
+    report = {
+        "field": field,
+        "n": n,
+        "bound": bound,
+        "characters": [{str(v): x for v, x in zip(K.vertices, values)} for values in rows],
+    }
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def cli_characters(workdir, capsys, complex_obj, field, n, bound):
+    (workdir / "k.json").write_text(json.dumps(complex_obj))
+    code, out, err = run_cli(
+        capsys, "characters", "--complex", "k.json", "--field", field, "--n", str(n), "--bound", str(bound)
+    )
+    assert code == 0, err
+    return out
+
+
+def lines(text):
+    """Reports are compared as line lists: pytest's diff of two long unequal strings can take minutes."""
+    return text.splitlines(keepends=True)
+
+
+@st.composite
+def labelled_flag_complexes(draw):
+    """A flag complex on 1..6 vertices whose labels mix ints and strings needing escapes."""
+    labels = draw(
+        st.lists(
+            st.one_of(st.integers(-3, 12), st.text(alphabet='a1é"\\{}%\nΩ', max_size=3)),
+            min_size=1, max_size=6, unique_by=str,
+        )
+    )
+    pairs = [[u, v] for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return {"vertices": labels, "edges": [e for e, k in zip(pairs, keep) if k]}
+
+
+class TestCharactersReportBytes:
+    """The characters list is written without the json encoder; its bytes must match it."""
+
+    @pytest.mark.parametrize(
+        "complex_obj",
+        [
+            # string order differs from vertex order, ints and strings mixed
+            {"vertices": [2, 10, "b", 1, "a"], "edges": [[2, 10], [10, "b"], ["b", 1], [1, "a"], ["a", 2]]},
+            # labels that need escaping
+            {
+                "vertices": ["é", 'q"', "b\\s", "{x}", "5%d"],
+                "edges": [["é", 'q"'], ['q"', "b\\s"], ["b\\s", "{x}"], ["{x}", "5%d"]],
+            },
+            {"vertices": [7], "edges": []},
+            {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+        ],
+        ids=["string-order", "escapes", "one-vertex", "c4"],
+    )
+    @pytest.mark.parametrize("field", ["Q", "F2"])
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_matches_stdlib_encoder(self, workdir, capsys, complex_obj, field, bound):
+        for n in (0, 1):
+            expected = characters_report(complex_obj, field, n, bound)
+            assert json.loads(expected)["characters"]
+            assert lines(cli_characters(workdir, capsys, complex_obj, field, n, bound)) == lines(expected)
+
+    def test_empty_list(self, workdir, capsys):
+        two_points = {"vertices": ["a", "b"], "edges": []}
+        out = cli_characters(workdir, capsys, two_points, "Q", 1, 1)
+        assert lines(out) == lines(characters_report(two_points, "Q", 1, 1))
+        assert '"characters": [],' in out
+
+    @settings(
+        max_examples=40, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        labelled_flag_complexes(), st.sampled_from(("Q", "F2")), st.integers(0, 2), st.integers(1, 2)
+    )
+    def test_flag_complexes(self, workdir, capsys, complex_obj, field, n, bound):
+        expected = characters_report(complex_obj, field, n, bound)
+        assert lines(cli_characters(workdir, capsys, complex_obj, field, n, bound)) == lines(expected)
+
 
 class TestReportCommand:
     def test_report_subset(self, workdir, capsys):
@@ -371,6 +478,26 @@ class TestReportCommand:
 
 
 class TestRoundTrip:
+    def test_every_json_report_is_in_stdlib_form(self, workdir, capsys):
+        for args in [
+            ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..3"),
+            (
+                "kernel-betti", "--complex", "c4.json", "--phi", "phi_ones.json",
+                "--field", "Q", "--degrees", "0..1",
+            ),
+            ("fpn-check", "--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "1"),
+            ("fibring", "--complex", "c4.json", "--ring", "Z/6", "--n", "1"),
+            ("gradient", "--complex", "c4.json", "--field", "F2", "--chain", "abelian:2,4", "--degree", "1"),
+            ("characters", "--complex", "c4.json", "--field", "Q", "--n", "1", "--bound", "2"),
+            (
+                "kaz-check", "--complex", "c4.json", "--field", "F2",
+                "--quotients", "abelian:2,3", "--max-degree", "2",
+            ),
+        ]:
+            code, out, err = run_cli(capsys, *args)
+            assert code == 0, err
+            assert lines(out) == lines(json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"), args[0]
+
     def test_reports_reparse(self, workdir, capsys):
         for args in [
             ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..3"),

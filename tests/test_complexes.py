@@ -422,6 +422,19 @@ class TestJson:
         with pytest.raises(ValueError):
             SimplicialComplex.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": ["a", "b"], "edge": [["a", "b"]]},
+            {"vertices": [1, "1", 2], "edges": [[1, 2]]},
+            {"vertices": [None, "None"]},
+        ],
+        ids=["unknown-key", "int-and-string-label", "none-and-string-label"],
+    )
+    def test_unknown_keys_and_labels_equal_as_strings_rejected(self, obj):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_json_dict(obj)
+
     def test_edges_input_applies_flag_completion(self):
         obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
         K = SimplicialComplex.from_json_dict(obj)
