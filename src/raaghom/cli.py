@@ -119,14 +119,21 @@ def _json_mapping(obj: dict, key: str, source: str) -> dict:
     return value
 
 
+def _only_keys(obj: dict, allowed: tuple, source: str) -> None:
+    """Malformed input when obj has a key outside allowed (a misspelling reads as absent)."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InputError(f"{source}: unknown keys {unknown}: only {', '.join(allowed)}")
+
+
 def _vertex_lookup(K: SimplicialComplex) -> dict[str, object]:
     return {str(v): v for v in K.vertices}
 
 
 def _parse_character(path: str, K: SimplicialComplex) -> Character:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "phi" not in obj or not isinstance(obj["phi"], dict):
-        raise InputError(f"{path}: expected an object with a 'phi' mapping")
+    if not isinstance(obj, dict) or set(obj) != {"phi"} or not isinstance(obj["phi"], dict):
+        raise InputError(f"{path}: expected an object with only a 'phi' mapping")
     lookup = _vertex_lookup(K)
     values = {}
     for key, val in obj["phi"].items():
@@ -144,12 +151,14 @@ def _parse_quotient(obj: dict, A: Raag, source: str) -> FiniteQuotient:
     lookup = _vertex_lookup(A.complex)
     try:
         if kind == "abelian":
+            _only_keys(obj, ("type", "moduli"), source)
             moduli = {
                 lookup[k]: _json_int(v, f"{source}: modulus of {k!r}")
                 for k, v in _json_mapping(obj, "moduli", source).items()
             }
             return abelian_quotient(A, moduli)
         if kind == "explicit":
+            _only_keys(obj, ("type", "order", "action"), source)
             order = _json_int(obj.get("order"), f"{source}: order")
             action = {}
             for k, perm in _json_mapping(obj, "action", source).items():

@@ -7,6 +7,14 @@ there.  A global vertex order is fixed at construction and every face,
 boundary sign, and matrix layout derives from it, so all outputs are
 deterministic.
 
+Flag complexes are built by one clique walk over vertex bitmasks: it
+pops the lowest vertex of a candidate mask and extends by the candidates
+adjacent to it, so it lists the cliques inside a mask per dimension,
+already in the order faces are kept in.  Clique completion, full
+subcomplexes and links of a flag complex, barycentric subdivisions and
+the flag test itself run this walk; full subcomplexes of a complex that
+is not flag keep the parent's faces inside the mask.
+
 Each complex carries one memo, keyed by vertex bitmasks over its own
 vertex order: full subcomplexes by mask, the reduced Betti profile per
 field, and the Smith form per boundary degree.  A complex never changes
@@ -30,6 +38,7 @@ one core.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, rank, smith_normal_form
@@ -63,15 +72,9 @@ class SimplicialComplex:
         face_set.update((v,) for v in self.vertices)
         for f in faces:
             face_set.add(self.sort_face(f))
-        if not closed:
-            stack = list(face_set)
-            while stack:
-                f = stack.pop()
-                for i in range(len(f)):
-                    sub = f[:i] + f[i + 1 :]
-                    if sub not in face_set:
-                        face_set.add(sub)
-                        stack.append(sub)
+        if not closed:  # the vertices and the empty face are in already
+            for size in range(max(map(len, face_set)), 2, -1):
+                face_set.update(sub for f in list(face_set) if len(f) == size for sub in combinations(f, size - 1))
         self.faces = frozenset(face_set)
         by_dim: dict[int, list[Face]] = {}
         for f in self.faces:
@@ -84,13 +87,25 @@ class SimplicialComplex:
         # ("smith", k) -> SmithForm of d_k, "adjacency", "flag"
         self._memo: dict = {}
 
+    @classmethod
+    def _of_cliques(cls, vertices: Sequence[Label], by_dim: dict[int, list[Face]]) -> "SimplicialComplex":
+        """The flag complex whose faces per dimension a clique walk listed, taken as they are."""
+        K = cls.__new__(cls)
+        K.vertices = tuple(vertices)
+        K._index = {v: i for i, v in enumerate(K.vertices)}
+        K.faces = frozenset(chain.from_iterable(by_dim.values()))
+        K._by_dim = by_dim
+        K._hash = None
+        K._memo = {"flag": True}
+        return K
+
     # -- basic queries -------------------------------------------------------
 
     def index(self, v: Label) -> int:
         return self._index[v]
 
     def _key(self, face: Face) -> tuple:
-        return tuple(self._index[v] for v in face)
+        return tuple(map(self._index.__getitem__, face))
 
     def sort_face(self, verts: Iterable[Label]) -> Face:
         vs = tuple(verts)
@@ -193,16 +208,24 @@ class SimplicialComplex:
         return self.subcomplex(self.mask(v for v in self.vertices if v in keep))
 
     def subcomplex(self, mask: int) -> "SimplicialComplex":
-        """The full subcomplex on the vertices in a mask, built once per mask."""
+        """The full subcomplex on the vertices in a mask, built once per mask.
+
+        In a flag complex it is the clique complex on the mask, listed by
+        the clique walk; any other complex keeps its faces inside the mask.
+        """
         if mask == (1 << len(self.vertices)) - 1:
             return self
         sub = self._memo.get(mask)
         if sub is None:
             sub_vertices = [v for i, v in enumerate(self.vertices) if mask >> i & 1]
-            sub_faces = [f for f in self.faces if not self.mask(f) & ~mask]
-            sub = self._memo[mask] = SimplicialComplex(sub_vertices, sub_faces, closed=True)
-            if self._memo.get("flag"):
-                sub._memo["flag"] = True  # a full subcomplex of a flag complex is flag
+            if self.is_flag():
+                sub = SimplicialComplex._of_cliques(
+                    sub_vertices, _clique_walk(self.vertices, self._adjacency(), mask)
+                )
+            else:
+                sub_faces = [f for f in self.faces if not self.mask(f) & ~mask]
+                sub = SimplicialComplex(sub_vertices, sub_faces, closed=True)
+            self._memo[mask] = sub
         return sub
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
@@ -229,23 +252,15 @@ class SimplicialComplex:
     def is_flag(self) -> bool:
         """True when every pairwise-adjacent vertex set spans a face.
 
-        By induction on size every clique is a face exactly when each face
-        f, extended by any common neighbour of f after its last vertex, is
-        a face; this test reads each face once and lists no clique.
+        Every face is a clique of the 1-skeleton, so the complex is flag
+        exactly when the clique walk over all vertices finds no more
+        cliques than there are faces; it stops at the first one beyond.
         """
         flag = self._memo.get("flag")
         if flag is None:
-            flag = True
-            for f in self.faces:
-                neighbours = self.common_neighbours(f)
-                start = self._index[f[-1]] + 1 if f else 0
-                if any(
-                    neighbours >> i & 1 and f + (self.vertices[i],) not in self.faces
-                    for i in range(start, len(self.vertices))
-                ):
-                    flag = False
-                    break
-            self._memo["flag"] = flag
+            full = (1 << len(self.vertices)) - 1
+            walk = _clique_walk(self.vertices, self._adjacency(), full, limit=len(self.faces))
+            flag = self._memo["flag"] = walk is not None
         return flag
 
     # -- equality / hashing ------------------------------------------------------
@@ -293,11 +308,48 @@ class SimplicialComplex:
         return cls(vertices, [tuple(f) for f in obj.get("faces", [])])
 
 
+def _clique_walk(
+    labels: Sequence[Label], adjacency: Sequence[int], mask: int, limit: Optional[int] = None
+) -> Optional[dict[int, list[Face]]]:
+    """The cliques inside a vertex mask per dimension, each list in vertex order.
+
+    A clique grows only by candidates after its last vertex: popping the
+    lowest bit i leaves the higher candidates, and those adjacent to i
+    extend the new clique, so only the bits above i of ``adjacency[i]``
+    are read.  Each dimension is grown from the sorted one below, so it
+    comes out sorted.  Faces are tuples of ``labels[i]``, the empty one
+    included.  With a limit the walk returns None as soon as it has found
+    more cliques than that.
+    """
+    by_dim: dict[int, list[Face]] = {-1: [()]}
+    faces, candidates = [()], [mask]
+    found = 1
+    while True:
+        grown: list[Face] = []
+        grown_candidates: list[int] = []
+        for face, cand in zip(faces, candidates):
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                i = bit.bit_length() - 1
+                grown.append(face + (labels[i],))
+                grown_candidates.append(cand & adjacency[i])
+            if limit is not None and found + len(grown) > limit:
+                return None
+        if not grown:
+            return by_dim
+        by_dim[len(by_dim) - 1] = faces = grown
+        candidates = grown_candidates
+        found += len(grown)
+
+
 def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]]) -> SimplicialComplex:
     """The clique complex of a simple graph: faces are exactly the cliques."""
     verts = tuple(vertices)
     index = {v: i for i, v in enumerate(verts)}
-    adj: dict[Label, set[int]] = {v: set() for v in verts}
+    if len(index) != len(verts):
+        raise ValueError("duplicate vertex labels")
+    adjacency = [0] * len(verts)
     for e in edges:
         pair = tuple(e)
         if len(pair) != 2 or pair[0] == pair[1]:
@@ -305,46 +357,30 @@ def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]])
         u, v = pair
         if u not in index or v not in index:
             raise ValueError(f"edge {pair!r} uses unknown vertex")
-        adj[u].add(index[v])
-        adj[v].add(index[u])
-    cliques: list[Face] = [()]
-
-    def extend(prefix: tuple, candidates: set[int]) -> None:
-        for i in sorted(candidates):
-            clique = prefix + (verts[i],)
-            cliques.append(clique)
-            extend(clique, candidates & adj[verts[i]] & set(range(i + 1, len(verts))))
-
-    extend((), set(range(len(verts))))
-    K = SimplicialComplex(verts, cliques, closed=True)
-    K._memo["flag"] = True
+        adjacency[index[u]] |= 1 << index[v]
+        adjacency[index[v]] |= 1 << index[u]
+    K = SimplicialComplex._of_cliques(verts, _clique_walk(verts, adjacency, (1 << len(verts)) - 1))
+    K._memo["adjacency"] = adjacency
     return K
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Vertices are the nonempty faces of K, faces are chains under inclusion.
 
-    The result is always flag, which is how flag triangulations of
-    arbitrary complexes are produced here.
+    The chains are the cliques of the comparability graph of K's faces.
+    Cells are ordered by size, so every proper superset of a cell comes
+    after it and the walk needs only the supersets.  The result is always
+    flag, which is how flag triangulations of arbitrary complexes are
+    produced here.
     """
-    cells = [f for f in K.faces if f]
-    cells.sort(key=lambda f: (len(f), K._key(f)))
-    supersets: dict[Face, list[Face]] = {f: [] for f in cells}
-    for g in cells:
-        gs = set(g)
-        for f in cells:
-            if len(f) < len(g) and all(v in gs for v in f):
-                supersets[f].append(g)
-    chains: list[tuple[Face, ...]] = []
-
-    def grow(chain: tuple[Face, ...]) -> None:
-        chains.append(chain)
-        for g in supersets[chain[-1]]:
-            grow(chain + (g,))
-
-    for f in cells:
-        grow((f,))
-    return SimplicialComplex(cells, chains, closed=True)
+    cells = sorted((f for f in K.faces if f), key=lambda f: (len(f), K._key(f)))
+    position = {f: i for i, f in enumerate(cells)}
+    supersets = [0] * len(cells)
+    for j, g in enumerate(cells):
+        for size in range(1, len(g)):
+            for f in combinations(g, size):
+                supersets[position[f]] |= 1 << j
+    return SimplicialComplex._of_cliques(cells, _clique_walk(cells, supersets, (1 << len(cells)) - 1))
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> IntMatrix:
@@ -389,35 +425,34 @@ class HomologyProfile:
         return {"field": self.field.token(), "reduced_betti": list(self.reduced_betti)}
 
 
-def _core_complex(K: SimplicialComplex) -> Optional[SimplicialComplex]:
-    """The full subcomplex on K's core, or None when K is its own core."""
-    full = (1 << len(K.vertices)) - 1
-    core = K.core(full)
-    return None if core == full else K.subcomplex(core)
+def _core_complex(K: SimplicialComplex) -> SimplicialComplex:
+    """The full subcomplex on K's core, K itself when no vertex is dominated."""
+    return K.subcomplex(K.core((1 << len(K.vertices)) - 1))
 
 
 def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     """Reduced Betti numbers of K's core, padded to K's degrees and memoised on K.
 
-    A core is eliminated by augmented boundary matrices; a larger complex
-    reads its core's profile, which strong collapses leave unchanged.
+    Only a core is eliminated, by augmented boundary matrices, and its
+    profile is memoised on it; strong collapses leave the profile
+    unchanged, so every complex with that core pads the same one.
     """
     profile = K._memo.get(field)
     if profile is None:
         core = _core_complex(K)
-        if core is not None:
-            values = list(reduced_betti(core, field).reduced_betti)
-            values += [0] * (K.dim + 2 - len(values))
-        else:
-            ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)]
+        profile = core._memo.get(field)
+        if profile is None:
+            ranks = [rank(boundary_matrix(core, k).over_field(field)) for k in range(core.dim + 1)]
             ranks.append(0)
             values = []
-            for k in range(-1, K.dim + 1):
-                n_k = 1 if k == -1 else K.n_faces(k)
+            for k in range(-1, core.dim + 1):
+                n_k = 1 if k == -1 else core.n_faces(k)
                 b = n_k - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
                 assert b >= 0
                 values.append(b)
-        profile = K._memo[field] = HomologyProfile(field=field, reduced_betti=tuple(values))
+            profile = core._memo[field] = HomologyProfile(field=field, reduced_betti=tuple(values))
+        padded = profile.reduced_betti + (0,) * (K.dim - core.dim)
+        profile = K._memo[field] = HomologyProfile(field=field, reduced_betti=padded)
     return profile
 
 
@@ -439,17 +474,18 @@ def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
 
 
 def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
-    """Reduced integral homology in degree k: (free rank, torsion divisors > 1)."""
-    if k < -1 or k > K.dim:
-        return 0, []
+    """Reduced integral homology in degree k: (free rank, torsion divisors > 1).
+
+    It is read from the Smith forms of K's core, memoised on the core.
+    """
     core = _core_complex(K)
-    if core is not None:  # the Smith forms of K's own boundaries have K's shape
-        return integral_homology(core, k)
-    n_k = 1 if k == -1 else K.n_faces(k)
-    r_k = 0 if k == -1 else _smith_form(K, k).rank
-    if k == K.dim:
+    if k < -1 or k > core.dim:
+        return 0, []
+    n_k = 1 if k == -1 else core.n_faces(k)
+    r_k = 0 if k == -1 else _smith_form(core, k).rank
+    if k == core.dim:
         return n_k - r_k, []
-    sf_next = _smith_form(K, k + 1)
+    sf_next = _smith_form(core, k + 1)
     return n_k - r_k - sf_next.rank, list(sf_next.torsion_divisors)
 
 
@@ -480,21 +516,8 @@ def oriented_face(verts: Sequence[Label], K: SimplicialComplex) -> tuple[Face, i
     keys = [K.index(v) for v in verts]
     if len(set(keys)) != len(keys):
         return tuple(verts), 0
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(verts[i] for i in order), sign
+    inversions = sum(a > b for a, b in combinations(keys, 2))
+    return tuple(v for _, v in sorted(zip(keys, verts))), (-1) ** inversions
 
 
 class ChainVector:

@@ -13,7 +13,7 @@ from raaghom.cli import main
 from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import FieldSpec
 from raaghom.fibring import find_characters
-from raaghom.raags import Raag, abelian_quotient
+from raaghom.raags import FiniteQuotient, Raag, abelian_quotient
 
 
 def write_regular_quotient(path, vertices, edges, n):
@@ -352,6 +352,54 @@ class TestStrictIntegers:
             capsys, "gradient", "--complex", "c4.json", "--field", "Q", "--chain", "q.json", "--degree", "1"
         )
         assert code == 0 and json.loads(out)["orders"] == [2]
+
+
+class TestUnknownKeys:
+    """Character and quotient files take only their own keys: a misspelt key is not read as absent."""
+
+    @pytest.mark.parametrize(
+        "quotient",
+        [
+            {"type": "abelian", "modulii": {"0": 2, "1": 2, "2": 2, "3": 2}},
+            {"type": "abelian", "moduli": {"0": 2}, "order": 2},
+            {"type": "explicit", "order": 2, "action": {"0": [1, 0]}, "moduli": {"0": 2}},
+            {"type": "explicit", "order": 2, "action": {"0": [1, 0]}, "name": "z2"},
+        ],
+    )
+    def test_quotient(self, workdir, capsys, quotient):
+        (workdir / "q_bad.json").write_text(json.dumps(quotient))
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "Q", "--chain", "q_bad.json", "--degree", "1"
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and "unknown keys" in error["message"]
+
+    def test_phi(self, workdir, capsys):
+        (workdir / "phi_extra.json").write_text(json.dumps({"phi": {"0": 1, "1": 1, "2": 1, "3": 1}, "n": 1}))
+        code, out, err = run_cli(
+            capsys, "fpn-check", "--complex", "c4.json", "--phi", "phi_extra.json", "--field", "Q", "--n", "1"
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and "only a 'phi' mapping" in error["message"]
+
+    def test_written_quotients_are_read_back(self, workdir, capsys):
+        A = Raag(flag_completion(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        regular = abelian_quotient(A, {0: 2, 1: 3})
+        swap = FiniteQuotient(A, 2, {0: [1, 0], 1: [0, 1], 2: [1, 0], 3: [0, 1]})
+        (workdir / "q_abelian.json").write_text(json.dumps({"type": "abelian", "moduli": {"0": 2, "1": 3}}))
+        for name, q in (("regular", regular), ("swap", swap)):
+            (workdir / f"q_{name}.json").write_text(json.dumps(q.to_json_dict()))
+        reports = {}
+        for name in ("abelian", "regular", "swap"):
+            code, out, _ = run_cli(
+                capsys, "gradient", "--complex", "c4.json", "--field", "Q", "--chain", f"q_{name}.json", "--degree", "1"
+            )
+            assert code == 0
+            reports[name] = json.loads(out)
+        assert reports["regular"] == reports["abelian"] and reports["regular"]["orders"] == [6]
+        assert reports["swap"]["orders"] == [2]
 
 
 class TestComplexFiles:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,97 @@ class TestCore:
         masks += [rng.getrandbits(len(L.vertices)) | rng.getrandbits(len(L.vertices)) for _ in range(15)]
         for mask in masks:
             assert_core_homology_matches(L, mask)
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices: int = 9) -> tuple[list[str], list[tuple[str, str]]]:
+    """String labels in an order unlike their sorted order, and a set of edges."""
+    n = draw(st.integers(0, max_vertices))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(labels[j], labels[i]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return labels, [p for p, k in zip(pairs, keep) if k]
+
+
+def brute_force_cliques(labels: list[str], edges: list[tuple[str, str]]) -> set[tuple]:
+    """Every vertex set whose pairs are all edges, as a tuple in label-list order."""
+    adjacent = {frozenset(e) for e in edges}
+    return {
+        sub
+        for size in range(len(labels) + 1)
+        for sub in combinations(labels, size)
+        if all(frozenset(pair) in adjacent for pair in combinations(sub, 2))
+    }
+
+
+def assert_same_lists(K: SimplicialComplex, expected: SimplicialComplex) -> None:
+    assert K.vertices == expected.vertices and K.faces == expected.faces
+    assert all(K.faces_of_dim(k) == expected.faces_of_dim(k) for k in range(-1, len(K.vertices) + 1))
+
+
+class TestCliqueWalk:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(labelled_graphs())
+    def test_flag_completion_lists_every_clique_in_vertex_order(self, graph):
+        labels, edges = graph
+        K = flag_completion(labels, edges)
+        cliques = brute_force_cliques(labels, edges)
+        assert K.vertices == tuple(labels) and K.faces == cliques
+        for k in range(-1, len(labels) + 1):
+            expected = sorted((f for f in cliques if len(f) == k + 1), key=lambda f: [labels.index(v) for v in f])
+            assert K.faces_of_dim(k) == expected
+        assert K.is_flag()
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [("aba", []), ("aba", [("a", "b")]), ("ab", [("a", "a")]), ("ab", [("a", "c")]), ("abc", [("a", "b", "c")])],
+    )
+    def test_flag_completion_rejects_bad_graphs(self, vertices, edges):
+        with pytest.raises(ValueError):
+            flag_completion(vertices, edges)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(labelled_graphs())
+    def test_full_subcomplexes_match_the_face_filter(self, graph):
+        L = flag_completion(*graph)
+        for mask in range(1 << len(L.vertices)):
+            keep = {v for i, v in enumerate(L.vertices) if mask >> i & 1}
+            expected = SimplicialComplex(
+                [v for v in L.vertices if v in keep], [f for f in L.faces if keep.issuperset(f)], closed=True
+            )
+            sub = L.subcomplex(mask)
+            assert_same_lists(sub, expected)
+            assert sub.is_flag() and expected.is_flag()
+
+    def test_flag_test_stops_soon_after_the_face_count(self):
+        # the complete graph on 16 vertices, given as faces: 137 faces, 2**16 cliques
+        K = SimplicialComplex(range(16), combinations(range(16), 2))
+        reads = []
+
+        class CountingMasks(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        K._memo["adjacency"] = CountingMasks(K._adjacency())
+        assert not K.is_flag()
+        assert len(K.faces) <= len(reads) <= len(K.faces) + 16  # one read per clique found
+
+    def test_barycentric_subdivision_lists_every_chain_in_order(self):
+        rng = random.Random(8)
+        complexes = [rp2_six(), octahedron(), cycle_complex(3), full_simplex(4), SimplicialComplex([], [])]
+        complexes += [random_flag_complex(rng, 4) for _ in range(6)]
+        for K in complexes:
+            cells = sorted((f for f in K.faces if f), key=lambda f: (len(f), [K.index(v) for v in f]))
+            chains = [
+                chain
+                for size in range(1, K.dim + 2)
+                for chain in combinations(cells, size)
+                if all(set(a) < set(b) for a, b in zip(chain, chain[1:]))
+            ]
+            B = barycentric_subdivision(K)
+            assert_same_lists(B, SimplicialComplex(cells, chains, closed=True))
+            assert B.is_flag()
 
 
 class TestBoundaryMatrix:
