@@ -84,7 +84,7 @@ class SimplicialComplex:
         self._by_dim = by_dim
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
-        # ("smith", k) -> SmithForm of d_k, "adjacency", "flag"
+        # ("smith", k) -> SmithForm of d_k, "adjacency", "flag", "core" -> core mask
         self._memo: dict = {}
 
     @classmethod
@@ -291,14 +291,21 @@ class SimplicialComplex:
     def from_json_dict(cls, obj: Mapping) -> "SimplicialComplex":
         """A flag complex from ``edges`` or a complex from ``faces``, never both.
 
-        The only keys read are ``vertices``, ``edges`` and ``faces``; any
-        other key, and two vertex labels with one string form (``1`` and
-        ``"1"``), raise ValueError, since reports key vertices by ``str``.
+        The only keys read are ``vertices``, ``edges`` and ``faces``, each a
+        list, with every edge and face a list of labels.  Any other key or
+        type, and two vertex labels with one string form (``1`` and ``"1"``),
+        raise ValueError, since reports key vertices by ``str``.
         """
         unknown = set(obj) - {"vertices", "edges", "faces"}
         if unknown:
             raise ValueError(f"unknown keys {sorted(map(str, unknown))}: only vertices, edges, faces")
-        vertices = list(obj["vertices"])
+        for key in ("vertices", "edges", "faces"):
+            value = obj.get(key, [])
+            if not isinstance(value, list):
+                raise ValueError(f"'{key}' must be a list")
+            if key != "vertices" and not all(isinstance(f, list) for f in value):
+                raise ValueError(f"every entry of '{key}' must be a list of vertices")
+        vertices = obj["vertices"]
         if len({str(v) for v in vertices}) != len(vertices):
             raise ValueError("vertex labels must be distinct as strings")
         if "edges" in obj and "faces" in obj:
@@ -426,8 +433,14 @@ class HomologyProfile:
 
 
 def _core_complex(K: SimplicialComplex) -> SimplicialComplex:
-    """The full subcomplex on K's core, K itself when no vertex is dominated."""
-    return K.subcomplex(K.core((1 << len(K.vertices)) - 1))
+    """The full subcomplex on K's core, K itself when no vertex is dominated.
+
+    The core mask is memoised on K, so the domination loop runs once per complex.
+    """
+    mask = K._memo.get("core")
+    if mask is None:
+        mask = K._memo["core"] = K.core((1 << len(K.vertices)) - 1)
+    return K.subcomplex(mask)
 
 
 def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:

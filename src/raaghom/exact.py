@@ -7,17 +7,20 @@ into [0, p), integer matrices use Python ints.  No floating point is used
 anywhere; exactness is the correctness contract.
 
 Matrices are stored sparsely as {(row, col): value} with no explicit
-zeros.  `rank` and `smith_normal_form` keep the rows in buckets by
-number of nonzeros, updated as elimination changes row lengths, so a
-pivot is found without rescanning the matrix:
+zeros.  Every elimination indexes the nonzeros by row and by column and
+keeps the rows in buckets by number of nonzeros, and every elimination
+step is one row operation, `_add_row`: row dst += factor * row src,
+reduced mod p over F_p, with both indexes and the buckets kept in step.
+Each caller has one pivot rule:
 - `rank` pivots in the lowest-index shortest row, on its entry whose
   column has the fewest nonzeros (lowest column on ties);
 - `smith_normal_form` pivots on a +-1 entry of the shortest row that
-  holds one, and falls back to the entry of least absolute value only
-  when no unit remains.
+  holds one, chosen the same way, and falls back to the entry of least
+  absolute value only when no unit remains;
+- `solve` and `nullspace` eliminate columns left to right (`_echelon`).
 Rank and elementary divisors do not depend on the pivot order.  `solve`
-and `nullspace` do: they eliminate columns left to right (`_echelon`), so
-their answers are the ones their docstrings specify.
+and `nullspace` do, so their answers are the ones their docstrings
+specify.
 """
 
 from __future__ import annotations
@@ -305,7 +308,14 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, out)
 
     def over_field(self, field: FieldSpec) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, field, dict(self.entries))
+        """The same matrix over Q or F_p; entries are in bounds already, so only reduce them."""
+        m = ExactMatrix(self.rows, self.cols, field)
+        p = field.char
+        if p:
+            m.entries = {k: r for k, v in self.entries.items() if (r := v % p)}
+        else:
+            m.entries = {k: Fraction(v) for k, v in self.entries.items()}
+        return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -342,21 +352,17 @@ class SmithForm:
 # ---------------------------------------------------------------------------
 
 
-def _row_index(m: Union[ExactMatrix, IntMatrix]) -> tuple[dict[int, dict], dict[int, set[int]]]:
+def _index(m: Union[ExactMatrix, IntMatrix]) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
+    """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: {r, ...}}."""
     rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    return rows, cols
-
-
-def _length_buckets(rows: Mapping[int, Mapping]) -> dict[int, set[int]]:
-    """Row ids grouped by their number of nonzeros: {nnz: {row, ...}}."""
     buckets: dict[int, set[int]] = {}
     for r, row in rows.items():
         buckets.setdefault(len(row), set()).add(r)
-    return buckets
+    return rows, cols, buckets
 
 
 def _rebucket(buckets: dict[int, set[int]], r: int, old: int, new: int) -> None:
@@ -378,8 +384,8 @@ def _rebucket(buckets: dict[int, set[int]], r: int, old: int, new: int) -> None:
             bucket.add(r)
 
 
-def _pop_row(rows, cols, buckets, r: int) -> dict:
-    """Remove row r from the row, column and bucket indexes and return it."""
+def _pop_row(rows, cols, buckets, r: int) -> None:
+    """Remove row r from the row, column and bucket indexes."""
     row = rows.pop(r)
     _rebucket(buckets, r, len(row), 0)
     for c in row:
@@ -387,7 +393,44 @@ def _pop_row(rows, cols, buckets, r: int) -> dict:
         rest.discard(r)
         if not rest:
             del cols[c]
-    return row
+
+
+def _sparsest_col(cols, candidates) -> int:
+    """The candidate column with the fewest nonzeros, lowest column on ties; -1 if none."""
+    pc, least = -1, 0
+    for c in candidates:
+        n = len(cols[c])
+        if pc < 0 or n < least or (n == least and c < pc):
+            pc, least = c, n
+    return pc
+
+
+def _add_row(rows, cols, buckets, src: int, dst: int, factor: Scalar, p: int) -> None:
+    """Row dst += factor * row src (src != dst), reduced mod p unless p is 0.
+
+    This is the only row operation of the eliminations here.  Row src
+    stays indexed, so every column it touches keeps a nonempty entry in
+    cols; the column index and the length buckets are kept in step, and a
+    row that empties is dropped.
+    """
+    row = rows[dst]
+    old = len(row)
+    for c, v in rows[src].items():
+        cur = row.get(c)
+        if cur is None:
+            row[c] = factor * v % p if p else factor * v
+            cols[c].add(dst)
+        else:
+            new = (cur + factor * v) % p if p else cur + factor * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
+                cols[c].discard(dst)
+    if len(row) != old:
+        _rebucket(buckets, dst, old, len(row))
+    if not row:
+        del rows[dst]
 
 
 def rank(m: ExactMatrix) -> int:
@@ -398,60 +441,33 @@ def rank(m: ExactMatrix) -> int:
     nonzeros, ties at the lowest column.  Rows are kept in buckets by
     length, so choosing a pivot never rescans the matrix.
     """
-    fd = m.field
-    rows, cols = _row_index(m)
-    buckets = _length_buckets(rows)
+    p = m.field.char
+    rows, cols, buckets = _index(m)
     rk = 0
     while buckets:
-        prow = _pop_row(rows, cols, buckets, min(buckets[min(buckets)]))
-        pc = -1
-        least = 0
-        for c in prow:
-            n = len(cols.get(c, ()))
-            if pc < 0 or n < least or (n == least and c < pc):
-                pc, least = c, n
+        pr = min(buckets[min(buckets)])
+        prow = rows[pr]
+        pc = _sparsest_col(cols, prow)
+        minus_inv = -pow(prow[pc], -1, p) if p else -1 / prow[pc]
+        for r in list(cols[pc]):
+            if r != pr:
+                factor = rows[r][pc] * minus_inv  # -a / pivot clears column pc of row r
+                _add_row(rows, cols, buckets, pr, r, factor % p if p else factor, p)
+        _pop_row(rows, cols, buckets, pr)
         rk += 1
-        piv = prow.pop(pc)
-        for r in cols.pop(pc, ()):
-            row = rows[r]
-            old = len(row)
-            factor = fd.div(row.pop(pc), piv)
-            for c, v in prow.items():
-                cur = row.get(c)
-                if cur is None:
-                    row[c] = fd.neg(fd.mul(factor, v))
-                    rest = cols.get(c)
-                    if rest is None:
-                        cols[c] = {r}
-                    else:
-                        rest.add(r)
-                else:
-                    new = fd.sub(cur, fd.mul(factor, v))
-                    if new == 0:
-                        del row[c]
-                        rest = cols[c]
-                        rest.discard(r)
-                        if not rest:
-                            del cols[c]
-                    else:
-                        row[c] = new
-            if len(row) != old:
-                _rebucket(buckets, r, old, len(row))
-            if not row:
-                del rows[r]
     return rk
 
 
 def _echelon(
     m: ExactMatrix, rhs: Optional[Sequence[Scalar]] = None
 ) -> tuple[dict[int, dict[int, Scalar]], list[tuple[int, int]], Optional[list[Scalar]]]:
-    """Forward elimination, columns left to right.
+    """Forward elimination, columns left to right, pivoting in the lowest unused row.
 
     Returns (rows, pivots, rhs) where pivots is a list of (row, col) in
     elimination order and rows maps surviving row indices to sparse rows.
     """
     fd = m.field
-    rows, cols = _row_index(m)
+    rows, cols, buckets = _index(m)
     b = [fd.of(x) for x in rhs] if rhs is not None else None
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -462,26 +478,13 @@ def _echelon(
         pr = min(candidates)
         used.add(pr)
         pivots.append((pr, c))
-        prow = rows[pr]
-        piv = prow[c]
-        for r in sorted(cols.get(c, ())):
-            if r == pr or r in used:
-                continue
-            row = rows[r]
-            factor = fd.div(row[c], piv)
-            for cc, v in prow.items():
-                cur = row.get(cc)
-                new = fd.sub(cur, fd.mul(factor, v)) if cur is not None else fd.neg(fd.mul(factor, v))
-                if new == 0:
-                    if cur is not None:
-                        del row[cc]
-                        cols[cc].discard(r)
-                else:
-                    row[cc] = new
-                    if cur is None:
-                        cols.setdefault(cc, set()).add(r)
-            if b is not None:
-                b[r] = fd.sub(b[r], fd.mul(factor, b[pr]))
+        piv = rows[pr][c]
+        for r in candidates:
+            if r != pr:
+                factor = fd.neg(fd.div(rows[r][c], piv))
+                _add_row(rows, cols, buckets, pr, r, factor, fd.char)
+                if b is not None:
+                    b[r] = fd.add(b[r], fd.mul(factor, b[pr]))
     return rows, pivots, b
 
 
@@ -535,31 +538,6 @@ def nullspace(m: ExactMatrix) -> list[list[Scalar]]:
 # ---------------------------------------------------------------------------
 
 
-def _add_row(rows, cols, buckets, src: int, dst: int, factor: int) -> None:
-    """Row dst += factor * row src (src != dst), keeping cols and buckets in step."""
-    row = rows[dst]
-    old = len(row)
-    for c, v in rows[src].items():
-        cur = row.get(c)
-        if cur is None:
-            row[c] = factor * v
-            cols.setdefault(c, set()).add(dst)
-        else:
-            new = cur + factor * v
-            if new:
-                row[c] = new
-            else:
-                del row[c]
-                rest = cols[c]
-                rest.discard(dst)
-                if not rest:
-                    del cols[c]
-    if len(row) != old:
-        _rebucket(buckets, dst, old, len(row))
-    if not row:
-        del rows[dst]
-
-
 def _add_col(rows, cols, buckets, src: int, dst: int, factor: int) -> None:
     """Column dst += factor * column src (src != dst), keeping the indexes in step."""
     for r in list(cols.get(src, ())):
@@ -587,13 +565,7 @@ def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
     """
     for length in sorted(buckets):
         for r in sorted(buckets[length]):
-            pc = -1
-            least = 0
-            for c, v in rows[r].items():
-                if v == 1 or v == -1:
-                    n = len(cols[c])
-                    if pc < 0 or n < least or (n == least and c < pc):
-                        pc, least = c, n
+            pc = _sparsest_col(cols, [c for c, v in rows[r].items() if v == 1 or v == -1])
             if pc >= 0:
                 return r, pc
     return -1, -1
@@ -612,8 +584,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     Phase two repairs the divisibility chain via gcd/lcm exchanges among
     the diagonal entries > 1 and puts the 1s first.
     """
-    rows, cols = _row_index(m)
-    buckets = _length_buckets(rows)
+    rows, cols, buckets = _index(m)
     diagonal: list[int] = []
     while rows:
         pr, pc = _unit_pivot(rows, cols, buckets)
@@ -621,7 +592,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             piv = rows[pr][pc]
             for r in list(cols[pc]):
                 if r != pr:
-                    _add_row(rows, cols, buckets, pr, r, -rows[r][pc] * piv)
+                    _add_row(rows, cols, buckets, pr, r, -rows[r][pc] * piv, 0)
             _pop_row(rows, cols, buckets, pr)
             diagonal.append(1)
             continue
@@ -635,7 +606,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 continue
             q = rows[r][pc] // piv
             if q:
-                _add_row(rows, cols, buckets, pr, r, -q)
+                _add_row(rows, cols, buckets, pr, r, -q, 0)
             if rows.get(r, {}).get(pc, 0) != 0:
                 dirty = True
         if dirty:
@@ -662,7 +633,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(rows, cols, buckets, offender, pr, 1)
+            _add_row(rows, cols, buckets, offender, pr, 1, 0)
             continue
         diagonal.append(abs(piv))
         _pop_row(rows, cols, buckets, pr)

@@ -116,3 +116,56 @@ def brute_force_has_solution(rows: list[list[int]], b: list[int], p: int, n_cols
         if ok:
             return True
     return False
+
+
+def dense_rref(rows: list[list[int]], n_cols: int, p: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q (p = 0) or F_p, and its pivot columns.
+
+    Textbook Gauss-Jordan on a dense copy: every pivot is scaled to 1 and
+    cleared from every other row, so the form is unique.
+    """
+    if p:
+        m = [[v % p for v in row] for row in rows]
+    else:
+        m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(n_cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[top], m[pivot] = m[pivot], m[top]
+        inv = pow(m[top][col], -1, p) if p else 1 / m[top][col]
+        m[top] = [v * inv % p if p else v * inv for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def rref_solution(rows: list[list[int]], b: list[int], n_cols: int, p: int):
+    """The solution of m x = b with every free variable 0, or None if there is none."""
+    reduced, pivots = dense_rref([row + [v] for row, v in zip(rows, b)], n_cols + 1, p)
+    if n_cols in pivots:
+        return None
+    x = [0] * n_cols
+    for i, col in enumerate(pivots):
+        x[col] = reduced[i][n_cols]
+    return x
+
+
+def rref_kernel_basis(rows: list[list[int]], n_cols: int, p: int) -> list[list]:
+    """One kernel vector per free column f, in column order: x_f = 1, other free variables 0."""
+    reduced, pivots = dense_rref(rows, n_cols, p)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        x = [0] * n_cols
+        x[f] = 1
+        for i, col in enumerate(pivots):
+            x[col] = -reduced[i][f] % p if p else -reduced[i][f]
+        basis.append(x)
+    return basis

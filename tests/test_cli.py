@@ -429,6 +429,33 @@ class TestComplexFiles:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize(
+        "complex_obj",
+        [
+            {"vertices": "abc", "edges": [["a", "b"]]},
+            {"vertices": {"a": 0, "b": 1}},
+            {"vertices": ["a", "b"], "faces": {"ab": 1}},
+            {"vertices": ["a", "b"], "edges": {"ab": 1}},
+            {"vertices": ["a", "b"], "edges": ["ab"]},
+            {"vertices": ["a", "b"], "faces": [{"a": 0, "b": 1}]},
+            {"vertices": ["a", "b"], "faces": [["a", "b"], "ab"]},
+        ],
+        ids=[
+            "vertices-string",
+            "vertices-object",
+            "faces-object",
+            "edges-object",
+            "edge-string",
+            "face-object",
+            "face-string",
+        ],
+    )
+    def test_non_list_vertices_edges_or_faces_are_input_error(self, workdir, capsys, complex_obj):
+        (workdir / "bad.json").write_text(json.dumps(complex_obj))
+        code, out, err = run_cli(capsys, "betti", "--complex", "bad.json", "--field", "Q", "--degrees", "0..2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
 
 def characters_report(complex_obj, field, n, bound):
     """The characters report as the stdlib encoder writes it, from the report's definition."""

@@ -527,6 +527,22 @@ class TestJson:
         with pytest.raises(ValueError):
             SimplicialComplex.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": "abc", "edges": [["a", "b"]]},
+            {"vertices": ("a", "b")},
+            {"vertices": ["a", "b"], "faces": {"ab": 1}},
+            {"vertices": ["a", "b"], "edges": {"ab": 1}},
+            {"vertices": ["a", "b"], "edges": ["ab"]},
+            {"vertices": ["a", "b"], "faces": [("a", "b")]},
+        ],
+        ids=["vertices-string", "vertices-tuple", "faces-object", "edges-object", "edge-string", "face-tuple"],
+    )
+    def test_vertices_edges_and_faces_must_be_lists(self, obj):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_json_dict(obj)
+
     def test_edges_input_applies_flag_completion(self):
         obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
         K = SimplicialComplex.from_json_dict(obj)

@@ -31,6 +31,8 @@ from oracles import (
     dense_rank_mod_p,
     dense_rank_rationals,
     determinantal_divisors,
+    rref_kernel_basis,
+    rref_solution,
 )
 
 F3 = FieldSpec.prime_field(3)
@@ -81,6 +83,35 @@ def simplicial_complexes(draw):
         return SimplicialComplex([])
     faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12))
     return SimplicialComplex(range(n), faces)
+
+
+@st.composite
+def low_rank_systems(draw):
+    """A product B C of integer matrices through at most 3 dimensions, and a right-hand side.
+
+    Some rows and columns are then zeroed, so the matrix is rank-deficient,
+    with empty rows and columns; the right-hand side is B C y for a drawn y
+    (consistent) or drawn outright (often inconsistent).
+    """
+    rows, cols, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    small = st.integers(-2, 2)
+    left = [[draw(small) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(small) for _ in range(cols)] for _ in range(inner)]
+    empty_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    empty_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    dense = [
+        [
+            0 if r in empty_rows or c in empty_cols else sum(left[r][k] * right[k][c] for k in range(inner))
+            for c in range(cols)
+        ]
+        for r in range(rows)
+    ]
+    if draw(st.booleans()):
+        y = [draw(small) for _ in range(cols)]
+        b = [sum(a * v for a, v in zip(row, y)) for row in dense]
+    else:
+        b = [draw(small) for _ in range(rows)]
+    return IntMatrix.from_rows(dense) if rows else IntMatrix(0, cols), dense, b
 
 
 @st.composite
@@ -242,6 +273,21 @@ class TestNullspace:
         d1 = ExactMatrix.from_rows([[-1, 0, 1], [1, -1, 0], [0, 1, -1]], QQ)
         basis = nullspace(d1)
         assert len(basis) == 1
+
+
+class TestEchelonOutputs:
+    """`solve` and `nullspace` give exactly the vectors their docstrings specify."""
+
+    @PROPERTY
+    @given(low_rank_systems(), st.sampled_from((QQ, F2, F3)))
+    @example((IntMatrix(0, 3), [], []), QQ)
+    @example((IntMatrix(2, 0), [[], []], [0, 1]), F2)
+    def test_solve_and_nullspace_match_reduced_row_echelon_form(self, system, field):
+        m, dense, b = system
+        em = m.over_field(field)
+        p = field.char
+        assert solve(em, b) == rref_solution(dense, b, m.cols, p)
+        assert nullspace(em) == rref_kernel_basis(dense, m.cols, p)
 
 
 class TestSmithNormalForm:
