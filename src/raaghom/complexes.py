@@ -405,13 +405,13 @@ def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> Int
     else:
         rows = K.faces_of_dim(k - 1)
     row_pos = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, f in enumerate(cols):
+    m = IntMatrix(len(rows), len(cols))
+    for j, f in enumerate(cols):  # the entries are in bounds and +-1, so they go straight in
         for i in range(len(f)):
             sub = f[:i] + f[i + 1 :]
             if sub in row_pos:
-                entries[(row_pos[sub], j)] = (-1) ** i
-    return IntMatrix(len(rows), len(cols), entries)
+                m.entries[(row_pos[sub], j)] = (-1) ** i
+    return m
 
 
 @dataclass(frozen=True)
@@ -506,12 +506,12 @@ def is_n_acyclic(K: SimplicialComplex, n: int, field: FieldSpec) -> bool:
     """True when b~_i(K; field) = 0 for all -1 <= i <= n.
 
     For n >= -1 this forces the complex to be nonempty; for n < -1 the
-    condition is vacuous.
+    condition is vacuous.  The profile stops at dim K, above which there
+    is no homology, so only degrees up to min(n, dim K) are read.
     """
     if n < -1:
         return True
-    profile = reduced_betti(K, field)
-    return all(profile.betti(i) == 0 for i in range(-1, n + 1))
+    return not any(reduced_betti(K, field).reduced_betti[: n + 2])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ Each caller has one pivot rule:
 - `smith_normal_form` pivots on a +-1 entry of the shortest row that
   holds one, chosen the same way, and falls back to the entry of least
   absolute value only when no unit remains;
-- `solve` and `nullspace` eliminate columns left to right (`_echelon`).
+- `solve` and `nullspace` eliminate columns left to right (`_echelon`)
+  and share one back-substitution (`_back_substitute`).
 Rank and elementary divisors do not depend on the pivot order.  `solve`
 and `nullspace` do, so their answers are the ones their docstrings
-specify.
+specify.  The Smith form peels off any diagonal and then turns it into
+the divisibility chain by gcd/lcm exchanges, so no pivot needs to divide
+the rest of the matrix.
 """
 
 from __future__ import annotations
@@ -503,7 +506,29 @@ def solve(m: ExactMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
     for r in range(m.rows):
         if r not in pivot_rows and rhs[r] != 0:
             return None
-    x: list[Scalar] = [fd.zero] * m.cols
+    return _back_substitute(fd, rows, pivots, [fd.zero] * m.cols, rhs)
+
+
+def nullspace(m: ExactMatrix) -> list[list[Scalar]]:
+    """A basis of ker(m), one vector per free column, in column order."""
+    fd = m.field
+    rows, pivots, _ = _echelon(m)
+    pivot_cols = {c for _, c in pivots}
+    zero = [fd.zero] * m.rows
+    basis = []
+    for f in range(m.cols):
+        if f not in pivot_cols:
+            x: list[Scalar] = [fd.zero] * m.cols
+            x[f] = fd.one
+            basis.append(_back_substitute(fd, rows, pivots, x, zero))
+    return basis
+
+
+def _back_substitute(fd: FieldSpec, rows, pivots, x: list[Scalar], rhs: Sequence[Scalar]) -> list[Scalar]:
+    """Set x's pivot entries, last pivot first, so that every echelon row r reads rhs[r].
+
+    The free entries of x are taken as given.
+    """
     for r, c in reversed(pivots):
         acc = rhs[r]
         for cc, v in rows[r].items():
@@ -511,26 +536,6 @@ def solve(m: ExactMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
                 acc = fd.sub(acc, fd.mul(v, x[cc]))
         x[c] = fd.div(acc, rows[r][c])
     return x
-
-
-def nullspace(m: ExactMatrix) -> list[list[Scalar]]:
-    """A basis of ker(m), one vector per free column, in column order."""
-    fd = m.field
-    rows, pivots, _ = _echelon(m)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        x: list[Scalar] = [fd.zero] * m.cols
-        x[f] = fd.one
-        for r, c in reversed(pivots):
-            acc = fd.zero
-            for cc, v in rows[r].items():
-                if cc != c:
-                    acc = fd.sub(acc, fd.mul(v, x[cc]))
-            x[c] = fd.div(acc, rows[r][c])
-        basis.append(x)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +582,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     Phase one diagonalises with integer row/column operations.  The pivot
     is a +-1 entry from the shortest row that holds one (see
     `_unit_pivot`): its column is cleared by row operations and its row
-    is dropped, giving elementary divisor 1 with no divisibility check,
-    since 1 divides everything.  Only when no unit remains is the pivot
+    is dropped as a diagonal 1.  Only when no unit remains is the pivot
     the entry of least absolute value, ties at the lowest (row, col); it
-    is reduced by gcd steps until it divides the rest of the matrix.
-    Phase two repairs the divisibility chain via gcd/lcm exchanges among
-    the diagonal entries > 1 and puts the 1s first.
+    is reduced by gcd steps until its row and column are clear, and its
+    absolute value is peeled off whether or not it divides the rest.
+    Phase two turns that diagonal into the divisibility chain, since
+    diag(a, b) and diag(gcd, lcm) are equivalent: it exchanges gcd and
+    lcm among the entries > 1 until each divides the next and puts the
+    1s first.
     """
     rows, cols, buckets = _index(m)
     diagonal: list[int] = []
@@ -620,20 +627,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if rows.get(pr, {}).get(c, 0) != 0:
                 dirty = True
         if dirty or len(rows.get(pr, {})) > 1 or len(cols.get(pc, set())) > 1:
-            continue
-        # pivot must divide the rest of the matrix before it is peeled off
-        offender = None
-        for r, row in rows.items():
-            if r == pr:
-                continue
-            for c, v in row.items():
-                if v % piv != 0:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(rows, cols, buckets, offender, pr, 1, 0)
             continue
         diagonal.append(abs(piv))
         _pop_row(rows, cols, buckets, pr)

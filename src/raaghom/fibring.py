@@ -117,9 +117,21 @@ class FibringReport:
         }
 
 
-def _integral_vanishes(L: SimplicialComplex, degree: int) -> bool:
-    betti, torsion = integral_homology(L, degree)
-    return betti == 0 and not torsion
+def _obstruction(L: SimplicialComplex, n: int, fields: Optional[Sequence[FieldSpec]]) -> Optional[int]:
+    """Least degree m <= n with b~_{m-1}(L) nonzero over one of the fields, or None.
+
+    With ``fields`` None the test is over Z: the free rank or torsion of
+    H~_{m-1}(L; Z) is nonzero.  Degrees above dim L + 1 have nothing to
+    read, so the scan stops there however large n is.
+    """
+    for m in range(0, min(n, L.dim + 1) + 1):
+        if fields is None:
+            betti, torsion = integral_homology(L, m - 1)
+            if betti or torsion:
+                return m
+        elif any(reduced_betti(L, f).betti(m - 1) for f in fields):
+            return m
+    return None
 
 
 def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) -> FibringReport:
@@ -128,40 +140,25 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
     The verdict is vanishing of reduced homology of L in degrees <= n-1
     over the ring (over every prime divisor for Z/m; free part and torsion
     for Z).  When true, the all-ones character is returned as a witness,
-    certified by the finiteness checker over the relevant fields.
+    certified by the finiteness checker over the same fields (Q, F2 and
+    F3 for Z).  Levels above dim L + 1 impose no further conditions.
     """
     if not L.is_flag():
         raise ValueError("fibring deciders need a flag complex")
     if n < 0:
         raise ValueError("level must be >= 0")
-
-    obstruction: Optional[int] = None
     if ring.kind == "field":
-        obstruction = no_fibring_obstruction(L, n, ring.field)
+        fields = [ring.field]
     elif ring.kind == "Z/m":
         fields = [FieldSpec.prime_field(p) for p in ring.prime_factors()]
-        for m in range(0, n + 1):
-            if any(reduced_betti(L, f).betti(m - 1) != 0 for f in fields):
-                obstruction = m
-                break
-    else:  # over Z: free rank and torsion must both vanish
-        for m in range(0, n + 1):
-            if not _integral_vanishes(L, m - 1):
-                obstruction = m
-                break
-
+    else:
+        fields = [FieldSpec.rationals()] + [FieldSpec.prime_field(p) for p in (2, 3)]
+    obstruction = _obstruction(L, n, None if ring.kind == "Z" else fields)
     if obstruction is not None:
         return FibringReport(L, ring, n, False, (), obstruction)
 
     ones = Character(L, {v: 1 for v in L.vertices})
-    certifying_fields = (
-        [ring.field]
-        if ring.kind == "field"
-        else [FieldSpec.prime_field(p) for p in ring.prime_factors()]
-        if ring.kind == "Z/m"
-        else [FieldSpec.rationals()] + [FieldSpec.prime_field(p) for p in (2, 3)]
-    )
-    for f in certifying_fields:
+    for f in fields:
         if not is_fpn(L, ones, n, f):
             raise AssertionError(
                 "internal inconsistency: vanishing verdict not certified by the "
@@ -229,12 +226,15 @@ def kaz_inequality_check(
     """Closed-form Betti numbers bound normalised cover Betti numbers below.
 
     Checks dfg_betti_raag(A, field, m) <= b_m(cover)/N for every supplied
-    quotient and every degree m <= max_degree.
+    quotient and every degree m <= max_degree.  Both sides vanish above
+    dim L + 1, the dimension of the Salvetti complex, so the degrees stop
+    there however large max_degree is.
     """
-    closed = [dfg_betti_raag(A, field, m) for m in range(max_degree + 1)]
+    degrees = range(min(max_degree, A.complex.dim + 1) + 1)
+    closed = [dfg_betti_raag(A, field, m) for m in degrees]
     for q in quotients:
         report = cover_betti(A, q, field)
-        for m in range(max_degree + 1):
+        for m in degrees:
             normalised = report.normalized[m] if m < len(report.betti) else 0
             if closed[m] > normalised:
                 return False
@@ -250,8 +250,4 @@ def no_fibring_obstruction(L: SimplicialComplex, n: int, field: FieldSpec) -> Op
     """
     if not L.is_flag():
         raise ValueError("fibring deciders need a flag complex")
-    profile = reduced_betti(L, field)
-    for m in range(0, n + 1):
-        if profile.betti(m - 1) != 0:
-            return m
-    return None
+    return _obstruction(L, n, [field])

@@ -162,12 +162,14 @@ def living_set_violation(
     L being flag, the living link of a dead simplex s is the full
     subcomplex on CN(s) & living.  Each test reads the subcomplex on that
     mask's core, so masks with one core share one entry of L's memo.
+    Dead simplices of dimension above n impose vacuous conditions, and L
+    has none above its dimension, so the scan stops at the smaller.
     """
     if not L.is_flag():
         raise ValueError("finiteness checking needs a flag complex")
     if not is_n_acyclic(L.subcomplex(L.core(living)), n - 1, field):
         return ()
-    for k in range(0, n + 1):  # deeper dead simplices impose vacuous conditions
+    for k in range(0, min(n, L.dim) + 1):
         for s in L.faces_of_dim(k):
             if not L.mask(s) & living and not is_n_acyclic(
                 L.subcomplex(L.core(L.common_neighbours(s) & living)), n - k - 1, field
@@ -246,10 +248,12 @@ def push_cycle_to_living(
     every support simplex with exactly m living vertices shares its dead
     face lam with the other support simplices containing lam; their living
     parts assemble into an (m-1)-cycle in the living link of {v} u lam,
-    which the FP hypothesis lets us fill (a cone vertex when m = 0, a
-    linear solve otherwise).  Subtracting the boundary of lam joined with
-    the filling raises the living count.  Dead faces are processed
-    lexicographically; fillings are whatever the solver returns.
+    which the FP hypothesis lets us fill.  Every stage fills by one
+    `solve` on the augmented degree-m boundary of that living link; at
+    m = 0 the cycle is a multiple of the empty face, and the solve cones
+    it off the least living vertex.  Subtracting the boundary of lam
+    joined with the filling raises the living count.  Dead faces are
+    processed lexicographically; fillings are whatever `solve` returns.
 
     Returns (z', w) with z' supported in the living link of v, dz' = 0 and
     z - z' = dw exactly.  Raises InconsistencyError when a filling that
@@ -310,42 +314,17 @@ def push_cycle_to_living(
             if not groups:
                 break
             lam = min(groups, key=L._key)
-            members = sorted(groups[lam], key=L._key)
-            if m == 0:
-                # cone each all-dead simplex off the least living vertex of
-                # the living link of {v} u s
-                for s in members:
-                    coef = current[s]
-                    cone = living_link(L, phi, (v,) + s)
-                    if not cone.vertices:
-                        raise InconsistencyError(
-                            f"living link of {(v,) + s!r} is empty; FP_{n} must fail"
-                        )
-                    u = cone.vertices[0]
-                    seq = (u,) + s
-                    face, sign = oriented_face(seq, L)
-                    add_term(witness, face, field.mul(coef, field.of(sign)))
-                    subtract_boundary(current, seq, coef)
-                continue
-            # members are exactly the support simplices containing lam;
-            # peel off lam and fill the living cycle that remains
+            # the support simplices containing lam; peel off lam and fill
+            # the living (m-1)-cycle that remains, augmented when m = 0
             cone = living_link(L, phi, (v,) + lam)
-            cycle_coeffs: dict[Face, Scalar] = {}
-            for s in members:
+            row_pos = {f: i for i, f in enumerate(cone.faces_of_dim(m - 1))}
+            rhs = [field.zero] * len(row_pos)
+            for s in groups[lam]:
                 tau = tuple(u for u in s if phi(u) != 0)
                 _, eps = oriented_face(lam + tau, L)
-                add_term(cycle_coeffs, tau, field.mul(current[s], field.of(eps)))
-            d_m = boundary_matrix(cone, m, augmented=False).over_field(field)
-            row_faces = cone.faces_of_dim(m - 1)
-            col_faces = cone.faces_of_dim(m)
-            row_pos = {f: i for i, f in enumerate(row_faces)}
-            rhs = [field.zero] * len(row_faces)
-            for f, c in cycle_coeffs.items():
-                if f not in row_pos:
-                    raise InconsistencyError(
-                        f"living simplex {f!r} missing from the living link of {(v,) + lam!r}"
-                    )
-                rhs[row_pos[f]] = c
+                i = row_pos[tau]
+                rhs[i] = field.add(rhs[i], field.mul(current[s], field.of(eps)))
+            d_m = boundary_matrix(cone, m).over_field(field)
             psi = solve(d_m, rhs)
             if psi is None:
                 raise InconsistencyError(
@@ -353,10 +332,10 @@ def push_cycle_to_living(
                     f"FP_{n} over {field.token()} must fail"
                 )
             sign_nm = field.of((-1) ** (n - m))
-            for idx, c in enumerate(psi):
+            for sigma, c in zip(cone.faces_of_dim(m), psi):
                 if c == 0:
                     continue
-                seq = lam + col_faces[idx]
+                seq = lam + sigma
                 face, sgn = oriented_face(seq, L)
                 coef = field.mul(sign_nm, field.mul(c, field.of(sgn)))
                 add_term(witness, face, coef)

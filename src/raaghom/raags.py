@@ -248,15 +248,18 @@ def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
         raise ValueError("quotient is for a different group")
     N = q.order
     action = q.action
-    out: dict[tuple[int, int], int] = {}
+    out = ExactMatrix(m.rows * N, m.cols * N, m.field)
+    entries = out.entries  # every entry is in bounds and a unit, written already reduced
+    unit = {s: m.field.of(s) for s in (1, -1)}
     for (i, j), (v, sign) in m.entries.items():
         perm = action[v]
         base_r, base_c = i * N, j * N
+        plus, minus = unit[sign], unit[-sign]
         for x, y in enumerate(perm):
             if y != x:
-                out[(base_r + y, base_c + x)] = sign
-                out[(base_r + x, base_c + x)] = -sign
-    return ExactMatrix(m.rows * N, m.cols * N, m.field, out)
+                entries[(base_r + y, base_c + x)] = plus
+                entries[(base_r + x, base_c + x)] = minus
+    return out
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,40 @@ class TestFibringAndCharacters:
         error = json.loads(err)["error"]
         assert error["kind"] == "input" and "must be >=" in error["message"]
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("fpn-check", "--complex", "{complex}", "--phi", "{phi}", "--field", "Q", "--n"), "n"),
+            (("fibring", "--complex", "{complex}", "--ring", "Z", "--n"), "n"),
+            (("fibring", "--complex", "{complex}", "--ring", "Z/6", "--n"), "n"),
+            (("characters", "--complex", "{complex}", "--field", "F2", "--bound", "1", "--n"), "n"),
+            (
+                ("kaz-check", "--complex", "{complex}", "--field", "Q",
+                 "--quotients", "abelian:1,2", "--max-degree"),
+                "max_degree",
+            ),
+        ],
+        ids=["fpn-check", "fibring-Z", "fibring-Z/6", "characters", "kaz-check"],
+    )
+    @pytest.mark.parametrize("name", ["path", "c4"])
+    def test_levels_above_the_dimension_add_nothing(self, workdir, capsys, args, key, name):
+        # levels above dim + 1 impose no conditions, so a huge level gives
+        # the report of level dim + 2 and still finishes at once
+        if name == "path":
+            (workdir / "path.json").write_text(
+                json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]})
+            )
+            (workdir / "path_phi.json").write_text(json.dumps({"phi": {"a": 1, "b": 0, "c": 1}}))
+            files = {"complex": "path.json", "phi": "path_phi.json"}
+        else:
+            files = {"complex": "c4.json", "phi": "phi_ones.json"}
+        argv = [a.format(**files) for a in args]
+        code, small, _ = run_cli(capsys, *argv, "3")  # both complexes have dimension 1
+        assert code == 0 and small.count(f'"{key}": 3') == 1
+        code, big, _ = run_cli(capsys, *argv, str(10**12))
+        assert code == 0
+        assert big == small.replace(f'"{key}": 3', f'"{key}": {10**12}')
+
 
 class TestGradient:
     def test_gradient_json(self, workdir, capsys):

@@ -337,6 +337,9 @@ class TestSmithNormalForm:
             sparse_int_matrices(max_dim=5, values=range(-9, 10)),
         )
     )
+    @example(IntMatrix.diagonal([4, 6]))
+    @example(IntMatrix.diagonal([6, 10, 15]))
+    @example(IntMatrix.from_rows([[4, 6], [6, 4]]))
     def test_matches_determinantal_divisors(self, m):
         # entries without units make the least-|value| pivot rule run
         ds = determinantal_divisors(dense_rows(m))

@@ -21,6 +21,7 @@ from raaghom.exact import F2, QQ, FieldSpec, nullspace
 from raaghom.complexes import boundary_matrix
 from raaghom.kernels import (
     Character,
+    InconsistencyError,
     PreconditionError,
     count_vertex_orbits,
     fpn_violation,
@@ -334,6 +335,63 @@ class TestPushCycle:
                 z = ChainVector(1, field, coeffs)
                 res = push_cycle_to_living(L, phi, "v", z, 2)
                 verify_push(L, phi, "v", z, res, 2)
+
+
+def join_with_two_dead_equator_vertices():
+    """The octahedron join of `join_with_dead_apex_and_dead_equator`, with b0 dead too."""
+    L, phi = join_with_dead_apex_and_dead_equator()
+    values = dict(phi.values)
+    values["b0"] = 0
+    return L, Character(L, values)
+
+
+class TestPushedFillings:
+    """The exact z' and w that `push_cycle_to_living` returns, not just z - z' = dw."""
+
+    @pytest.mark.parametrize(
+        "field, cycle, witness",
+        [
+            (
+                QQ,
+                {("b1", "c1"): 1, ("u", "b1"): 1, ("u", "c1"): -1},
+                {("u", "b0", "c0"): 1, ("u", "b0", "c1"): -1, ("u", "b1", "c0"): -1},
+            ),
+            (
+                F2,
+                {("b1", "c1"): 1, ("u", "b1"): 1, ("u", "c1"): 1},
+                {("u", "b0", "c0"): 1, ("u", "b0", "c1"): 1, ("u", "b1", "c0"): 1},
+            ),
+            (
+                F3,
+                {("b1", "c1"): 1, ("u", "b1"): 1, ("u", "c1"): 2},
+                {("u", "b0", "c0"): 1, ("u", "b0", "c1"): 2, ("u", "b1", "c0"): 2},
+            ),
+        ],
+        ids=["Q", "F2", "F3"],
+    )
+    def test_one_cycle_through_two_dead_vertices(self, field, cycle, witness):
+        # b0c0 is filled at stage m = 0, then b1c0 and b0c1 (dead parts c0
+        # and b0) at two stages m = 1
+        L, phi = join_with_two_dead_equator_vertices()
+        z = ChainVector(1, field, {("b0", "c0"): 1, ("b1", "c0"): -1, ("b1", "c1"): 1, ("b0", "c1"): -1})
+        res = push_cycle_to_living(L, phi, "v", z, 2)
+        verify_push(L, phi, "v", z, res, 2)
+        assert res.cycle.coefficients == cycle
+        assert res.witness.coefficients == witness
+
+    def test_zero_cycle_coned_off_least_living_vertex(self):
+        L, phi = cone_over_c4_with_extra_living()
+        z = ChainVector(0, QQ, {("d1",): 1, ("a",): -1})
+        res = push_cycle_to_living(L, phi, "v", z, 1, enforce_fpn=False)
+        assert res.cycle.coefficients == {}
+        assert res.witness.coefficients == {("a", "d1"): 1}
+
+    def test_empty_living_link_is_inconsistent(self):
+        L = flag_completion(["v", "d1", "d2", "a"], [("v", "d1"), ("v", "d2")])
+        phi = Character(L, {"v": 0, "d1": 0, "d2": 0, "a": 1})
+        z = ChainVector(0, QQ, {("d1",): 1, ("d2",): -1})
+        with pytest.raises(InconsistencyError):
+            push_cycle_to_living(L, phi, "v", z, 1, enforce_fpn=False)
 
 
 class TestTorsion:
