@@ -56,13 +56,22 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not a JSON value")
+
+
+# built once, like json.load's default decoder: one per file slowed short commands by ~3%
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _load_json(path: str) -> object:
+    """The JSON value in a UTF-8 file; other bytes and the NaN/Infinity tokens are malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
 
 

@@ -292,9 +292,10 @@ class SimplicialComplex:
         """A flag complex from ``edges`` or a complex from ``faces``, never both.
 
         The only keys read are ``vertices``, ``edges`` and ``faces``, each a
-        list, with every edge and face a list of labels.  Any other key or
-        type, and two vertex labels with one string form (``1`` and ``"1"``),
-        raise ValueError, since reports key vertices by ``str``.
+        list, with every edge and face a list of labels.  A vertex label is
+        a string or an integer, booleans excluded.  Any other key, type or
+        label, and two vertex labels with one string form (``1`` and
+        ``"1"``), raise ValueError, since reports key vertices by ``str``.
         """
         unknown = set(obj) - {"vertices", "edges", "faces"}
         if unknown:
@@ -306,6 +307,8 @@ class SimplicialComplex:
             if key != "vertices" and not all(isinstance(f, list) for f in value):
                 raise ValueError(f"every entry of '{key}' must be a list of vertices")
         vertices = obj["vertices"]
+        if any(type(v) is not str and type(v) is not int for v in vertices):
+            raise ValueError("vertex labels must be strings or integers")
         if len({str(v) for v in vertices}) != len(vertices):
             raise ValueError("vertex labels must be distinct as strings")
         if "edges" in obj and "faces" in obj:

@@ -2,10 +2,15 @@
 
 Rank, linear solve, and kernel bases over an exact field, together with
 Smith normal form over the integers.  Everything is arbitrary precision:
-rational scalars are `fractions.Fraction`, mod-p scalars are ints reduced
-into [0, p), integer matrices use Python ints.  No floating point is used
-anywhere; exactness is the correctness contract.
+mod-p scalars are ints reduced into [0, p), and over Q an integral value
+is a Python int and any other a `fractions.Fraction`.  No floating point
+is used anywhere, and no two ints are ever divided; exactness is the
+correctness contract.
 
+There is one matrix type, `ExactMatrix`.  An integer matrix is an
+`ExactMatrix` over Q whose entries are all ints (`IntMatrix` only builds
+one); `over_field` reads it over F_p by reducing each entry and over Q
+returns it unchanged, and `smith_normal_form` takes only such a matrix.
 Matrices are stored sparsely as {(row, col): value} with no explicit
 zeros.  Every elimination indexes the nonzeros by row and by column and
 keeps the rows in buckets by number of nonzeros, and every elimination
@@ -13,7 +18,8 @@ step is one row operation, `_add_row`: row dst += factor * row src,
 reduced mod p over F_p, with both indexes and the buckets kept in step.
 Each caller has one pivot rule:
 - `rank` pivots in the lowest-index shortest row, on its entry whose
-  column has the fewest nonzeros (lowest column on ties);
+  column has the fewest nonzeros (lowest column on ties); over Q a +-1
+  pivot is its own inverse, so integer rows stay ints under it;
 - `smith_normal_form` pivots on a +-1 entry of the shortest row that
   holds one, chosen the same way, and falls back to the entry of least
   absolute value only when no unit remains;
@@ -93,18 +99,23 @@ class FieldSpec:
         return Fraction(1) if self.char == 0 else 1
 
     def of(self, value: Union[int, Fraction, str]) -> Scalar:
-        """Coerce an int, Fraction, or "num/den" string into the field."""
-        if isinstance(value, str):
-            value = Fraction(value)
-        if self.char == 0:
-            return Fraction(value)
+        """Coerce an int, Fraction, or "num/den" string into the field.
+
+        Over Q an integral value comes back as an int and any other as a
+        Fraction, so an integer matrix over Q keeps int entries.
+        """
         p = self.char
-        if isinstance(value, Fraction):
-            den = value.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            return value.numerator % p * pow(den, -1, p) % p
-        return value % p
+        if type(value) is not int:
+            f = Fraction(value)
+            if f.denominator != 1:
+                if not p:
+                    return f
+                den = f.denominator % p
+                if den == 0:
+                    raise ZeroDivisionError(f"denominator divisible by {p}")
+                return f.numerator % p * pow(den, -1, p) % p
+            value = f.numerator
+        return value % p if p else value
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.char == 0 else (a + b) % self.char
@@ -126,9 +137,6 @@ class FieldSpec:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     def to_string(self, a: Scalar) -> str:
         if self.char == 0:
             f = Fraction(a)
@@ -141,7 +149,11 @@ F2 = FieldSpec.prime_field(2)
 
 
 class ExactMatrix:
-    """Immutable sparse matrix over an exact field (Q or F_p)."""
+    """Immutable sparse matrix over an exact field (Q or F_p).
+
+    Over Q an integral entry is stored as an int, so an integer matrix is
+    a matrix over Q whose entries are all ints (see `IntMatrix`).
+    """
 
     __slots__ = ("rows", "cols", "field", "entries")
 
@@ -167,8 +179,8 @@ class ExactMatrix:
                 clean[(r, c)] = fv
         self.entries = clean
 
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[Union[int, Fraction]]], field: FieldSpec) -> "ExactMatrix":
+    @staticmethod
+    def from_rows(data: Sequence[Sequence[Union[int, Fraction]]], field: FieldSpec) -> "ExactMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}
@@ -177,18 +189,18 @@ class ExactMatrix:
                 raise ValueError("ragged row data")
             for c, v in enumerate(row):
                 entries[(r, c)] = v
-        return cls(rows, cols, field, entries)
+        return ExactMatrix(rows, cols, field, entries)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "ExactMatrix":
-        return cls(rows, cols, field, {})
+    @staticmethod
+    def zeros(rows: int, cols: int, field: FieldSpec) -> "ExactMatrix":
+        return ExactMatrix(rows, cols, field, {})
 
-    @classmethod
-    def identity(cls, n: int, field: FieldSpec) -> "ExactMatrix":
-        return cls(n, n, field, {(i, i): field.one for i in range(n)})
+    @staticmethod
+    def identity(n: int, field: FieldSpec) -> "ExactMatrix":
+        return ExactMatrix(n, n, field, {(i, i): field.one for i in range(n)})
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), self.field.zero)
+        return self.entries.get((r, c), 0)
 
     @property
     def nnz(self) -> int:
@@ -227,16 +239,27 @@ class ExactMatrix:
             out[r] = fd.add(out[r], fd.mul(v, vec[c]))
         return out
 
+    def over_field(self, field: FieldSpec) -> "ExactMatrix":
+        """This matrix over ``field``: itself over its own field, a matrix over Q reduced mod p."""
+        if field == self.field:
+            return self
+        if self.field.char:
+            raise ValueError(f"a matrix over {self.field.token()} cannot be read over {field.token()}")
+        m = ExactMatrix(self.rows, self.cols, field)
+        p, of = field.char, field.of  # entries are in bounds already, so only reduce them
+        m.entries = {k: r for k, v in self.entries.items() if (r := v % p if type(v) is int else of(v))}
+        return m
+
     def to_json_dict(self) -> dict:
         fd = self.field
         triples = sorted([r, c, fd.to_string(v)] for (r, c), v in self.entries.items())
         return {"rows": self.rows, "cols": self.cols, "field": fd.token(), "entries": triples}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ExactMatrix":
+    @staticmethod
+    def from_json_dict(obj: dict) -> "ExactMatrix":
         field = FieldSpec.from_token(obj["field"])
         entries = {(int(r), int(c)): Fraction(s) for r, c, s in obj["entries"]}
-        return cls(int(obj["rows"]), int(obj["cols"]), field, entries)
+        return ExactMatrix(int(obj["rows"]), int(obj["cols"]), field, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -252,81 +275,29 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field.token()}, nnz={self.nnz})"
 
 
-class IntMatrix:
-    """Immutable sparse matrix over Z with arbitrary-precision entries."""
+class IntMatrix(ExactMatrix):
+    """An integer matrix: an `ExactMatrix` over Q whose entries are all ints.
 
-    __slots__ = ("rows", "cols", "entries")
+    Only the constructors are its own; an entry that is not an integer
+    raises ValueError.
+    """
 
-    def __init__(
-        self, rows: int, cols: int, entries: Mapping[tuple[int, int], int] = ()
-    ) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (r, c), v in items:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r}, {c}) out of bounds for {rows}x{cols}")
-            v = int(v)
-            if v != 0:
-                clean[(r, c)] = v
-        self.entries = clean
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int] = ()) -> None:
+        super().__init__(rows, cols, QQ, entries)
+        if not all(type(v) is int for v in self.entries.values()):
+            raise ValueError("integer matrix entries must be integers")
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row)})
+        m = ExactMatrix.from_rows(data, QQ)
+        return cls(m.rows, m.cols, m.entries)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
         n = len(diag)
         return cls(rows or n, cols or n, {(i, i): d for i, d in enumerate(diag)})
-
-    def entry(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("cannot compose")
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], int] = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                out[(r, c)] = out.get((r, c), 0) + a * b
-        return IntMatrix(self.rows, other.cols, out)
-
-    def over_field(self, field: FieldSpec) -> ExactMatrix:
-        """The same matrix over Q or F_p; entries are in bounds already, so only reduce them."""
-        m = ExactMatrix(self.rows, self.cols, field)
-        p = field.char
-        if p:
-            m.entries = {k: r for k, v in self.entries.items() if (r := v % p)}
-        else:
-            m.entries = {k: Fraction(v) for k, v in self.entries.items()}
-        return m
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
 @dataclass(frozen=True)
@@ -355,7 +326,7 @@ class SmithForm:
 # ---------------------------------------------------------------------------
 
 
-def _index(m: Union[ExactMatrix, IntMatrix]) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
+def _index(m: ExactMatrix) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
     """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: {r, ...}}."""
     rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
@@ -451,7 +422,11 @@ def rank(m: ExactMatrix) -> int:
         pr = min(buckets[min(buckets)])
         prow = rows[pr]
         pc = _sparsest_col(cols, prow)
-        minus_inv = -pow(prow[pc], -1, p) if p else -1 / prow[pc]
+        piv = prow[pc]
+        if p:
+            minus_inv = -pow(piv, -1, p)
+        else:  # a +-1 pivot is its own inverse, so integer rows stay ints
+            minus_inv = -piv if piv == 1 or piv == -1 else -1 / Fraction(piv)
         for r in list(cols[pc]):
             if r != pr:
                 factor = rows[r][pc] * minus_inv  # -a / pivot clears column pc of row r
@@ -576,7 +551,7 @@ def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
     return -1, -1
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
+def smith_normal_form(m: ExactMatrix) -> SmithForm:
     """Smith normal form by sparse integer elimination.
 
     Phase one diagonalises with integer row/column operations.  The pivot
@@ -590,7 +565,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     diag(a, b) and diag(gcd, lcm) are equivalent: it exchanges gcd and
     lcm among the entries > 1 until each divides the next and puts the
     1s first.
+
+    Raises ValueError unless m is over Q with int entries, an integer matrix.
     """
+    if m.field != QQ or not all(type(v) is int for v in m.entries.values()):
+        raise ValueError(f"Smith normal form needs an integer matrix, got {m!r}")
     rows, cols, buckets = _index(m)
     diagonal: list[int] = []
     while rows:

@@ -490,6 +490,23 @@ class TestComplexFiles:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize(
+        "vertices",
+        ['[null, "a"]', "[1.5, 2]", "[true, 2]", "[NaN, 2]", "[-Infinity, 2]", '[["x"], 2]'],
+        ids=["null", "float", "bool", "nan", "infinity", "list"],
+    )
+    def test_labels_other_than_strings_and_integers_are_input_error(self, workdir, capsys, vertices):
+        (workdir / "bad.json").write_text('{"vertices": %s, "edges": []}' % vertices)
+        code, out, err = run_cli(capsys, "betti", "--complex", "bad.json", "--field", "Q", "--degrees", "0..1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"]["kind"] == "input"
+
+    def test_file_that_is_not_utf8_is_input_error(self, workdir, capsys):
+        (workdir / "bad.json").write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+        code, out, err = run_cli(capsys, "betti", "--complex", "bad.json", "--field", "Q", "--degrees", "0..1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
 
 def characters_report(complex_obj, field, n, bound):
     """The characters report as the stdlib encoder writes it, from the report's definition."""

@@ -543,6 +543,15 @@ class TestJson:
         with pytest.raises(ValueError):
             SimplicialComplex.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [[None, "a"], [1.5, 2], [True, 2], [float("nan"), 2], [["x"], 2]],
+        ids=["none", "float", "bool", "nan", "list"],
+    )
+    def test_labels_must_be_strings_or_integers(self, vertices):
+        with pytest.raises(ValueError, match="strings or integers"):
+            SimplicialComplex.from_json_dict({"vertices": vertices, "edges": []})
+
     def test_edges_input_applies_flag_completion(self):
         obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
         K = SimplicialComplex.from_json_dict(obj)

@@ -155,6 +155,54 @@ class TestFieldSpec:
         with pytest.raises(ZeroDivisionError):
             F2.of(Fraction(1, 2))
 
+    def test_integral_rationals_are_ints(self):
+        for value, expected in ((3, 3), (Fraction(4, 2), 2), ("2/1", 2), ("-6/3", -2)):
+            assert type(QQ.of(value)) is int and QQ.of(value) == expected
+        for value, expected in (("1/2", Fraction(1, 2)), (Fraction(-3, 4), Fraction(-3, 4))):
+            assert type(QQ.of(value)) is Fraction and QQ.of(value) == expected
+
+
+class TestIntMatrix:
+    """An integer matrix is an `ExactMatrix` over Q with int entries."""
+
+    def test_constructors_give_int_entries(self):
+        assert IntMatrix(2, 3, {(0, 1): 4, (1, 2): -1, (1, 0): 0}).entries == {(0, 1): 4, (1, 2): -1}
+        assert IntMatrix.from_rows([[1, 0], [0, -2]]).entries == {(0, 0): 1, (1, 1): -2}
+        d = IntMatrix.diagonal([2, 0, 5], rows=3, cols=4)
+        assert (d.rows, d.cols, d.entries) == (3, 4, {(0, 0): 2, (2, 2): 5})
+        for m in (IntMatrix(1, 1, {(0, 0): Fraction(6, 3)}), IntMatrix.from_rows([[3]])):
+            assert all(type(v) is int for v in m.entries.values())
+
+    def test_transpose_mul_and_reduction(self):
+        m = IntMatrix.from_rows([[1, 2, 0], [0, -3, 4]])
+        assert m.transpose().entries == {(0, 0): 1, (1, 0): 2, (1, 1): -3, (2, 1): 4}
+        assert m.mul(m.transpose()).entries == {(0, 0): 5, (0, 1): -6, (1, 0): -6, (1, 1): 25}
+        assert m.over_field(F3).entries == {(0, 0): 1, (0, 1): 2, (1, 2): 1}
+        assert m.over_field(F2).entries == {(0, 0): 1, (1, 1): 1}
+
+    def test_over_q_is_the_matrix_itself(self):
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert m.over_field(QQ) is m
+        d = boundary_matrix(SimplicialComplex(range(4), [(0, 1, 2), (1, 2, 3)]), 2)
+        assert d.over_field(QQ) is d
+        assert all(type(v) is int for v in d.entries.values())
+
+    def test_equals_the_matrix_over_q_with_the_same_ints(self):
+        m = IntMatrix.from_rows([[1, 0], [-2, 7]])
+        assert m == ExactMatrix.from_rows([[1, 0], [-2, 7]], QQ)
+        assert ExactMatrix.from_rows([[1, 0], [-2, 7]], QQ) == m
+        assert m != ExactMatrix.from_rows([[1, 0], [-2, 7]], F3)
+
+    def test_ragged_rows_and_fractions_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+
+    def test_only_a_matrix_over_q_changes_field(self):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows([[1]], F2).over_field(F3)
+
 
 class TestRank:
     def test_empty_matrix(self):
@@ -176,6 +224,12 @@ class TestRank:
         assert rank(ExactMatrix.from_rows(dead, QQ)) == 2
         assert rank(ExactMatrix.from_rows(dead, F2)) == 0
 
+    def test_big_entries_without_unit_pivots(self):
+        # determinant -1, no entry +-1: the elimination divides by a big
+        # pivot, which floating point would round to rank 1
+        big = 10**20
+        assert rank(ExactMatrix.from_rows([[big + 1, big], [big, big - 1]], QQ)) == 2
+
     def test_matches_dense_oracle_random(self):
         rng = random.Random(20240811)
         for _ in range(60):
@@ -190,7 +244,9 @@ class TestRank:
 
     @PROPERTY
     @given(
-        st.one_of(sparse_int_matrices(), block_permutation_matrices()),
+        st.one_of(
+            sparse_int_matrices(), sparse_int_matrices(values=(2, 3, -4)), block_permutation_matrices()
+        ),
         st.sampled_from((QQ, F2, F3)),
     )
     def test_matches_dense_oracle_property(self, m, field):
@@ -358,6 +414,17 @@ class TestSmithNormalForm:
             assert len(divisors) == oracle_rank(m, QQ)
             for p in (2, 3, 5):
                 assert sum(d % p != 0 for d in divisors) == oracle_rank(m, FieldSpec.prime_field(p))
+
+    def test_rejects_matrices_that_are_not_over_z(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(ExactMatrix.from_rows([[2, 0], [0, 3]], F5))
+        with pytest.raises(ValueError):
+            smith_normal_form(ExactMatrix.from_rows([[Fraction(1, 2)]], QQ))
+
+    def test_integer_matrix_over_q_gives_int_divisors(self):
+        divisors = smith_normal_form(ExactMatrix.from_rows([[2, 4], [6, 8]], QQ)).elementary_divisors
+        assert divisors == (2, 4)
+        assert all(type(d) is int for d in divisors)
 
     def test_known_presentation(self):
         # cokernel Z/2 + Z/4: divisors (2, 4) after chain repair
