@@ -1,9 +1,10 @@
 """The acceptance suite: twelve desk-scale exact checks of the library.
 
-Every criterion is a pure function returning a CriterionResult; the test
-suite asserts each one and the ``raaghom report`` command prints them as
-a table.  Randomised criteria take an explicit seed and are deterministic
-for a fixed seed.
+Every criterion is a pure function returning ``(passed, detail)``; its
+number and name are written once, in `CRITERIA`, and `run` pairs them
+with its result as a CriterionResult.  The test suite asserts each one
+and the ``raaghom report`` command prints them as a table.  Randomised
+criteria take an explicit seed and are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class CriterionResult:
     detail: str
 
 
-def _result(number: int, name: str, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number, name, passed, detail)
-
-
 def rp2_flag_triangulation() -> SimplicialComplex:
     return barycentric_subdivision(SimplicialComplex(range(1, 7), RP2_SIX_TRIANGLES))
 
@@ -79,16 +76,16 @@ def _random_flag(rng: random.Random, max_vertices: int, min_vertices: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Degree-3 skew-field Betti number of the RAAG on a flag RP^2."""
     A = Raag(rp2_flag_triangulation())
     got_f2 = dfg_betti_raag(A, F2, 3)
     got_q = dfg_betti_raag(A, QQ, 3)
     ok = got_f2 == 1 and got_q == 0
-    return _result(1, "rp2-headline", ok, f"F2 degree 3 -> {got_f2} (want 1), Q -> {got_q} (want 0)")
+    return ok, f"F2 degree 3 -> {got_f2} (want 1), Q -> {got_q} (want 0)"
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """Free-group covers: b_1 = n^2 + 1 so the gradient gap is exactly 1/n^2."""
     L = SimplicialComplex("ab", [("a",), ("b",)])
     A = Raag(L)
@@ -102,10 +99,10 @@ def criterion_2() -> CriterionResult:
         gap = report.normalized[1] - closed
         ok = ok and b1 == n * n + 1 and gap == Fraction(1, n * n)
         rows.append(f"n={n}: b_1={b1}")
-    return _result(2, "gradient-free-group", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """Product-of-free-groups covers: b_2 = (n^2 + 1)^2 by Kunneth."""
     square = flag_completion(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     A = Raag(square)
@@ -117,7 +114,7 @@ def criterion_3() -> CriterionResult:
             b2 = cover_betti(A, q, field).betti[2]
             ok = ok and b2 == (n * n + 1) ** 2
             rows.append(f"n={n}/{field.token()}: b_2={b2}")
-    return _result(3, "gradient-kunneth", ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ def criterion_3() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4(seed: int = 0) -> CriterionResult:
+def criterion_4(seed: int = 0) -> tuple[bool, str]:
     """`kaz_inequality_check` up to degree 3 on 25 random abelian covers.
 
     A violation is a (complex, quotient) pair that fails the check.
@@ -148,9 +145,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         q = abelian_quotient(A, moduli)
         field = rng.choice((F2, F3, QQ))
         violations += not kaz_inequality_check(A, [q], field, max_degree)
-    return _result(
-        4,
-        "lower-bound-inequality",
+    return (
         violations == 0,
         f"{covers * (max_degree + 1)} (complex, quotient, degree) checks, {violations} violations",
     )
@@ -161,7 +156,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_5(seed: int = 0) -> CriterionResult:
+def criterion_5(seed: int = 0) -> tuple[bool, str]:
     rng = random.Random(seed + 500)
     ok = True
     for _ in range(100):
@@ -190,9 +185,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         if list(report.betti) != [comb(k, p) for p in range(k + 1)]:
             simplex_ok = False
     passed = ok and trivial_ok and simplex_ok
-    return _result(
-        5,
-        "salvetti-dd-zero",
+    return (
         passed,
         f"100 symbolic compositions zero: {ok}; trivial covers match face counts: "
         f"{trivial_ok}; simplex tori give binomials: {simplex_ok}",
@@ -204,7 +197,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
+def criterion_6(seed: int = 0) -> tuple[bool, str]:
     point = SimplicialComplex("a", [])
     base_ok = kernel_betti(point, Character(point, {"a": 1}), 0, QQ) == 1
     simplex_ok = True
@@ -230,9 +223,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         ):
             sign_ok = False
     passed = base_ok and simplex_ok and sign_ok
-    return _result(
-        6,
-        "kernel-betti-consistency",
+    return (
         passed,
         f"point base case: {base_ok}; simplex kernels vanish: {simplex_ok}; "
         f"1000 sign flips invariant: {sign_ok}",
@@ -244,7 +235,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
+def criterion_7(seed: int = 0) -> tuple[bool, str]:
     rng = random.Random(seed + 700)
     ok = True
     for _ in range(50):
@@ -254,7 +245,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             for n in range(0, 4):
                 if is_fpn(L, phi, n, field) != is_n_acyclic(L, n - 1, field):
                     ok = False
-    return _result(7, "finiteness-calibration", ok, "50 complexes, n <= 3, fields Q and F2")
+    return ok, "50 complexes, n <= 3, fields Q and F2"
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +282,7 @@ def _verify_push(L, phi, v, z, result) -> bool:
     return lhs == rhs
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
+def criterion_8(seed: int = 0) -> tuple[bool, str]:
     rng = random.Random(seed + 800)
     verified = 0
     failures = 0
@@ -348,9 +339,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
             break
     total = verified + failures
     passed = total >= 100 and failures == 0 and solver_failures == 0
-    return _result(
-        8,
-        "cycle-pushing",
+    return (
         passed,
         f"{verified} pushes verified exactly, {failures} verification failures, "
         f"{solver_failures} solver failures",
@@ -389,7 +378,7 @@ def nonisomorphic_graphs(max_vertices: int):
                 seen[image] = 1
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     counted = 0
     counterexamples = []
     for n_verts, edges in nonisomorphic_graphs(6):
@@ -400,9 +389,7 @@ def criterion_9() -> CriterionResult:
                 if not fibres_fibre_check(L, level, field, 2):
                     counterexamples.append((n_verts, edges, field.token(), level))
     ok = not counterexamples and counted == 209  # 1+1+2+4+11+34+156 classes
-    return _result(
-        9,
-        "fibres-fibre-exhaustive",
+    return (
         ok,
         f"{counted} isomorphism classes of flag complexes on <= 6 vertices, "
         f"levels 0..2, fields Q and F2; counterexamples: {counterexamples!r}",
@@ -414,21 +401,19 @@ def criterion_9() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> tuple[bool, str]:
     L = rp2_flag_triangulation()
     over_q = virtually_fpn_fibred(L, 2, CoefficientRing.of_field(QQ)).verdict
     over_f2 = virtually_fpn_fibred(L, 2, CoefficientRing.of_field(F2)).verdict
     over_z = virtually_fpn_fibred(L, 2, CoefficientRing.integers()).verdict
     ok = over_q is True and over_f2 is False and over_z is False
-    return _result(
-        10,
-        "rp2-fibring-trichotomy",
+    return (
         ok,
         f"Q: {over_q} (want True), F2: {over_f2} (want False), Z: {over_z} (want False)",
     )
 
 
-def criterion_11() -> CriterionResult:
+def criterion_11() -> tuple[bool, str]:
     rp2 = rp2_flag_triangulation()
     apex = "apex"
     edges = list(rp2.faces_of_dim(1)) + [(apex, w) for w in rp2.vertices]
@@ -438,7 +423,7 @@ def criterion_11() -> CriterionResult:
     phi = Character(L, values)
     contribution = torsion_contributions(L, phi, 2)[apex]
     ok = contribution == 4
-    return _result(11, "torsion-term", ok, f"apex with doubled weight contributes {contribution} (want 4)")
+    return ok, f"apex with doubled weight contributes {contribution} (want 4)"
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +446,7 @@ def _run_cli(args: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def criterion_12() -> CriterionResult:
+def criterion_12() -> tuple[bool, str]:
     with tempfile.TemporaryDirectory() as tmp:
         tmpdir = Path(tmp)
         rp2 = rp2_flag_triangulation()
@@ -505,7 +490,7 @@ def criterion_12() -> CriterionResult:
         details.append("gradient rows match" if lines == expected else f"gradient rows {lines!r}")
         _, out, _ = _run_cli(commands[2], tmpdir)
         ok = ok and json.loads(out)["verdict"] is True
-    return _result(12, "cli-determinism", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +498,7 @@ def criterion_12() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-CRITERIA: list[tuple[int, str, Callable[..., CriterionResult], bool]] = [
+CRITERIA: list[tuple[int, str, Callable[..., tuple[bool, str]], bool]] = [
     (1, "rp2-headline", criterion_1, False),
     (2, "gradient-free-group", criterion_2, False),
     (3, "gradient-kunneth", criterion_3, False),
@@ -532,8 +517,8 @@ CRITERIA: list[tuple[int, str, Callable[..., CriterionResult], bool]] = [
 def run(numbers: Optional[list[int]] = None, seed: int = 0) -> list[CriterionResult]:
     wanted = set(numbers) if numbers else None
     results = []
-    for number, _, fn, seeded in CRITERIA:
+    for number, name, fn, seeded in CRITERIA:
         if wanted is not None and number not in wanted:
             continue
-        results.append(fn(seed) if seeded else fn())
+        results.append(CriterionResult(number, name, *(fn(seed) if seeded else fn())))
     return results

@@ -1,5 +1,11 @@
 """Command-line front end: parse inputs, run one job, emit one report.
 
+Input files are read by the library, each by the reader next to its
+writer: `SimplicialComplex.from_json_dict`, `Character.from_json_dict`
+and `FiniteQuotient.from_json_dict`.  `_read` loads a file, calls its
+reader and turns the reader's ValueError into malformed input; field and
+ring tokens go through it too.  This module keeps no file schema.
+
 Reports are byte-deterministic for identical inputs: JSON is emitted with
 sorted keys, rationals as "p/q" strings, and no timestamps.  Every report
 is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  The one
@@ -23,7 +29,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .complexes import SimplicialComplex
 from .exact import FieldSpec
@@ -45,6 +51,7 @@ from .raags import (
 
 CACHE_ENV = "AGRARIAN_CACHE"
 CACHE_SCHEMA = 1
+T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -64,39 +71,23 @@ def _reject_constant(token: str) -> None:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _load_json(path: str) -> object:
-    """The JSON value in a UTF-8 file; other bytes and the NaN/Infinity tokens are malformed input."""
+def _read(reader: Callable[..., T], *args: object, path: Optional[str] = None) -> T:
+    """``reader(*args)``, given the JSON value in the UTF-8 file at ``path`` as a last argument.
+
+    The reader's ValueError is malformed input, and so are a file that is
+    not UTF-8 JSON and the NaN/Infinity tokens, which JSON does not have.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _DECODER.decode(fh.read())
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                args += (_DECODER.decode(fh.read()),)
+        return reader(*args)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except ValueError as e:
+    except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
-
-
-def _parse_complex(path: str) -> SimplicialComplex:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise InputError(f"{path}: expected an object with a 'vertices' key")
-    try:
-        return SimplicialComplex.from_json_dict(obj)
-    except (ValueError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from e
-
-
-def _parse_field(token: str) -> FieldSpec:
-    try:
-        return FieldSpec.from_token(token)
     except ValueError as e:
-        raise InputError(str(e)) from e
-
-
-def _parse_ring(token: str) -> CoefficientRing:
-    try:
-        return CoefficientRing.from_token(token)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+        raise InputError(str(e) if path is None else f"{path}: {e}") from e
 
 
 def _parse_degrees(spec: str) -> list[int]:
@@ -113,92 +104,17 @@ def _parse_degrees(spec: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
-def _json_int(value: object, where: str) -> int:
-    """A JSON integer, booleans excluded; anything else is malformed input."""
-    if type(value) is not int:
-        raise InputError(f"{where}: expected an integer, got {json.dumps(value)}")
-    return value
-
-
-def _json_mapping(obj: dict, key: str, source: str) -> dict:
-    """The object under key (empty when absent); anything else is malformed input."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise InputError(f"{source}: '{key}' must be an object keyed by vertex")
-    return value
-
-
-def _only_keys(obj: dict, allowed: tuple, source: str) -> None:
-    """Malformed input when obj has a key outside allowed (a misspelling reads as absent)."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise InputError(f"{source}: unknown keys {unknown}: only {', '.join(allowed)}")
-
-
-def _vertex_lookup(K: SimplicialComplex) -> dict[str, object]:
-    return {str(v): v for v in K.vertices}
-
-
-def _parse_character(path: str, K: SimplicialComplex) -> Character:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or set(obj) != {"phi"} or not isinstance(obj["phi"], dict):
-        raise InputError(f"{path}: expected an object with only a 'phi' mapping")
-    lookup = _vertex_lookup(K)
-    values = {}
-    for key, val in obj["phi"].items():
-        if key not in lookup:
-            raise InputError(f"{path}: unknown vertex {key!r}")
-        values[lookup[key]] = _json_int(val, f"{path}: phi of {key!r}")
-    try:
-        return Character(K, values)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
-
-
-def _parse_quotient(obj: dict, A: Raag, source: str) -> FiniteQuotient:
-    kind = obj.get("type")
-    lookup = _vertex_lookup(A.complex)
-    try:
-        if kind == "abelian":
-            _only_keys(obj, ("type", "moduli"), source)
-            moduli = {
-                lookup[k]: _json_int(v, f"{source}: modulus of {k!r}")
-                for k, v in _json_mapping(obj, "moduli", source).items()
-            }
-            return abelian_quotient(A, moduli)
-        if kind == "explicit":
-            _only_keys(obj, ("type", "order", "action"), source)
-            order = _json_int(obj.get("order"), f"{source}: order")
-            action = {}
-            for k, perm in _json_mapping(obj, "action", source).items():
-                if not isinstance(perm, list):
-                    raise InputError(f"{source}: action of {k!r} must be a list")
-                action[lookup[k]] = [_json_int(x, f"{source}: action of {k!r}") for x in perm]
-            return FiniteQuotient(A, order, action)
-    except KeyError as e:
-        raise InputError(f"{source}: unknown vertex {e}") from e
-    except ValueError as e:
-        raise InputError(f"{source}: {e}") from e
-    raise InputError(f"{source}: quotient type must be 'abelian' or 'explicit'")
-
-
 def _parse_chain(spec: str, A: Raag) -> list[FiniteQuotient]:
-    """Either ``abelian:2,3,4`` (all-vertex moduli) or a comma list of JSON files."""
+    """Either ``abelian:2,3,4`` (all-vertex moduli) or a comma list of quotient files."""
     if spec.startswith("abelian:"):
         try:
-            ns = [int(x) for x in spec[len("abelian:") :].split(",") if x]
+            ns = [int(x) for x in spec[len("abelian:") :].split(",")]
         except ValueError as e:
             raise InputError(f"bad chain spec {spec!r}") from e
-        if not ns or any(n < 1 for n in ns):
+        if any(n < 1 for n in ns):
             raise InputError(f"bad chain spec {spec!r}")
         return [abelian_quotient(A, {v: n for v in A.complex.vertices}) for n in ns]
-    quotients = []
-    for path in spec.split(","):
-        obj = _load_json(path)
-        if not isinstance(obj, dict):
-            raise InputError(f"{path}: expected a quotient object")
-        quotients.append(_parse_quotient(obj, A, path))
-    return quotients
+    return [_read(FiniteQuotient.from_json_dict, A, path=path) for path in spec.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +234,8 @@ def _frac(q: Fraction) -> str:
 
 
 def _cmd_betti(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
     degrees = _parse_degrees(args.degrees)
     if not K.is_flag():
         raise PreconditionError("complex is not flag; Betti numbers of the group need a flag complex")
@@ -332,10 +248,10 @@ def _cmd_betti(args) -> str:
 
 
 def _cmd_kernel_betti(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
     degrees = _parse_degrees(args.degrees)
-    phi = _parse_character(args.phi, K)
+    phi = _read(Character.from_json_dict, K, path=args.phi)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     values = [
@@ -355,9 +271,9 @@ def _cmd_kernel_betti(args) -> str:
 
 
 def _cmd_fpn_check(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
-    phi = _parse_character(args.phi, K)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
+    phi = _read(Character.from_json_dict, K, path=args.phi)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     bad = fpn_violation(K, phi, args.n, field)
@@ -372,8 +288,8 @@ def _cmd_fpn_check(args) -> str:
 
 
 def _cmd_fibring(args) -> str:
-    K = _parse_complex(args.complex)
-    ring = _parse_ring(args.ring)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    ring = _read(CoefficientRing.from_token, args.ring)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     report = virtually_fpn_fibred(K, args.n, ring)
@@ -381,16 +297,13 @@ def _cmd_fibring(args) -> str:
 
 
 def _cmd_gradient(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     A = Raag(K)
     chain = _parse_chain(args.chain, A)
-    try:
-        check_gradient_chain(chain, args.degree)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    _read(check_gradient_chain, chain, args.degree)
     cache = _cache_dir(args)
     hook = None if cache is None else _cached_rank_hook(cache, K, field)
     values = gradient_sequence(A, chain, field, args.degree, rank_hook=hook)
@@ -411,8 +324,8 @@ def _cmd_gradient(args) -> str:
 
 
 def _cmd_characters(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     rows = find_characters(K, args.n, field, args.bound)
@@ -424,8 +337,8 @@ def _cmd_characters(args) -> str:
 
 
 def _cmd_kaz_check(args) -> str:
-    K = _parse_complex(args.complex)
-    field = _parse_field(args.field)
+    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
+    field = _read(FieldSpec.from_token, args.field)
     if not K.is_flag():
         raise PreconditionError("complex is not flag")
     A = Raag(K)

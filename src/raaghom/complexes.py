@@ -39,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, rank, smith_normal_form
 
 Label = Hashable
 Face = tuple
+_LABEL_TYPES = {str, int}  # of a vertex label read from a file; bool is not int here
 
 
 class SimplicialComplex:
@@ -288,34 +289,82 @@ class SimplicialComplex:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "SimplicialComplex":
+    def from_json_dict(cls, obj: object) -> "SimplicialComplex":
         """A flag complex from ``edges`` or a complex from ``faces``, never both.
 
         The only keys read are ``vertices``, ``edges`` and ``faces``, each a
-        list, with every edge and face a list of labels.  A vertex label is
-        a string or an integer, booleans excluded.  Any other key, type or
-        label, and two vertex labels with one string form (``1`` and
-        ``"1"``), raise ValueError, since reports key vertices by ``str``.
+        list, with every edge and face a nonempty list of vertex labels.  A
+        vertex label is a string or an integer, booleans excluded.  Any other
+        key, type or label, and two vertex labels with one string form (``1``
+        and ``"1"``), raise ValueError, since reports key vertices by ``str``.
         """
-        unknown = set(obj) - {"vertices", "edges", "faces"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(map(str, unknown))}: only vertices, edges, faces")
-        for key in ("vertices", "edges", "faces"):
-            value = obj.get(key, [])
-            if not isinstance(value, list):
-                raise ValueError(f"'{key}' must be a list")
-            if key != "vertices" and not all(isinstance(f, list) for f in value):
-                raise ValueError(f"every entry of '{key}' must be a list of vertices")
-        vertices = obj["vertices"]
-        if any(type(v) is not str and type(v) is not int for v in vertices):
-            raise ValueError("vertex labels must be strings or integers")
-        if len({str(v) for v in vertices}) != len(vertices):
-            raise ValueError("vertex labels must be distinct as strings")
+        keys = ("vertices", "edges", "faces")
+        obj = json_object(obj, keys, "an object with only 'vertices', 'edges' and 'faces'")
         if "edges" in obj and "faces" in obj:
             raise ValueError("give either 'edges' or 'faces', not both")
-        if "edges" in obj:
-            return flag_completion(vertices, [tuple(e) for e in obj["edges"]])
-        return cls(vertices, [tuple(f) for f in obj.get("faces", [])])
+        vertices = obj.get("vertices")
+        if not isinstance(vertices, list):
+            raise ValueError("'vertices' must be a list")
+        if not set(map(type, vertices)) <= _LABEL_TYPES:
+            raise ValueError("vertex labels must be strings or integers")
+        if len(set(map(str, vertices))) != len(vertices):
+            raise ValueError("vertex labels must be distinct as strings")
+        key = "edges" if "edges" in obj else "faces"
+        cells = obj.get(key, [])
+        if not isinstance(cells, list):
+            raise ValueError(f"'{key}' must be a list")
+        # set operations over the whole list cost less than a loop per entry; a
+        # label that is no vertex is left to the constructors, which name it
+        labels = chain.from_iterable(cells) if set(map(type, cells)) <= {list} else [None]
+        if not (all(cells) and set(map(type, labels)) <= _LABEL_TYPES):
+            cell = next(c for c in cells if type(c) is not list or not c or not set(map(type, c)) <= _LABEL_TYPES)
+            raise ValueError(f"'{key}' entry {cell!r} is not a nonempty list of strings or integers")
+        if key == "edges":
+            return flag_completion(vertices, cells)
+        return cls(vertices, cells)
+
+
+# -- JSON input -----------------------------------------------------------------
+# The readers of complex, character and quotient files share these rules.
+
+
+def json_int(value: object, where: str) -> int:
+    """A JSON integer, booleans excluded; anything else raises ValueError naming ``where``."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def json_object(value: object, keys: tuple[str, ...], what: str) -> dict:
+    """An object with no key outside ``keys``, since a misspelt key would read as absent.
+
+    Anything else raises ValueError saying it expected ``what``.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"expected {what}")
+    unknown = sorted(map(str, set(value) - set(keys)))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}: expected {what}")
+    return value
+
+
+def json_vertex_map(
+    K: SimplicialComplex, value: object, name: str, item: str, read: Callable[[object, str], object]
+) -> dict:
+    """The object ``name``, keyed by the string forms of K's vertex labels, as a dict keyed by vertex.
+
+    Each value is ``read(value, f"{item} of {label!r}")``; an unknown label
+    or a value that is not an object raises ValueError.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"'{name}' must be an object keyed by vertex")
+    lookup = {str(v): v for v in K.vertices}
+    out = {}
+    for label, x in value.items():
+        if label not in lookup:
+            raise ValueError(f"{name}: unknown vertex {label!r}")
+        out[lookup[label]] = read(x, f"{item} of {label!r}")
+    return out
 
 
 def _clique_walk(

@@ -32,6 +32,9 @@ from .complexes import (
     chain_boundary,
     integral_homology,
     is_n_acyclic,
+    json_int,
+    json_object,
+    json_vertex_map,
     oriented_face,
     reduced_betti,
 )
@@ -99,6 +102,16 @@ class Character:
 
     def to_json_dict(self) -> dict:
         return {"phi": {str(v): self.values[v] for v in self.complex.vertices}}
+
+    @classmethod
+    def from_json_dict(cls, K: SimplicialComplex, obj: object) -> "Character":
+        """The character on K that a ``{"phi": {label: int}}`` object gives, as `to_json_dict` writes it.
+
+        Vertices are named by their labels' string forms and every vertex
+        takes a JSON integer.  Anything else raises ValueError.
+        """
+        obj = json_object(obj, ("phi",), "an object with only a 'phi' mapping")
+        return cls(K, json_vertex_map(K, obj.get("phi"), "phi", "phi", json_int))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Character):

@@ -29,7 +29,7 @@ from functools import partial
 from math import prod
 from typing import Callable, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, reduced_betti
+from .complexes import SimplicialComplex, json_int, json_object, json_vertex_map, reduced_betti
 from .exact import ExactMatrix, FieldSpec, rank
 
 
@@ -158,7 +158,7 @@ class FiniteQuotient:
             if v not in action:
                 raise ValueError(f"generator {v!r} missing from the action")
             p = tuple(action[v])
-            if sorted(p) != list(range(order)):
+            if len(p) != order or sorted(p) != list(range(order)):
                 raise ValueError(f"action of {v!r} is not a permutation of 0..{order - 1}")
             perms[v] = p
         for u, v in over.complex.faces_of_dim(1):
@@ -216,8 +216,36 @@ class FiniteQuotient:
             "action": {str(v): list(p) for v, p in self.action.items()},
         }
 
+    @classmethod
+    def from_json_dict(cls, over: Raag, obj: object) -> "FiniteQuotient":
+        """The quotient of ``over`` that an ``abelian`` or ``explicit`` object describes.
+
+        ``{"type": "abelian", "moduli": {label: n}}`` is `abelian_quotient`,
+        a vertex left out taking modulus 1.  ``{"type": "explicit", "order":
+        N, "action": {label: [perm]}}`` is the form `to_json_dict` writes.
+        Vertices are named by their labels' string forms and every number
+        is a JSON integer.  Anything else raises ValueError.
+        """
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        K = over.complex
+        if kind == "abelian":
+            obj = json_object(obj, ("type", "moduli"), "an abelian quotient with only 'type' and 'moduli'")
+            return abelian_quotient(over, json_vertex_map(K, obj.get("moduli", {}), "moduli", "modulus", json_int))
+        if kind == "explicit":
+            what = "an explicit quotient with only 'type', 'order' and 'action'"
+            obj = json_object(obj, ("type", "order", "action"), what)
+            order = json_int(obj.get("order"), "order")
+            return cls(over, order, json_vertex_map(K, obj.get("action", {}), "action", "action", _json_ints))
+        raise ValueError("expected a quotient object whose 'type' is 'abelian' or 'explicit'")
+
     def __repr__(self) -> str:
         return f"FiniteQuotient(order={self.order}, transitive={self.transitive})"
+
+
+def _json_ints(value: object, where: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list")
+    return [json_int(x, where) for x in value]
 
 
 def abelian_quotient(A: Raag, moduli: Mapping[object, int]) -> FiniteQuotient:

@@ -340,6 +340,13 @@ class TestGradient:
             "--chain", "abelian:0", "--degree", "1",
         )
         assert code == 2
+        # an empty entry is not read as absent: abelian:2,,3 gave the orders [4, 9]
+        for chain in ("abelian:2,,3", "abelian:2,", "abelian:"):
+            code, out, err = run_cli(
+                capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
+                "--chain", chain, "--degree", "1",
+            )
+            assert code == 2 and out == "" and json.loads(err)["error"]["kind"] == "input"
 
 
 class TestStrictIntegers:
@@ -473,6 +480,7 @@ class TestComplexFiles:
             {"vertices": ["a", "b"], "edges": ["ab"]},
             {"vertices": ["a", "b"], "faces": [{"a": 0, "b": 1}]},
             {"vertices": ["a", "b"], "faces": [["a", "b"], "ab"]},
+            {"vertices": ["a", "b"], "faces": [[]]},
         ],
         ids=[
             "vertices-string",
@@ -482,6 +490,7 @@ class TestComplexFiles:
             "edge-string",
             "face-object",
             "face-string",
+            "face-empty",
         ],
     )
     def test_non_list_vertices_edges_or_faces_are_input_error(self, workdir, capsys, complex_obj):

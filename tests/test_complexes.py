@@ -536,8 +536,13 @@ class TestJson:
             {"vertices": ["a", "b"], "edges": {"ab": 1}},
             {"vertices": ["a", "b"], "edges": ["ab"]},
             {"vertices": ["a", "b"], "faces": [("a", "b")]},
+            [1],
+            {"edges": []},
         ],
-        ids=["vertices-string", "vertices-tuple", "faces-object", "edges-object", "edge-string", "face-tuple"],
+        ids=[
+            "vertices-string", "vertices-tuple", "faces-object", "edges-object", "edge-string", "face-tuple",
+            "list-not-object", "vertices-missing",
+        ],
     )
     def test_vertices_edges_and_faces_must_be_lists(self, obj):
         with pytest.raises(ValueError):
@@ -551,6 +556,22 @@ class TestJson:
     def test_labels_must_be_strings_or_integers(self, vertices):
         with pytest.raises(ValueError, match="strings or integers"):
             SimplicialComplex.from_json_dict({"vertices": vertices, "edges": []})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": ["a", "b"], "faces": [[]]},
+            {"vertices": ["a", "b"], "edges": [["a", "b"], []]},
+            {"vertices": ["a", "b"], "faces": [["a", ["b"]]]},
+            {"vertices": ["a", "b"], "faces": [[{"b": 0}]]},
+            {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
+            {"vertices": [0, 1], "edges": [[0, True]]},
+        ],
+        ids=["face-empty", "edge-empty", "face-list-label", "face-object-label", "edge-list-label", "edge-bool-label"],
+    )
+    def test_faces_and_edges_are_nonempty_lists_of_labels(self, obj):
+        with pytest.raises(ValueError, match=r"entry \[.*\] is not a nonempty list of strings or integers"):
+            SimplicialComplex.from_json_dict(obj)
 
     def test_edges_input_applies_flag_completion(self):
         obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
