@@ -3,8 +3,16 @@
 Input files are read by the library, each by the reader next to its
 writer: `SimplicialComplex.from_json_dict`, `Character.from_json_dict`
 and `FiniteQuotient.from_json_dict`.  `_read` loads a file, calls its
-reader and turns the reader's ValueError into malformed input; field and
-ring tokens go through it too.  This module keeps no file schema.
+reader and turns the reader's ValueError into malformed input.  This
+module keeps no file schema.
+
+Arguments are read where they are declared, each by its argparse
+``type``.  Every integer, in ``--n`` or ``--degrees 0..3`` or
+``--chain abelian:2,3`` alike, goes through `_integer`: a token is read
+only when ``str(int(token)) == token``, and each option names its least
+value.  Field and ring tokens are read only as reports write them.  The
+parser's own errors (a missing, unknown or malformed argument) are
+malformed input like any other.
 
 Reports are byte-deterministic for identical inputs: JSON is emitted with
 sorted keys, rationals as "p/q" strings, and no timestamps.  Every report
@@ -14,7 +22,8 @@ Python, is the ``characters`` list, often tens of thousands of rows:
 `_characters_json` writes it straight from `find_characters`'s value
 tuples with one format string per report, in the encoder's bytes.  Exit status
 is 0 on success, 1 on a precondition failure, 2 on malformed input; the
-diagnostic goes to stderr as a one-line JSON object.
+diagnostic goes to stderr as a one-line JSON object, the only thing a
+failed command writes.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -54,8 +64,9 @@ CACHE_SCHEMA = 1
 T = TypeVar("T")
 
 
-class InputError(Exception):
-    """Malformed input: missing file, bad JSON, unknown token (exit 2)."""
+# an ArgumentTypeError, so that argparse names the option whose type function raised it
+class InputError(argparse.ArgumentTypeError):
+    """Malformed input: missing file, bad JSON, unknown token, bad argument (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +101,65 @@ def _read(reader: Callable[..., T], *args: object, path: Optional[str] = None) -
         raise InputError(str(e) if path is None else f"{path}: {e}") from e
 
 
-def _parse_degrees(spec: str) -> list[int]:
+def _integer(token: str, least: Optional[int] = None) -> int:
+    """The one reading of an integer argument: plain decimal, at least ``least``.
+
+    A token is read only when ``str(int(token)) == token``, so ``+1``,
+    ``01``, ``1_0``, `` 2`` and ``٣`` are malformed input.
+    """
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            lo_i, hi_i = int(lo), int(hi)
-        else:
-            lo_i = hi_i = int(spec)
-    except ValueError as e:
-        raise InputError(f"bad degree range {spec!r}") from e
-    if lo_i < 0 or hi_i < lo_i:
-        raise InputError(f"bad degree range {spec!r}")
-    return list(range(lo_i, hi_i + 1))
+        value = int(token)
+        if str(value) != token:
+            raise ValueError
+    except ValueError:
+        raise InputError(f"{token!r} is not an integer in plain decimal") from None
+    if least is not None and value < least:
+        raise InputError(f"must be >= {least}, got {value}")
+    return value
 
 
-def _parse_chain(spec: str, A: Raag) -> list[FiniteQuotient]:
-    """Either ``abelian:2,3,4`` (all-vertex moduli) or a comma list of quotient files."""
+def _degrees(spec: str) -> list[int]:
+    """``k`` or ``lo..hi``, both ends included."""
+    lo, dots, hi = spec.partition("..")
+    lo_i = _integer(lo, 0)
+    return list(range(lo_i, _integer(hi if dots else lo, lo_i) + 1))
+
+
+def _chain(spec: str) -> list:
+    """Either ``abelian:2,3,4``, read as all-vertex moduli, or a comma list of quotient files."""
     if spec.startswith("abelian:"):
-        try:
-            ns = [int(x) for x in spec[len("abelian:") :].split(",")]
-        except ValueError as e:
-            raise InputError(f"bad chain spec {spec!r}") from e
-        if any(n < 1 for n in ns):
-            raise InputError(f"bad chain spec {spec!r}")
-        return [abelian_quotient(A, {v: n for v in A.complex.vertices}) for n in ns]
-    return [_read(FiniteQuotient.from_json_dict, A, path=path) for path in spec.split(",")]
+        return [_integer(n, 1) for n in spec[len("abelian:") :].split(",")]
+    return spec.split(",")
+
+
+def _quotients(chain: list, A: Raag) -> list[FiniteQuotient]:
+    """The quotients a `_chain` names: an int is an all-vertex modulus, a string a file."""
+    return [
+        abelian_quotient(A, dict.fromkeys(A.complex.vertices, q))
+        if type(q) is int
+        else _read(FiniteQuotient.from_json_dict, A, path=q)
+        for q in chain
+    ]
+
+
+def _criteria(spec: str) -> list[int]:
+    """A comma list of numbers, each naming a criterion in `acceptance.CRITERIA`."""
+    from .acceptance import CRITERIA
+
+    numbers = [_integer(n) for n in spec.split(",")]
+    known = {number for number, *_ in CRITERIA}
+    for n in numbers:
+        if n not in known:
+            raise InputError(f"no criterion is numbered {n}")
+    return numbers
+
+
+def _flag_complex(path: str) -> SimplicialComplex:
+    """The complex in the file at ``path``, which must be flag (a precondition)."""
+    K = _read(SimplicialComplex.from_json_dict, path=path)
+    if not K.is_flag():
+        raise PreconditionError("complex is not flag")
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -234,36 +279,27 @@ def _frac(q: Fraction) -> str:
 
 
 def _cmd_betti(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
-    degrees = _parse_degrees(args.degrees)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag; Betti numbers of the group need a flag complex")
-    A = Raag(K)
-    values = [dfg_betti_raag(A, field, k) for k in degrees]
+    A = Raag(_flag_complex(args.complex))
+    values = [dfg_betti_raag(A, args.field, k) for k in args.degrees]
     if args.format == "csv":
-        lines = ["degree,dfg_betti"] + [f"{k},{v}" for k, v in zip(degrees, values)]
+        lines = ["degree,dfg_betti"] + [f"{k},{v}" for k, v in zip(args.degrees, values)]
         return "\n".join(lines) + "\n"
-    return _json_report({"field": field.token(), "degrees": degrees, "dfg_betti": values})
+    return _json_report({"field": args.field.token(), "degrees": args.degrees, "dfg_betti": values})
 
 
 def _cmd_kernel_betti(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
-    degrees = _parse_degrees(args.degrees)
+    K = _flag_complex(args.complex)
     phi = _read(Character.from_json_dict, K, path=args.phi)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
     values = [
-        kernel_betti(K, phi, m, field, enforce=not args.force) for m in degrees
+        kernel_betti(K, phi, m, args.field, enforce=not args.force) for m in args.degrees
     ]
     if args.format == "csv":
-        lines = ["degree,kernel_betti"] + [f"{k},{v}" for k, v in zip(degrees, values)]
+        lines = ["degree,kernel_betti"] + [f"{k},{v}" for k, v in zip(args.degrees, values)]
         return "\n".join(lines) + "\n"
     return _json_report(
         {
-            "field": field.token(),
-            "degrees": degrees,
+            "field": args.field.token(),
+            "degrees": args.degrees,
             "kernel_betti": values,
             "phi": phi.to_json_dict()["phi"],
         }
@@ -271,15 +307,12 @@ def _cmd_kernel_betti(args) -> str:
 
 
 def _cmd_fpn_check(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
+    K = _flag_complex(args.complex)
     phi = _read(Character.from_json_dict, K, path=args.phi)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
-    bad = fpn_violation(K, phi, args.n, field)
+    bad = fpn_violation(K, phi, args.n, args.field)
     return _json_report(
         {
-            "field": field.token(),
+            "field": args.field.token(),
             "n": args.n,
             "fpn": bad is None,
             "violating_dead_simplex": None if bad is None else [str(v) for v in bad],
@@ -288,25 +321,18 @@ def _cmd_fpn_check(args) -> str:
 
 
 def _cmd_fibring(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    ring = _read(CoefficientRing.from_token, args.ring)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
-    report = virtually_fpn_fibred(K, args.n, ring)
+    report = virtually_fpn_fibred(_flag_complex(args.complex), args.n, args.ring)
     return _json_report(report.to_json_dict())
 
 
 def _cmd_gradient(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
+    K = _flag_complex(args.complex)
     A = Raag(K)
-    chain = _parse_chain(args.chain, A)
+    chain = _quotients(args.chain, A)
     _read(check_gradient_chain, chain, args.degree)
     cache = _cache_dir(args)
-    hook = None if cache is None else _cached_rank_hook(cache, K, field)
-    values = gradient_sequence(A, chain, field, args.degree, rank_hook=hook)
+    hook = None if cache is None else _cached_rank_hook(cache, K, args.field)
+    values = gradient_sequence(A, chain, args.field, args.degree, rank_hook=hook)
     rows = [(q.order, int(v * q.order), v) for q, v in zip(chain, values)]
     if args.format == "csv":
         lines = [f"N,b_{args.degree},b_{args.degree}/N"]
@@ -314,7 +340,7 @@ def _cmd_gradient(args) -> str:
         return "\n".join(lines) + "\n"
     return _json_report(
         {
-            "field": field.token(),
+            "field": args.field.token(),
             "degree": args.degree,
             "orders": [n for n, _, _ in rows],
             "betti": [b for _, b, _ in rows],
@@ -324,29 +350,22 @@ def _cmd_gradient(args) -> str:
 
 
 def _cmd_characters(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
-    rows = find_characters(K, args.n, field, args.bound)
+    K = _flag_complex(args.complex)
+    rows = find_characters(K, args.n, args.field, args.bound)
     characters = _characters_json([str(v) for v in K.vertices], rows)
     return (
         f'{{\n  "bound": {args.bound},\n  "characters": {characters},\n'
-        f'  "field": {encode_basestring_ascii(field.token())},\n  "n": {args.n}\n}}\n'
+        f'  "field": {encode_basestring_ascii(args.field.token())},\n  "n": {args.n}\n}}\n'
     )
 
 
 def _cmd_kaz_check(args) -> str:
-    K = _read(SimplicialComplex.from_json_dict, path=args.complex)
-    field = _read(FieldSpec.from_token, args.field)
-    if not K.is_flag():
-        raise PreconditionError("complex is not flag")
-    A = Raag(K)
-    chain = _parse_chain(args.quotients, A)
-    holds = kaz_inequality_check(A, chain, field, args.max_degree)
+    A = Raag(_flag_complex(args.complex))
+    chain = _quotients(args.quotients, A)
+    holds = kaz_inequality_check(A, chain, args.field, args.max_degree)
     return _json_report(
         {
-            "field": field.token(),
+            "field": args.field.token(),
             "max_degree": args.max_degree,
             "orders": [q.order for q in chain],
             "holds": holds,
@@ -357,13 +376,7 @@ def _cmd_kaz_check(args) -> str:
 def _cmd_report(args) -> tuple[int, str]:
     from . import acceptance
 
-    numbers = None
-    if args.criteria:
-        try:
-            numbers = [int(x) for x in args.criteria.split(",")]
-        except ValueError as e:
-            raise InputError(f"bad criteria list {args.criteria!r}") from e
-    results = acceptance.run(numbers=numbers, seed=args.seed)
+    results = acceptance.run(numbers=args.criteria, seed=args.seed)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -378,12 +391,23 @@ def _cmd_report(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are malformed input, reported like any other."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raaghom",
         description="Homological invariants of right-angled Artin groups and their kernels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    field = partial(_read, FieldSpec.from_token)
+
+    def at_least(least: int) -> Callable[[str], int]:
+        return partial(_integer, least=least)
 
     def common(p, *, fmt=True):
         p.add_argument("--out", help="write the report to this path (default: stdout)")
@@ -392,16 +416,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="closed-form Betti numbers of the RAAG on a flag complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--degrees", required=True, help="e.g. 0..3")
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--degrees", type=_degrees, required=True, help="e.g. 0..3")
     common(p)
     p.set_defaults(run=_cmd_betti)
 
     p = sub.add_parser("kernel-betti", help="closed-form Betti numbers of an Artin kernel")
     p.add_argument("--complex", required=True)
     p.add_argument("--phi", required=True, help="character JSON file")
-    p.add_argument("--field", required=True)
-    p.add_argument("--degrees", required=True)
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--degrees", type=_degrees, required=True)
     p.add_argument("--force", action="store_true", help="skip the FP_n/surjectivity preconditions")
     common(p)
     p.set_defaults(run=_cmd_kernel_betti)
@@ -409,58 +433,53 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpn-check", help="decide FP_n of an Artin kernel")
     p.add_argument("--complex", required=True)
     p.add_argument("--phi", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--n", type=at_least(0), required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_fpn_check, minimums={"n": 0})
+    p.set_defaults(run=_cmd_fpn_check)
 
     p = sub.add_parser("fibring", help="virtual FP_n fibring verdict over a ring")
     p.add_argument("--complex", required=True)
-    p.add_argument("--ring", required=True, help="Q, F2, ..., Z, or Z/6")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--ring", type=partial(_read, CoefficientRing.from_token), required=True,
+        help="Q, F2, ..., Z, or Z/6",
+    )
+    p.add_argument("--n", type=at_least(0), required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_fibring, minimums={"n": 0})
+    p.set_defaults(run=_cmd_fibring)
 
     p = sub.add_parser("gradient", help="normalised cover Betti numbers along a quotient chain")
     p.add_argument("--complex", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--chain", required=True, help="abelian:2,3,4 or quotient JSON files")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--chain", type=_chain, required=True, help="abelian:2,3,4 or quotient JSON files")
+    p.add_argument("--degree", type=at_least(0), required=True)
     p.add_argument("--cache", help=f"rank cache directory (default: ${CACHE_ENV})")
     common(p)
     p.set_defaults(run=_cmd_gradient)
 
     p = sub.add_parser("characters", help="surjective characters passing FP_n, up to a bound")
     p.add_argument("--complex", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--n", type=at_least(0), required=True)
+    p.add_argument("--bound", type=at_least(1), required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_characters, minimums={"n": 0, "bound": 1})
+    p.set_defaults(run=_cmd_characters)
 
     p = sub.add_parser("kaz-check", help="closed form <= normalised cover Betti, per quotient")
     p.add_argument("--complex", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--quotients", required=True, help="abelian:... or quotient JSON files")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--quotients", type=_chain, required=True, help="abelian:... or quotient JSON files")
+    p.add_argument("--max-degree", type=at_least(0), required=True)
     common(p, fmt=False)
-    p.set_defaults(run=_cmd_kaz_check, minimums={"max_degree": 0})
+    p.set_defaults(run=_cmd_kaz_check)
 
     p = sub.add_parser("report", help="run the acceptance suite and print a pass/fail table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criteria", help="comma list of criterion numbers (default: all)")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--criteria", type=_criteria, help="comma list of criterion numbers (default: all)")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_report)
 
     return parser
-
-
-def _check_minimums(args) -> None:
-    """Reject integer arguments below the least value their command accepts."""
-    for name, least in getattr(args, "minimums", {}).items():
-        value = getattr(args, name)
-        if value < least:
-            raise InputError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
 _parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
@@ -470,9 +489,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = _build_parser()
-    args = _parser.parse_args(argv)
     try:
-        _check_minimums(args)
+        args = _parser.parse_args(argv)
         result = args.run(args)
         code, text = result if isinstance(result, tuple) else (0, result)
         _emit(text, args.out)

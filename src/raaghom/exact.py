@@ -77,12 +77,13 @@ class FieldSpec:
 
     @classmethod
     def from_token(cls, token: str) -> "FieldSpec":
-        """Parse "Q", "F2", "F3", ... into a field."""
-        t = token.strip()
-        if t == "Q":
+        """Read "Q", "F2", "F3", ...: only a token that `token` writes back unchanged."""
+        if token == "Q":
             return cls(0)
-        if t.startswith("F") and t[1:].isdigit():
-            return cls(int(t[1:]))
+        if token[:1] == "F" and token[1:].isdecimal():
+            field = cls(int(token[1:]))
+            if field.token() == token:
+                return field
         raise ValueError(f"unknown field token {token!r}")
 
     def token(self) -> str:
@@ -249,17 +250,6 @@ class ExactMatrix:
         p, of = field.char, field.of  # entries are in bounds already, so only reduce them
         m.entries = {k: r for k, v in self.entries.items() if (r := v % p if type(v) is int else of(v))}
         return m
-
-    def to_json_dict(self) -> dict:
-        fd = self.field
-        triples = sorted([r, c, fd.to_string(v)] for (r, c), v in self.entries.items())
-        return {"rows": self.rows, "cols": self.cols, "field": fd.token(), "entries": triples}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "ExactMatrix":
-        field = FieldSpec.from_token(obj["field"])
-        entries = {(int(r), int(c)): Fraction(s) for r, c, s in obj["entries"]}
-        return ExactMatrix(int(obj["rows"]), int(obj["cols"]), field, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -60,12 +60,16 @@ class CoefficientRing:
 
     @classmethod
     def from_token(cls, token: str) -> "CoefficientRing":
-        t = token.strip()
-        if t == "Z":
+        """Read "Z", "Z/6" or a field token: only a token that `token` writes back unchanged."""
+        if token == "Z":
             return cls.integers()
-        if t.startswith("Z/"):
-            return cls.integers_mod(int(t[2:]))
-        return cls.of_field(FieldSpec.from_token(t))
+        if token[:2] != "Z/":
+            return cls.of_field(FieldSpec.from_token(token))
+        if token[2:].isdecimal():
+            ring = cls.integers_mod(int(token[2:]))
+            if ring.token() == token:
+                return ring
+        raise ValueError(f"unknown ring token {token!r}")
 
     def token(self) -> str:
         if self.kind == "field":

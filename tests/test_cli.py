@@ -110,6 +110,52 @@ class TestErrors:
         assert "FP_2" in json.loads(err)["error"]["message"]
 
 
+class TestArguments:
+    """Every malformed argument gets the one diagnostic: exit 2 and one JSON line on stderr."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fpn-check", "--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "1_0"),
+            ("fibring", "--complex", "c4.json", "--ring", "Q", "--n", " 2"),
+            ("characters", "--complex", "c4.json", "--field", "Q", "--n", "٣", "--bound", "1"),
+            ("fibring", "--complex", "c4.json", "--ring", "Q", "--n", "x"),
+            ("characters", "--complex", "c4.json", "--field", "Q", "--n", "1", "--bound", "+1"),
+            ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..1_0"),
+            ("gradient", "--complex", "c4.json", "--field", "Q", "--chain", "abelian:1_0,20", "--degree", "1"),
+            ("betti", "--complex", "c4.json", "--field", "F0", "--degrees", "0"),
+            ("betti", "--complex", "c4.json", "--field", " Q", "--degrees", "0"),
+            ("betti", "--complex", "c4.json", "--field", "F03", "--degrees", "0"),
+            ("fibring", "--complex", "c4.json", "--ring", "Z/6_0", "--n", "1"),
+            ("fibring", "--complex", "c4.json", "--ring", "Z/ 6", "--n", "1"),
+            ("betti", "--complex", "c4.json", "--field", "Q"),
+            ("frobnicate", "--complex", "c4.json"),
+            ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0", "--format", "xml"),
+        ],
+        ids=[
+            "n-underscore",
+            "n-space",
+            "n-arabic-indic",
+            "n-word",
+            "bound-plus",
+            "degrees-underscore",
+            "chain-underscore",
+            "field-F0",
+            "field-space",
+            "field-leading-zero",
+            "ring-underscore",
+            "ring-space",
+            "missing-option",
+            "unknown-command",
+            "bad-format",
+        ],
+    )
+    def test_malformed_argument_is_input_error(self, workdir, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "input"
+
+
 class TestKernelCommands:
     def test_kernel_betti_values(self, workdir, capsys):
         code, out, _ = run_cli(
@@ -610,6 +656,13 @@ class TestReportCommand:
         assert len(lines) == 4
         assert all("PASS" in line for line in lines[:3])
         assert lines[3] == "3/3 criteria passed"
+
+    @pytest.mark.parametrize("criteria", ["99", "1,99", "0", "01", ""])
+    def test_unknown_criterion_is_input_error(self, workdir, capsys, criteria):
+        # a run that names no criterion checks nothing, so it must not pass
+        code, out, err = run_cli(capsys, "report", "--criteria", criteria)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "input"
 
 
 class TestRoundTrip:

@@ -143,6 +143,19 @@ class TestFieldSpec:
     def test_tokens_round_trip(self):
         for tok in ["Q", "F2", "F3", "F97"]:
             assert FieldSpec.from_token(tok).token() == tok
+        # read only as `token` writes it: F0 is not Q, F03 is not F3
+        for tok in ["F0", "F03", "F٣", "F²", " Q", "Q ", "F 2", "F+2", "F2_0", "F", "", "q", "0", "2"]:
+            with pytest.raises(ValueError):
+                FieldSpec.from_token(tok)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet="QF0123579٣² _+-", max_size=4))
+    def test_every_token_read_is_written_back_unchanged(self, tok):
+        try:
+            field = FieldSpec.from_token(tok)
+        except ValueError:
+            return
+        assert field.token() == tok
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
@@ -458,15 +471,6 @@ class TestBettiFromBoundaries:
 
 
 class TestSerialisation:
-    def test_json_round_trip(self):
-        m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, -3]], QQ)
-        again = ExactMatrix.from_json_dict(m.to_json_dict())
-        assert again == m
-
-    def test_json_round_trip_mod_p(self):
-        m = ExactMatrix.from_rows([[1, 2], [0, 1]], F3)
-        assert ExactMatrix.from_json_dict(m.to_json_dict()) == m
-
     def test_no_zero_entries_stored(self):
         m = ExactMatrix(2, 2, F2, {(0, 0): 2, (1, 1): 1})
         assert m.nnz == 1

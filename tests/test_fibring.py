@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raaghom.complexes import barycentric_subdivision, flag_completion, reduced_betti
 from raaghom.exact import F2, QQ, FieldSpec
@@ -37,6 +39,20 @@ class TestCoefficientRing:
         assert CoefficientRing.from_token("F2").token() == "F2"
         assert CoefficientRing.from_token("Z").token() == "Z"
         assert CoefficientRing.from_token("Z/6").token() == "Z/6"
+        # read only as `token` writes it: Z/6_0 is not Z/60, F0 is not Q
+        bad = ["Z/6_0", "Z/ 6", "Z/06", "Z/+6", "Z/٦", "Z/", "Z/1", "Z/-6", " Z", "Z ", "F0", "F03", " Q", "z"]
+        for tok in bad:
+            with pytest.raises(ValueError):
+                CoefficientRing.from_token(tok)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet="ZQF/012369٦ _+-", max_size=5))
+    def test_every_token_read_is_written_back_unchanged(self, tok):
+        try:
+            ring = CoefficientRing.from_token(tok)
+        except ValueError:
+            return
+        assert ring.token() == tok
 
     def test_prime_factors(self):
         assert CoefficientRing.integers_mod(12).prime_factors() == [2, 3]

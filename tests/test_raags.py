@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -432,6 +432,32 @@ class TestClosedForms:
         hollow = SimplicialComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         with pytest.raises(ValueError):
             graph_product_betti(hollow, QQ, 1)
+
+
+class TestGrowthLimit:
+    """The paper's limit along equal moduli: b_k(n) / n^|V| tends to `dfg_betti_raag`."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3], ids=["Q", "F2", "F3"])
+    def test_leading_coefficient_is_the_closed_form(self, field):
+        # with every modulus n, b_k of the cover is a polynomial in n of degree
+        # at most |V| (the identity in `_character_sum_betti`), so its |V|-th
+        # finite difference over n = 1 .. |V|+1 is |V|! times its top coefficient
+        rng = random.Random(1500 + field.char)
+        cases = 0
+        for _ in range(60):
+            L = random_flag_complex(rng, 6)
+            A, m = Raag(L), len(L.vertices)
+            covers = [
+                cover_betti(A, abelian_quotient(A, dict.fromkeys(L.vertices, n)), field).betti
+                for n in range(1, m + 2)
+            ]
+            for k in range(L.dim + 2):
+                values = [betti[k] for betti in covers]
+                for _ in range(m):
+                    values = [b - a for a, b in zip(values, values[1:])]
+                assert values == [factorial(m) * dfg_betti_raag(A, field, k)], (L, k)
+                cases += 1
+        assert cases > 150
 
 
 def flag_completion_of_rp2():
