@@ -395,14 +395,18 @@ def cover_betti(
       Betti numbers are a character sum over living links
       (`_character_sum_betti`), checked against each boundary's shape and
       the Euler characteristic (ArithmeticError on a mismatch);
-    * an explicit quotient: each boundary is specialised to an N-fold
-      block matrix and eliminated.
+    * an explicit quotient: rank d_1 is N - #orbits over every field,
+      since the image of d_1 is spanned by the Schreier-graph edges
+      e_{v.x} - e_x and H_0 of a permutation module is free on its orbits
+      (Shapiro's lemma).  Each boundary of degree 2 and up is specialised
+      to an N-fold block matrix and eliminated, so a 0-dimensional
+      complex (a free group) eliminates nothing.
 
     The optional ``rank_hook(degree, shape, compute)`` lets callers memoise
     the eliminated ranks: ``shape`` is the (rows, cols) of the specialised
     boundary and ``compute()`` returns its rank, building the matrix only
-    when called.  The hook returns the rank.  Abelian quotients eliminate
-    nothing, so they never call it.
+    when called.  The hook returns the rank.  It sees degrees 2 and up of
+    explicit quotients only: d_1 and abelian quotients eliminate nothing.
     """
     if q.over != A:
         raise ValueError("quotient is for a different group")
@@ -415,7 +419,8 @@ def cover_betti(
         _check_betti(betti, cells, N)
     else:
         ranks = [0] * (top + 2)
-        for k in range(1, top + 1):
+        ranks[1] = N - q.orbit_count
+        for k in range(2, top + 1):
             def compute(k: int = k) -> int:
                 return rank(specialize(salvetti_boundary(A, k, field), q))
 
@@ -446,7 +451,8 @@ def gradient_sequence(
 
     The values are reported raw; no convergence judgement is made.  The
     optional ``rank_hook(q, degree, shape, compute)`` is `cover_betti`'s
-    hook with the quotient being computed passed first.
+    hook with the quotient being computed passed first, so it too sees
+    only degrees 2 and up of explicit quotients.
     """
     check_gradient_chain(chain, degree)
     out = []

@@ -35,6 +35,9 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "phi_ones.json").write_text(json.dumps({"phi": {"0": 1, "1": 1, "2": 1, "3": 1}}))
     write_regular_quotient(tmp_path / "c4_z2.json", range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
     write_regular_quotient(tmp_path / "two_points_z3.json", "ab", [], 3)
+    triangle = [[0, 1], [1, 2], [0, 2]]  # flag: the filled triangle, whose RAAG is Z^3
+    (tmp_path / "triangle.json").write_text(json.dumps({"vertices": [0, 1, 2], "edges": triangle}))
+    write_regular_quotient(tmp_path / "triangle_z2.json", range(3), triangle, 2)
     return tmp_path
 
 
@@ -90,6 +93,19 @@ class TestErrors:
         code, _, err = run_cli(capsys, "betti", "--complex", "c4.json", "--field", "F9", "--degrees", "0")
         assert code == 2
         assert json.loads(err)["error"]["message"]
+
+    def test_long_prime_field_token_is_read_at_once(self, workdir, capsys):
+        start = time.process_time()
+        code, out, _ = run_cli(
+            capsys, "betti", "--complex", "c4.json", "--field", "F1000000000000037", "--degrees", "0",
+        )
+        assert time.process_time() - start < 0.5
+        assert code == 0 and json.loads(out)["field"] == "F1000000000000037"
+        # no primality test is proven from 3317044064679887385961981 on
+        for field in ("F3317044064679887385961981", "F561", "F41041", "F2047"):
+            code, out, err = run_cli(capsys, "betti", "--complex", "c4.json", "--field", field, "--degrees", "0")
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["kind"] == "input"
 
     def test_non_flag_complex_is_precondition_failure(self, workdir, capsys):
         code, _, err = run_cli(capsys, "betti", "--complex", "hollow.json", "--field", "Q", "--degrees", "0")
@@ -275,8 +291,8 @@ class TestGradient:
     def test_gradient_cache_round_trip(self, workdir, capsys):
         cache = workdir / "cache"
         args = (
-            "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "two_points_z3.json", "--degree", "1", "--cache", str(cache),
+            "gradient", "--complex", "c4.json", "--field", "Q",
+            "--chain", "c4_z2.json", "--degree", "1", "--cache", str(cache),
         )
         code1, out1, _ = run_cli(capsys, *args)
         assert code1 == 0
@@ -289,8 +305,8 @@ class TestGradient:
         cache = workdir / "envcache"
         monkeypatch.setenv("AGRARIAN_CACHE", str(cache))
         code, _, _ = run_cli(
-            capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "two_points_z3.json", "--degree", "0",
+            capsys, "gradient", "--complex", "c4.json", "--field", "Q",
+            "--chain", "c4_z2.json", "--degree", "0",
         )
         assert code == 0
         assert list(cache.glob("rank-*.json"))
@@ -299,15 +315,15 @@ class TestGradient:
     def test_cache_entries_with_wrong_shape_or_no_schema_are_recomputed(self, workdir, capsys, field):
         cache = workdir / "cache"
         args = (
-            "gradient", "--complex", "c4.json", "--field", field,
-            "--chain", "c4_z2.json", "--degree", "2", "--cache", str(cache),
+            "gradient", "--complex", "triangle.json", "--field", field,
+            "--chain", "triangle_z2.json", "--degree", "2", "--cache", str(cache),
         )
         code, fresh, _ = run_cli(capsys, *args)
-        assert code == 0 and json.loads(fresh)["betti"] == [25]
+        assert code == 0 and json.loads(fresh)["betti"] == [3]  # the 3-torus covers itself
         entries = sorted(cache.glob("rank-*.json"))
-        assert len(entries) == 2  # degrees 1 and 2
+        assert len(entries) == 2  # degrees 2 and 3; rank d_1 is read from the orbits
         good = {p: json.loads(p.read_text()) for p in entries}
-        assert sorted(e["shape"] for e in good.values()) == [[16, 64], [64, 64]]
+        assert sorted(e["shape"] for e in good.values()) == [[24, 8], [24, 24]]
         assert all(e["schema"] == 1 for e in good.values())
         wrong_shape, no_schema = entries
         wrong_shape.write_text(json.dumps({"schema": 1, "shape": [1, 1], "rank": 0}))
@@ -315,6 +331,17 @@ class TestGradient:
         code, again, _ = run_cli(capsys, *args)
         assert code == 0 and again == fresh
         assert {p: json.loads(p.read_text()) for p in entries} == good
+
+    def test_free_group_chain_writes_no_cache_entries(self, workdir, capsys):
+        args = (
+            "gradient", "--complex", "two_points.json", "--field", "Q",
+            "--chain", "two_points_z3.json", "--degree", "1",
+        )
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(plain)["betti"] == [10]  # (2 - 1) * 9 + 1 orbit
+        code, cached, _ = run_cli(capsys, *args, "--cache", str(workdir / "cache"))
+        assert code == 0 and cached == plain
+        assert not list((workdir / "cache").glob("rank-*.json"))
 
     def test_abelian_chain_writes_no_cache_entries(self, workdir, capsys):
         args = ("gradient", "--complex", "c4.json", "--field", "F2", "--chain", "abelian:2,3", "--degree", "2")

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from raaghom.complexes import SimplicialComplex, boundary_matrix
 from raaghom.exact import (
+    _PRIME_TEST_BOUND,
     F2,
     QQ,
     ExactMatrix,
     FieldSpec,
     IntMatrix,
     SmithForm,
+    _is_prime,
     betti_from_boundaries,
     nullspace,
     rank,
@@ -162,6 +164,28 @@ class TestFieldSpec:
             FieldSpec.prime_field(6)
         with pytest.raises(ValueError):
             FieldSpec.from_token("F4")
+
+    def test_pseudoprimes_rejected(self):
+        # Carmichael numbers 561 and 41041, the base-2 strong pseudoprime 2047,
+        # and the least strong pseudoprime to the first 12 prime bases
+        for n in (561, 41041, 2047, 318665857834031151167461):
+            with pytest.raises(ValueError):
+                FieldSpec.prime_field(n)
+        for p in (1000000000000037, 2**61 - 1):
+            assert FieldSpec.prime_field(p).char == p
+
+    def test_primality_agrees_with_a_sieve_below_100000(self):
+        sieve = [False, False] + [True] * (10**5 - 2)
+        for i in range(2, 317):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, 10**5, i))
+        assert [_is_prime(n) for n in range(10**5)] == sieve
+
+    def test_characteristic_beyond_the_proven_test_raises(self):
+        # the least strong pseudoprime to the first 13 prime bases: the test is proven below it
+        for n in (_PRIME_TEST_BOUND, _PRIME_TEST_BOUND + 2, 10**30 + 57):
+            with pytest.raises(ValueError, match="not below"):
+                FieldSpec.prime_field(n)
 
     def test_fraction_coercion_mod_p(self):
         assert F3.of(Fraction(1, 2)) == 2  # 1/2 = 2 mod 3

@@ -275,6 +275,79 @@ def _eliminated_betti(A: Raag, q: FiniteQuotient, field: FieldSpec) -> list[int]
 
 
 @st.composite
+def explicit_covers(draw):
+    """An explicit quotient with N <= 24 of the RAAG on a join P * M, and a field.
+
+    P is 0-2 points, each acting by any permutation of X1 (|X1| <= 4), so
+    the action is often not transitive; M is a flag complex on <= 4
+    vertices acting on X2 by the regular action of a sum of Z/n_v,
+    conjugated by a random permutation.  The join's RAAG is the product,
+    acting on X1 x X2; with no points P it is M's transitive action, and
+    with M empty it is a free group's.
+    """
+    field = draw(st.sampled_from((QQ, F2, F3)))
+    k, m = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    n1 = draw(st.integers(1, 4))
+    points, inner = range(k), range(k, k + m)
+    inner_edges = [(i, j) for i in inner for j in inner if i < j and draw(st.booleans())]
+    moduli, n2 = {}, 1
+    for v in inner:
+        moduli[v] = draw(st.sampled_from([n for n in (1, 2, 3, 4) if n1 * n2 * n <= 24]))
+        n2 *= moduli[v]
+    regular = abelian_quotient(Raag(flag_completion(inner, inner_edges)), moduli).action
+    sigma = draw(st.permutations(range(n2)))
+    unsigma = {y: x for x, y in enumerate(sigma)}
+    action = {}
+    for v in points:
+        p = draw(st.permutations(range(n1)))
+        action[v] = [p[x1] * n2 + x2 for x1 in range(n1) for x2 in range(n2)]
+    for v, p in regular.items():
+        conj = [sigma[p[unsigma[x2]]] for x2 in range(n2)]
+        action[v] = [x1 * n2 + conj[x2] for x1 in range(n1) for x2 in range(n2)]
+    L = flag_completion(range(k + m), inner_edges + [(u, v) for u in points for v in inner])
+    A = Raag(L)
+    return A, FiniteQuotient(A, n1 * n2, action), field
+
+
+class TestExplicitCovers:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(explicit_covers())
+    def test_rank_of_specialised_d1_is_order_minus_orbits(self, case):
+        A, q, field = case
+        d1 = specialize(salvetti_boundary(A, 1, field), q)
+        assert rank(d1) == q.order - q.orbit_count
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(explicit_covers())
+    def test_matches_elimination_of_every_degree(self, case):
+        A, q, field = case
+        assert list(cover_betti(A, q, field).betti) == _eliminated_betti(A, q, field)
+
+    def test_both_kinds_of_action_are_drawn(self):
+        transitive = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(explicit_covers())
+        def record(case):
+            transitive.add(case[1].transitive)
+
+        record()
+        assert transitive == {True, False}
+
+    def test_free_group_cover_eliminates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(raags, "specialize", refuse)
+        A = Raag(SimplicialComplex("abc", [("a",), ("b",), ("c",)]))
+        q = FiniteQuotient(A, 5, {"a": [1, 0, 2, 3, 4], "b": [0, 2, 1, 3, 4], "c": [0, 1, 2, 4, 3]})
+        assert q.orbit_count == 2
+        for field in (QQ, F2, F3):
+            report = cover_betti(A, q, field, rank_hook=refuse)
+            assert report.betti == (2, (3 - 1) * 5 + 2)
+
+
+@st.composite
 def abelian_covers(draw):
     """A flag complex on <= 6 vertices and moduli <= 10 with N <= 150.
 
@@ -330,7 +403,7 @@ class TestCharacterSum:
             raise Specialised
 
         monkeypatch.setattr(raags, "specialize", refuse)
-        A = raag_two_points()
+        A = raag_edge()  # d_2 is the first boundary an explicit quotient eliminates
         with pytest.raises(Specialised):
             cover_betti(A, FiniteQuotient(A, 2, {"a": [1, 0], "b": [0, 1]}), QQ)
 
@@ -347,8 +420,8 @@ class TestCharacterSum:
                 return r
 
             report = cover_betti(A, explicit, field, rank_hook=hook)
-            ranks = [rank(specialize(salvetti_boundary(A, k, field), explicit)) for k in (1, 2)]
-            assert seen == [(1, (16, 64), ranks[0]), (2, (64, 64), ranks[1])]
+            r2 = rank(specialize(salvetti_boundary(A, 2, field), explicit))
+            assert seen == [(2, (64, 64), r2)]  # rank d_1 is read from the orbits
             assert report.betti == cover_betti(A, explicit, field).betti
             seen.clear()
             assert cover_betti(A, abelian, field, rank_hook=hook).betti == report.betti
