@@ -1,11 +1,11 @@
 """Benchmark a change against its parent in interleaved pairs and write a BENCH file.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<pr>.json \\
-        --seeds 0 7 --pairs 4 --seconds 8 [--workloads cover-elim ...]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<name>.json \\
+        --seeds 0 7 --pairs 10 --seconds 8 [--workloads cover-elim ...]
 
 DIR is a checkout of each side, each with its own ``perfbench/``.  For
 every workload and seed the two sides run ``perfbench/run.py ... --trace 0``
-alternately, parent first, ``--pairs`` times each.  After each run the
+in ``--pairs`` pairs, the parent first in every other pair.  After each run the
 result is read from that checkout's ``.perfbench/results/``.  Each
 end-to-end metric is summarised per side by the median and quartiles of
 the runs' values, and the per-run values are kept beside them.  The
@@ -45,8 +45,8 @@ def summary(values: list[float]) -> dict:
 
 def measure(roots: dict, workload: str, seed: int, pairs: int, seconds: int) -> dict:
     results = {side: [] for side in SIDES}
-    for _ in range(pairs):
-        for side in SIDES:
+    for i in range(pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             results[side].append(run_once(roots[side], workload, seed, seconds))
     first = results["change"][0]
     return {
@@ -69,14 +69,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", default=["cover-abelian", "cover-elim", "sweep", "integral"])
+    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=8)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["workloads"]
     runs = []
-    for workload in args.workloads:
+    for workload in args.workloads or [w["name"] for w in declared]:
         for seed in args.seeds:
             runs.append(measure(roots, workload, seed, args.pairs, args.seconds))
             print(json.dumps({k: runs[-1][k] for k in ("workload", "seed", "failed")}), flush=True)
