@@ -1,15 +1,16 @@
 """Benchmark a change against its parent in interleaved pairs and write a BENCH file.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<name>.json \\
-        --seeds 0 7 --pairs 10 --seconds 8 [--workloads cover-elim ...]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<name>.json --seeds 0 7
 
 DIR is a checkout of each side, each with its own ``perfbench/``.  For
-every workload and seed the two sides run ``perfbench/run.py ... --trace 0``
-in ``--pairs`` pairs, the parent first in every other pair.  After each run the
-result is read from that checkout's ``.perfbench/results/``.  Each
-end-to-end metric is summarised per side by the median and quartiles of
-the runs' values, and the per-run values are kept beside them.  The
-file also names the two revisions, the Python version and nproc.
+every workload that the change's ``BENCHMARK.json`` declares and every
+seed, the two sides run ``perfbench/run.py ... --trace 0`` for that
+file's ``run_seconds`` in ten pairs, the parent first in every other
+pair.  After each run the result is read from that checkout's
+``.perfbench/results/``.  Each end-to-end metric is summarised per side
+by the median and quartiles of the runs' values, and the per-run values
+are kept beside them.  The file also names the two revisions, the
+Python version and nproc.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git_rev(root: Path) -> str:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    return done.stdout.strip() or "unknown"
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True,
+                          check=True)
+    rev = done.stdout.strip()
+    if not rev:
+        raise RuntimeError(f"git rev-parse HEAD printed nothing in {root}")
+    return rev
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -43,9 +49,9 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def measure(roots: dict, workload: str, seed: int, pairs: int, seconds: int) -> dict:
+def measure(roots: dict, workload: str, seed: int, seconds: int) -> dict:
     results = {side: [] for side in SIDES}
-    for i in range(pairs):
+    for i in range(PAIRS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             results[side].append(run_once(roots[side], workload, seed, seconds))
     first = results["change"][0]
@@ -69,25 +75,25 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=8)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["workloads"]
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    revs = {side: git_rev(roots[side]) for side in SIDES}
     runs = []
-    for workload in args.workloads or [w["name"] for w in declared]:
+    for workload in [w["name"] for w in benchmark["workloads"]]:
         for seed in args.seeds:
-            runs.append(measure(roots, workload, seed, args.pairs, args.seconds))
+            runs.append(measure(roots, workload, seed, seconds))
             print(json.dumps({k: runs[-1][k] for k in ("workload", "seed", "failed")}), flush=True)
     bench = {
-        "rev": git_rev(roots["change"]),
-        "parent": git_rev(roots["parent"]),
+        "rev": revs["change"],
+        "parent": revs["parent"],
         "python": sys.version.split()[0],
         "nproc": os.cpu_count(),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
-        "pairs": args.pairs,
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "seconds": seconds,
+        "pairs": PAIRS,
         "runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
