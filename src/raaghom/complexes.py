@@ -28,11 +28,14 @@ Homology is read from a core.  In a flag complex a vertex u of a mask U
 is dominated when another v in U is adjacent to every vertex of U that u
 is adjacent to; removing u is then a strong collapse, which keeps the
 homotopy type and so the homology over every ring.  ``core(mask)``
-removes dominated vertices until none is left, and ``reduced_betti`` and
-``integral_homology`` eliminate the full subcomplex on the core, padding
-the profile with zeros to the complex's own degrees.  Callers that look
-up ``subcomplex(core(mask))`` share one elimination among all masks with
-one core.
+removes dominated vertices until none is left, and the full subcomplex on
+the core is eliminated once: one integral Smith form per boundary degree.
+Every ring's homology is read from those forms (the universal coefficient
+theorem): rank d_k over Q is the number of elementary divisors and over
+F_p the number prime to p, which gives ``reduced_betti`` over every
+field, padded with zeros to the complex's own degrees, and the torsion of
+``integral_homology``.  Callers that look up ``subcomplex(core(mask))``
+share one elimination among all masks with one core.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, rank, smith_normal_form
+from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, smith_normal_form
 
 Label = Hashable
 Face = tuple
@@ -200,7 +203,7 @@ class SimplicialComplex:
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating face count with the empty face contributing -1."""
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
+        return sum((-1) ** (len(f) + 1) for f in self.faces)  # an int: the exponent is never negative
 
     # -- derived complexes -----------------------------------------------------
 
@@ -498,16 +501,20 @@ def _core_complex(K: SimplicialComplex) -> SimplicialComplex:
 def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     """Reduced Betti numbers of K's core, padded to K's degrees and memoised on K.
 
-    Only a core is eliminated, by augmented boundary matrices, and its
-    profile is memoised on it; strong collapses leave the profile
-    unchanged, so every complex with that core pads the same one.
+    Rank d_k over the field is read from the core's memoised Smith form of
+    the augmented boundary: over Q it is the number of elementary divisors,
+    over F_p the number of them prime to p.  The profile is memoised on the
+    core; strong collapses leave it unchanged, so every complex with that
+    core pads the same one, and every field shares one elimination.
     """
     profile = K._memo.get(field)
     if profile is None:
         core = _core_complex(K)
         profile = core._memo.get(field)
         if profile is None:
-            ranks = [rank(boundary_matrix(core, k).over_field(field)) for k in range(core.dim + 1)]
+            p = field.char
+            ranks = [sum(1 for d in _smith_form(core, k).elementary_divisors if not p or d % p)
+                     for k in range(core.dim + 1)]
             ranks.append(0)
             values = []
             for k in range(-1, core.dim + 1):

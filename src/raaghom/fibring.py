@@ -3,10 +3,12 @@
 A RAAG maps onto Z with kernel of type FP_n exactly when the defining
 complex is suitably acyclic, so fibring questions reduce to homology of
 the complex: over a field F the verdict is vanishing of b~_i(L; F) for
-i <= n-1, over Z/m the same over F_p for every prime p | m, and over Z
-the vanishing of reduced integral homology (free part and torsion) in
-those degrees.  Virtual fibring and fibring agree for RAAGs, which is
-what makes these verdicts complete.
+i <= n-1.  Over Z and Z/m, with Z read as modulus 0, it is decided from
+reduced integral homology in those degrees: no free part, and no torsion
+coefficient sharing a factor with the modulus.  Only gcds are taken, so
+m is never factored and a modulus of any size is decided at once.
+Virtual fibring and fibring agree for RAAGs, which is what makes these
+verdicts complete.
 
 The module also provides the character search behind the deciders, the
 "all fibres or none" consistency check, and the per-cover lower-bound
@@ -28,7 +30,7 @@ from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """A skew field F, the integers, or Z/m for a composite-friendly m >= 2."""
+    """A skew field F, the integers (modulus 0), or Z/m for any m >= 2."""
 
     kind: str  # "field" | "Z" | "Z/m"
     field: Optional[FieldSpec] = None
@@ -39,7 +41,8 @@ class CoefficientRing:
             if self.field is None:
                 raise ValueError("field ring needs a FieldSpec")
         elif self.kind == "Z":
-            pass
+            if self.modulus != 0:
+                raise ValueError("the integers have modulus 0")
         elif self.kind == "Z/m":
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("modulus must be >= 2")
@@ -52,7 +55,7 @@ class CoefficientRing:
 
     @classmethod
     def integers(cls) -> "CoefficientRing":
-        return cls("Z")
+        return cls("Z", modulus=0)
 
     @classmethod
     def integers_mod(cls, m: int) -> "CoefficientRing":
@@ -77,21 +80,6 @@ class CoefficientRing:
         if self.kind == "Z":
             return "Z"
         return f"Z/{self.modulus}"
-
-    def prime_factors(self) -> list[int]:
-        assert self.kind == "Z/m"
-        m = self.modulus
-        out = []
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                out.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            out.append(m)
-        return out
 
 
 @dataclass(frozen=True)
@@ -121,20 +109,26 @@ class FibringReport:
         }
 
 
-def _obstruction(L: SimplicialComplex, n: int, fields: Optional[Sequence[FieldSpec]]) -> Optional[int]:
-    """Least degree m <= n with b~_{m-1}(L) nonzero over one of the fields, or None.
+def _obstruction(L: SimplicialComplex, n: int, ring: CoefficientRing) -> Optional[int]:
+    """Least degree m <= n with H~_{m-1}(L; ring) nonzero, or None.
 
-    With ``fields`` None the test is over Z: the free rank or torsion of
-    H~_{m-1}(L; Z) is nonzero.  Degrees above dim L + 1 have nothing to
-    read, so the scan stops there however large n is.
+    Over a field F that is b~_{m-1}(L; F) != 0.  Over Z and Z/m it is one
+    integral rule: H~_{m-1}(L; Z) has free rank, or a torsion coefficient t
+    with gcd(t, modulus) > 1 (every t > 1 for Z, whose modulus is 0).  The
+    Tor term of H~_{m-1}(L; Z/m), from the torsion of H~_{m-2}, never
+    changes the least degree: a coefficient there sharing a prime p with m
+    already makes b~_{m-2}(L; F_p) nonzero, an obstruction at m - 1.
+    Degrees above dim L + 1 have nothing to read, so the scan stops there
+    however large n is.
     """
     for m in range(0, min(n, L.dim + 1) + 1):
-        if fields is None:
-            betti, torsion = integral_homology(L, m - 1)
-            if betti or torsion:
+        if ring.kind == "field":
+            if reduced_betti(L, ring.field).betti(m - 1):
                 return m
-        elif any(reduced_betti(L, f).betti(m - 1) for f in fields):
-            return m
+        else:
+            free, torsion = integral_homology(L, m - 1)
+            if free or any(gcd(t, ring.modulus) > 1 for t in torsion):
+                return m
     return None
 
 
@@ -142,25 +136,24 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
     """Decide whether the RAAG on L (virtually) fibres with an FP_n kernel.
 
     The verdict is vanishing of reduced homology of L in degrees <= n-1
-    over the ring (over every prime divisor for Z/m; free part and torsion
-    for Z).  When true, the all-ones character is returned as a witness,
-    certified by the finiteness checker over the same fields (Q, F2 and
-    F3 for Z).  Levels above dim L + 1 impose no further conditions.
+    over the ring (see `_obstruction`).  When true, the all-ones character
+    is returned as a witness, certified by the finiteness checker over
+    fields the verdict implies: the field itself for a field ring, and Q
+    plus each of F2 and F3 that divides the modulus for Z and Z/m (so Q,
+    F2 and F3 for Z).  Levels above dim L + 1 impose no further conditions.
     """
     if not L.is_flag():
         raise ValueError("fibring deciders need a flag complex")
     if n < 0:
         raise ValueError("level must be >= 0")
-    if ring.kind == "field":
-        fields = [ring.field]
-    elif ring.kind == "Z/m":
-        fields = [FieldSpec.prime_field(p) for p in ring.prime_factors()]
-    else:
-        fields = [FieldSpec.rationals()] + [FieldSpec.prime_field(p) for p in (2, 3)]
-    obstruction = _obstruction(L, n, None if ring.kind == "Z" else fields)
+    obstruction = _obstruction(L, n, ring)
     if obstruction is not None:
         return FibringReport(L, ring, n, False, (), obstruction)
 
+    if ring.kind == "field":
+        fields = [ring.field]
+    else:
+        fields = [FieldSpec.rationals()] + [FieldSpec.prime_field(p) for p in (2, 3) if ring.modulus % p == 0]
     ones = Character(L, {v: 1 for v in L.vertices})
     for f in fields:
         if not is_fpn(L, ones, n, f):
@@ -254,4 +247,4 @@ def no_fibring_obstruction(L: SimplicialComplex, n: int, field: FieldSpec) -> Op
     """
     if not L.is_flag():
         raise ValueError("fibring deciders need a flag complex")
-    return _obstruction(L, n, [field])
+    return _obstruction(L, n, CoefficientRing.of_field(field))

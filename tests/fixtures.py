@@ -27,6 +27,38 @@ def rp2_six() -> SimplicialComplex:
     return SimplicialComplex(range(1, 7), RP2_6_TRIANGLES)
 
 
+# A 12-vertex flag RP^2, from the 6-vertex one by subdividing edges of
+# empty triangles until none is left; vertex a is 10 and b is 11.
+RP2_12_TRIANGLES = [
+    tuple(int(c, 16) for c in t)
+    for t in "015 019 056 067 078 089 134 135 14a 19a 235 238 256 26b 289 29a 2ab 347 378 467 46b 4ab".split()
+]
+
+
+def rp2_twelve() -> SimplicialComplex:
+    return SimplicialComplex(range(12), RP2_12_TRIANGLES)
+
+
+def grid_surface(n: int, klein: bool) -> SimplicialComplex:
+    """The n x n grid on Z/n x Z/n, each square cut by its diagonal: a flag torus for n >= 4.
+
+    With ``klein`` the rows wrap with a flip, (n, j) ~ (0, -j), which makes
+    it a flag Klein bottle.
+    """
+
+    def vertex(i: int, j: int) -> int:
+        if klein and i == n:
+            j = -j
+        return i % n * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1), vertex(i, j + 1)
+            triangles += [(a, b, c), (a, c, d)]
+    return SimplicialComplex(range(n * n), triangles)
+
+
 def c4() -> SimplicialComplex:
     return flag_completion([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
 

@@ -207,6 +207,18 @@ class TestFibringAndCharacters:
         obj = json.loads(out)
         assert obj["verdict"] is True and obj["ring"] == "Z/6"
 
+    def test_huge_zmod_returns_at_once(self, workdir, capsys):
+        # 10**30 + 57 has no factor below 10**6: deciding Z/m must not factor it
+        start = time.process_time()
+        code, out, _ = run_cli(
+            capsys, "fibring", "--complex", "c4.json", "--ring", "Z/1000000000000000000000000000057", "--n", "2"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["ring"] == "Z/1000000000000000000000000000057"
+        assert obj["verdict"] is False and obj["obstruction_degree"] == 2
+
     def test_characters_list(self, workdir, capsys):
         code, out, _ = run_cli(
             capsys, "characters", "--complex", "two_points.json", "--field", "Q", "--n", "1", "--bound", "1"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raaghom import complexes
+from raaghom import complexes, exact
 from raaghom.complexes import (
     ChainVector,
     SimplicialComplex,
@@ -26,10 +26,11 @@ from raaghom.complexes import (
 )
 from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 
-from fixtures import c4, cycle_complex, full_simplex, octahedron, random_flag_complex, rp2_six
+from fixtures import c4, cycle_complex, full_simplex, octahedron, random_flag_complex, rp2_six, rp2_twelve
 from oracles import dense_rank_mod_p, dense_rank_rationals
 
 F3 = FieldSpec.prime_field(3)
+F5 = FieldSpec.prime_field(5)
 
 
 class TestConstruction:
@@ -168,7 +169,11 @@ class TestLink:
 
 
 def eliminated_profile(K: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
-    """Reduced Betti numbers of K from the ranks of all of its own boundaries."""
+    """Reduced Betti numbers of K from the ranks of all of its own boundaries over the field.
+
+    This eliminates over the field itself, independently of the Smith forms
+    that ``reduced_betti`` reads.
+    """
     ranks = [rank(boundary_matrix(K, k).over_field(field)) for k in range(K.dim + 1)] + [0]
     return tuple(
         (1 if k == -1 else K.n_faces(k)) - (ranks[k] if k >= 0 else 0) - ranks[k + 1]
@@ -189,7 +194,7 @@ def assert_core_homology_matches(L: SimplicialComplex, mask: int) -> None:
     """Core-based homology of L[mask] against elimination of L[mask] itself."""
     sub = L.subcomplex(mask)
     core = L.subcomplex(L.core(mask))
-    for field in (QQ, F2, F3):
+    for field in (QQ, F2, F3, F5):
         expected = eliminated_profile(sub, field)
         assert reduced_betti(sub, field).reduced_betti == expected
         assert all(reduced_betti(core, field).betti(k) == b for k, b in enumerate(expected, -1))
@@ -265,6 +270,14 @@ class TestCore:
         masks += [L.common_neighbours((v,)) for v in L.vertices[::4]]
         rng = random.Random(31)
         masks += [rng.getrandbits(len(L.vertices)) | rng.getrandbits(len(L.vertices)) for _ in range(15)]
+        for mask in masks:
+            assert_core_homology_matches(L, mask)
+
+    def test_twelve_vertex_rp2_subcomplexes(self):
+        L = rp2_twelve()
+        rng = random.Random(12)
+        masks = [(1 << 12) - 1] + [L.common_neighbours((v,)) for v in L.vertices]
+        masks += [rng.getrandbits(12) for _ in range(40)]
         for mask in masks:
             assert_core_homology_matches(L, mask)
 
@@ -410,6 +423,35 @@ class TestReducedBetti:
         pq = reduced_betti(K, QQ)
         assert all(pq.betti(i) == 0 for i in range(-1, 3))
 
+    def test_twelve_vertex_rp2(self):
+        K = rp2_twelve()
+        assert K.is_flag() and (K.n_faces(0), K.n_faces(2)) == (12, 22)
+        assert K.euler_characteristic_reduced() + 1 == 1  # chi = 1, with the empty face's -1 put back
+        assert reduced_betti(K, QQ).reduced_betti == (0, 0, 0, 0)
+        assert reduced_betti(K, F2).reduced_betti == (0, 0, 1, 1)
+        assert integral_homology(K, 1) == (0, [2])
+
+    def test_every_field_reads_one_smith_form_per_degree(self, monkeypatch):
+        calls = {"rank": 0, "smith": 0}
+
+        def counting_rank(*args):
+            calls["rank"] += 1
+            return rank(*args)
+
+        def counting_smith(*args):
+            calls["smith"] += 1
+            return smith_normal_form(*args)
+
+        monkeypatch.setattr(exact, "rank", counting_rank)
+        monkeypatch.setattr(complexes, "rank", counting_rank, raising=False)
+        monkeypatch.setattr(complexes, "smith_normal_form", counting_smith)
+        K = rp2_twelve()
+        assert K.core((1 << 12) - 1) == (1 << 12) - 1  # the core is K itself
+        profiles = [reduced_betti(K, field).reduced_betti for field in (QQ, F2, F3)]
+        assert profiles == [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)]
+        assert integral_homology(K, 1) == (0, [2])
+        assert calls == {"rank": 0, "smith": K.dim + 1}
+
     def test_octahedron_sphere(self):
         prof = reduced_betti(octahedron(), QQ)
         assert (prof.betti(0), prof.betti(1), prof.betti(2)) == (0, 0, 1)
@@ -423,12 +465,11 @@ class TestReducedBetti:
         rng = random.Random(777)
         for _ in range(20):
             K = random_flag_complex(rng, 6)
+            assert type(K.euler_characteristic_reduced()) is int
             for field in (QQ, F2):
                 prof = reduced_betti(K, field)
-                chi = sum(
-                    (-1) ** i * prof.betti(i) for i in range(-1, K.dim + 1)
-                )
-                assert chi == K.euler_characteristic_reduced()
+                chi = sum((-1) ** (i + 2) * prof.betti(i) for i in range(-1, K.dim + 1))
+                assert type(chi) is int and chi == K.euler_characteristic_reduced()
 
 
 class TestIntegralHomology:

@@ -23,7 +23,7 @@ from raaghom.fibring import (
 from raaghom.kernels import Character, fpn_violation, is_fpn, kernel_betti, living_link
 from raaghom.raags import Raag, abelian_quotient
 
-from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
+from fixtures import c4, full_simplex, grid_surface, random_flag_complex, rp2_six, rp2_twelve, two_points
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
@@ -53,10 +53,6 @@ class TestCoefficientRing:
         except ValueError:
             return
         assert ring.token() == tok
-
-    def test_prime_factors(self):
-        assert CoefficientRing.integers_mod(12).prime_factors() == [2, 3]
-        assert CoefficientRing.integers_mod(7).prime_factors() == [7]
 
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
@@ -90,13 +86,34 @@ class TestVirtuallyFpnFibred:
         rng = random.Random(8)
         for _ in range(10):
             L = random_flag_complex(rng, 5)
-            for m, n in [(6, 1), (10, 2)]:
-                ring = CoefficientRing.integers_mod(m)
+            for m, n, primes in [(6, 1, (2, 3)), (10, 2, (2, 5))]:
                 by_primes = all(
                     virtually_fpn_fibred(L, n, CoefficientRing.of_field(FieldSpec.prime_field(p))).verdict
-                    for p in ring.prime_factors()
+                    for p in primes
                 )
-                assert virtually_fpn_fibred(L, n, ring).verdict == by_primes
+                assert virtually_fpn_fibred(L, n, CoefficientRing.integers_mod(m)).verdict == by_primes
+
+    def test_zmod_verdict_and_degree_are_those_of_its_prime_fields(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+        for L in (rp2_twelve(), grid_surface(4, klein=False), grid_surface(4, klein=True)):
+            for m in range(2, 61):
+                for n in range(4):
+                    report = virtually_fpn_fibred(L, n, CoefficientRing.integers_mod(m))
+                    by_prime = [
+                        virtually_fpn_fibred(L, n, CoefficientRing.of_field(FieldSpec.prime_field(p)))
+                        for p in primes
+                        if m % p == 0
+                    ]
+                    assert report.verdict == all(r.verdict for r in by_prime)
+                    degrees = [r.obstruction_degree for r in by_prime if not r.verdict]
+                    assert report.obstruction_degree == min(degrees, default=None)
+
+    def test_torsion_decides_zmod_without_factoring(self):
+        L = rp2_flag()  # H~_1 = Z/2, every other reduced group 0
+        odd = 10**30 + 57  # no factor below 10**6: trial division would take practically forever
+        assert virtually_fpn_fibred(L, 3, CoefficientRing.integers_mod(odd)).verdict
+        report = virtually_fpn_fibred(L, 3, CoefficientRing.integers_mod(2 * odd))
+        assert not report.verdict and report.obstruction_degree == 2
 
     def test_z_verdict_implies_every_field(self):
         rng = random.Random(9)
