@@ -40,10 +40,10 @@ def rp2_twelve() -> SimplicialComplex:
 
 
 def grid_surface(n: int, klein: bool) -> SimplicialComplex:
-    """The n x n grid on Z/n x Z/n, each square cut by its diagonal: a flag torus for n >= 4.
+    """The n x n grid on Z/n x Z/n, each square cut by its diagonal: a torus, flag at n = 4.
 
     With ``klein`` the rows wrap with a flip, (n, j) ~ (0, -j), which makes
-    it a flag Klein bottle.
+    it a Klein bottle, flag at n = 4 too (see test_grid_torus_and_klein_bottle).
     """
 
     def vertex(i: int, j: int) -> int:

@@ -26,7 +26,9 @@ from raaghom.complexes import (
 )
 from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 
-from fixtures import c4, cycle_complex, full_simplex, octahedron, random_flag_complex, rp2_six, rp2_twelve
+from fixtures import (
+    c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
+)
 from oracles import dense_rank_mod_p, dense_rank_rationals
 
 F3 = FieldSpec.prime_field(3)
@@ -479,6 +481,12 @@ class TestIntegralHomology:
     def test_rp2_torsion(self):
         assert integral_homology(rp2_six(), 1) == (0, [2])
         assert integral_homology(rp2_six(), 2) == (0, [])
+
+    def test_grid_torus_and_klein_bottle(self):
+        torus, klein = grid_surface(4, klein=False), grid_surface(4, klein=True)
+        assert torus.is_flag() and klein.is_flag()
+        assert [integral_homology(torus, k) for k in range(3)] == [(0, []), (2, []), (1, [])]
+        assert [integral_homology(klein, k) for k in range(3)] == [(0, []), (1, [2]), (0, [])]
 
     def test_cone_is_acyclic(self):
         cone = full_simplex(4)
