@@ -29,8 +29,10 @@ is dominated when another v in U is adjacent to every vertex of U that u
 is adjacent to; removing u is then a strong collapse, which keeps the
 homotopy type and so the homology over every ring.  ``core(mask)``
 removes dominated vertices until none is left, and the full subcomplex on
-the core is eliminated once: one integral Smith form per boundary degree.
-Every ring's homology is read from those forms (the universal coefficient
+the core has one integral Smith form per boundary degree.  Those of d_0
+and d_1 are all 1s, counted from the vertices and the components of the
+1-skeleton; only degrees 2 and up are eliminated, once each.  Every
+ring's homology is read from those forms (the universal coefficient
 theorem): rank d_k over Q is the number of elementary divisors and over
 F_p the number prime to p, which gives ``reduced_betti`` over every
 field, padded with zeros to the complex's own degrees, and the torsion of
@@ -503,7 +505,9 @@ def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
 
     Rank d_k over the field is read from the core's memoised Smith form of
     the augmented boundary: over Q it is the number of elementary divisors,
-    over F_p the number of them prime to p.  The profile is memoised on the
+    over F_p the number of them prime to p.  Degrees 0 and 1 are counted
+    from the vertices and components (see `_smith_form`), so a core of
+    dimension 1 or less eliminates nothing.  The profile is memoised on the
     core; strong collapses leave it unchanged, so every complex with that
     core pads the same one, and every field shares one elimination.
     """
@@ -538,11 +542,41 @@ def betti_numbers(K: SimplicialComplex, field: FieldSpec, *, reduced: bool = Tru
 
 
 def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
-    """Smith form of the augmented degree-k boundary, memoised on K."""
+    """Smith form of the augmented degree-k boundary, memoised on K.
+
+    Degrees 0 and 1 have a closed form on every simplicial complex (the
+    universal coefficient theorem): the augmented d_0 is onto Z when K has
+    a vertex, and coker d_1 = H_0(K; Z) is free on the components of the
+    1-skeleton.  So both forms are all 1s, of rank 1 (0 without a vertex)
+    and |V| - #components.  Only degrees 2 and up are eliminated.
+    """
     sf = K._memo.get(("smith", k))
     if sf is None:
-        sf = K._memo[("smith", k)] = smith_normal_form(boundary_matrix(K, k))
+        if k >= 2:
+            sf = smith_normal_form(boundary_matrix(K, k))
+        else:
+            r = min(len(K.vertices), 1) if k == 0 else len(K.vertices) - _component_count(K)
+            sf = SmithForm(rank=r, elementary_divisors=(1,) * r)
+        K._memo[("smith", k)] = sf
     return sf
+
+
+def _component_count(K: SimplicialComplex) -> int:
+    """The number of components of K's 1-skeleton, by a walk over adjacency masks."""
+    adjacency = K._adjacency()
+    unseen = (1 << len(K.vertices)) - 1
+    count = 0
+    while unseen:
+        count += 1
+        stack = unseen & -unseen  # the lowest unseen vertex starts a component
+        unseen ^= stack
+        while stack:
+            bit = stack & -stack
+            stack ^= bit
+            reached = adjacency[bit.bit_length() - 1] & unseen
+            unseen ^= reached
+            stack |= reached
+    return count
 
 
 def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:

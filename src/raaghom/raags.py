@@ -17,7 +17,7 @@ degree these Betti numbers are the gradient approximants that the
 closed-form values `dfg_betti_raag` / `graph_product_betti` bound and,
 along suitable chains, match in the limit.  `cover_betti` eliminates
 these blocks only for explicit quotients: for an abelian quotient it gets
-the same numbers, over every field, from a character sum over living
+the same numbers, over every field, from a character sum summed by
 links, and the quotient never builds its permutations.
 """
 
@@ -343,22 +343,43 @@ def _character_sum_betti(
     (m_v - 1) q_v + (q_v - 1) = n_v - 1, so the sum is the one above;
     extending F does not change the Betti numbers of a full subcomplex.
 
-    Each living link is read from the subcomplex on its mask's core, which
-    has the same homology, so links with one core share one elimination.
+    Summed over the faces first: a vertex v outside s and CN(s) leaves the
+    link L[W & CN(s)] as it is, and its n_v - 1 living choices and its dead
+    one add up to n_v.  So with U = W & CN(s),
+
+        b_k = sum_s prod_{v not in s | CN(s)} n_v
+                  * sum_{U in CN(s), n_u > 1} prod_{u in U} (n_u - 1) * b~_{k-1-|s|}(L[U]),
+
+    which reads sum_s 2^|CN(s)| links in place of |faces| * 2^|V|.  The
+    inner sum depends on s only through the mask of CN(s) among the living
+    vertices, so faces with one mask share it.  Each link is read from the
+    subcomplex on its mask's core, which has the same homology, so links
+    with one core share one elimination.
     """
-    living_sets = [(0, 1)]  # (mask of W, number of characters with living set W)
-    for i, v in enumerate(L.vertices):
-        if moduli[v] > 1:
-            living_sets += [(w | 1 << i, c * (moduli[v] - 1)) for w, c in living_sets]
+    n = [moduli[v] for v in L.vertices]
+    living = L.mask(v for v, nv in zip(L.vertices, n) if nv > 1)
+    inner: dict[int, list[int]] = {}  # CN(s) & living -> index i holds the sum of the b~_{i-1}
     betti = [0] * (L.dim + 2)
-    for w, count in living_sets:
-        for s in L.faces:
-            if L.mask(s) & w:
-                continue
-            sub = L.subcomplex(L.core(L.common_neighbours(s) & w))
-            for i, b in enumerate(reduced_betti(sub, field).reduced_betti):
-                if b:  # b is b~_{i-1}
-                    betti[len(s) + i] += count * b
+    for s in L.faces:
+        cn = L.common_neighbours(s)
+        key = cn & living
+        sums = inner.get(key)
+        if sums is None:
+            sums = inner[key] = [0] * (L.dim + 2)
+            subsets = [(0, 1)]  # (mask of U, prod_{u in U} (n_u - 1)), over the submasks of key
+            rest = key
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                subsets += [(u | bit, c * (n[bit.bit_length() - 1] - 1)) for u, c in subsets]
+            for u, count in subsets:
+                for i, b in enumerate(reduced_betti(L.subcomplex(L.core(u)), field).reduced_betti):
+                    sums[i] += count * b
+        outside = ~(cn | L.mask(s))
+        weight = prod(nv for i, nv in enumerate(n) if outside >> i & 1)
+        for i, b in enumerate(sums):
+            if b:  # b sums the b~_{i-1}
+                betti[len(s) + i] += weight * b
     return betti
 
 
@@ -392,7 +413,8 @@ def cover_betti(
     two computations, chosen by the kind of quotient alone:
 
     * an abelian quotient from `abelian_quotient`, over every field: the
-      Betti numbers are a character sum over living links
+      Betti numbers are a character sum summed by links, face by face
+      over the subsets of its living common neighbours
       (`_character_sum_betti`), checked against each boundary's shape and
       the Euler characteristic (ArithmeticError on a mismatch);
     * an explicit quotient: rank d_1 is N - #orbits over every field,

@@ -1,7 +1,8 @@
-"""Independent test oracles: dense elimination, brute force, Bareiss.
+"""Independent test oracles: dense elimination, brute force, Bareiss, slow sums.
 
-These deliberately avoid the sparse code paths in raaghom.exact so the
-two sides of every check stay independent.
+These deliberately avoid the sparse code paths in raaghom.exact, and the
+fast summations in raaghom, so the two sides of every check stay
+independent.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from raaghom.complexes import reduced_betti
 
 
 def dense_rank_rationals(rows: list[list[Fraction]]) -> int:
@@ -169,3 +172,25 @@ def rref_kernel_basis(rows: list[list[int]], n_cols: int, p: int) -> list[list]:
             x[col] = -reduced[i][f] % p if p else -reduced[i][f]
         basis.append(x)
     return basis
+
+
+def living_set_character_sum(L, moduli, field) -> list[int]:
+    """Betti numbers of the abelian cover with moduli n_v, summed over living sets.
+
+        b_k = sum_W prod_{v in W} (n_v - 1) * sum_{s, s & W empty} b~_{k-1-|s|}(L[W & CN(s)])
+
+    over every living set W of vertices with n_v > 1 and every face s that
+    misses it: |faces| * 2^|living| links, before any summing by links.
+    """
+    living_sets = [(0, 1)]  # (mask of W, number of characters with living set W)
+    for i, v in enumerate(L.vertices):
+        if moduli[v] > 1:
+            living_sets += [(w | 1 << i, c * (moduli[v] - 1)) for w, c in living_sets]
+    betti = [0] * (L.dim + 2)
+    for w, count in living_sets:
+        for s in L.faces:
+            if L.mask(s) & w:
+                continue
+            for i, b in enumerate(reduced_betti(L.subcomplex(L.common_neighbours(s) & w), field).reduced_betti):
+                betti[len(s) + i] += count * b  # b is b~_{i-1}
+    return betti

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raaghom import complexes, exact
@@ -212,6 +212,16 @@ def flag_complexes(draw, max_vertices: int = 8) -> SimplicialComplex:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return flag_completion(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def flag_or_other_complexes(draw, max_vertices: int = 8) -> SimplicialComplex:
+    """A flag complex, or the closure of a few random faces, which is often not flag."""
+    if draw(st.booleans()):
+        return draw(flag_complexes(max_vertices))
+    n = draw(st.integers(0, max_vertices))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=3), max_size=12)) if n > 1 else []
+    return SimplicialComplex(range(n), faces)
 
 
 class TestCore:
@@ -433,7 +443,8 @@ class TestReducedBetti:
         assert reduced_betti(K, F2).reduced_betti == (0, 0, 1, 1)
         assert integral_homology(K, 1) == (0, [2])
 
-    def test_every_field_reads_one_smith_form_per_degree(self, monkeypatch):
+    def test_every_field_reads_one_smith_form_per_degree_from_two(self, monkeypatch):
+        # d_0 and d_1 are counted from vertices and components; only d_2 is eliminated
         calls = {"rank": 0, "smith": 0}
 
         def counting_rank(*args):
@@ -452,7 +463,16 @@ class TestReducedBetti:
         profiles = [reduced_betti(K, field).reduced_betti for field in (QQ, F2, F3)]
         assert profiles == [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)]
         assert integral_homology(K, 1) == (0, [2])
-        assert calls == {"rank": 0, "smith": K.dim + 1}
+        assert calls == {"rank": 0, "smith": K.dim - 1}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(flag_or_other_complexes())
+    @example(SimplicialComplex([], []))
+    @example(SimplicialComplex(range(6), [(0, 1), (1, 2), (4, 5)]))  # a path, an edge and an isolated vertex
+    @example(cycle_complex(3))  # the hollow triangle is not flag
+    def test_degrees_zero_and_one_are_counted_not_eliminated(self, K):
+        for k in range(min(2, K.dim + 2)):
+            assert complexes._smith_form(K, k) == smith_normal_form(boundary_matrix(K, k))
 
     def test_octahedron_sphere(self):
         prof = reduced_betti(octahedron(), QQ)

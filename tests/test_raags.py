@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raaghom import raags
@@ -27,7 +27,8 @@ from raaghom.raags import (
     weighted_nerve_betti,
 )
 
-from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
+from fixtures import c4, full_simplex, random_flag_complex, rp2_six, rp2_twelve, two_points
+from oracles import living_set_character_sum
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
@@ -348,21 +349,21 @@ class TestExplicitCovers:
 
 
 @st.composite
-def abelian_covers(draw):
-    """A flag complex on <= 6 vertices and moduli <= 10 with N <= 150.
+def abelian_covers(draw, max_vertices=6, max_modulus=10, max_order=150, fields=(QQ, F2, F3, F5)):
+    """A flag complex on <= 6 vertices and moduli <= 10 with N <= 150, by default.
 
     The moduli include powers of char F and multiples of it by other
     primes (2, 4, 8, 6, 10 over F2; 3, 9, 6 over F3; 5, 10 over F5), so
     char F divides N in many cases.
     """
-    field = draw(st.sampled_from((QQ, F2, F3, F5)))
-    n = draw(st.integers(0, 6))
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(0, max_vertices))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     L = flag_completion(range(n), edges)
     moduli, order = {}, 1
     for v in range(n):
-        allowed = [m for m in range(1, 11) if order * m <= 150]
+        allowed = [m for m in range(1, max_modulus + 1) if order * m <= max_order]
         moduli[v] = draw(st.sampled_from(allowed))
         order *= moduli[v]
     return Raag(L), moduli, field
@@ -375,6 +376,15 @@ class TestCharacterSum:
         A, moduli, field = case
         q = abelian_quotient(A, moduli)
         assert list(cover_betti(A, q, field).betti) == _eliminated_betti(A, q, field)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(abelian_covers(max_vertices=7, max_modulus=6, max_order=6**7, fields=(QQ, F2, F3)))
+    @example((Raag(c4()), {0: 2, 1: 6, 2: 4, 3: 3}, F2))  # char F divides N
+    @example((Raag(c4()), {0: 2, 1: 6, 2: 4, 3: 3}, F3))
+    def test_sum_by_links_is_the_sum_over_living_sets(self, case):
+        A, moduli, field = case
+        by_links = raags._character_sum_betti(A.complex, moduli, field)
+        assert by_links == living_set_character_sum(A.complex, moduli, field)
 
     def test_matches_elimination_at_order_256(self):
         # C4 with moduli 4,4,4,4 over F3: d_1 is 256 x 1024, d_2 is 1024 x 1024
@@ -507,30 +517,53 @@ class TestClosedForms:
             graph_product_betti(hollow, QQ, 1)
 
 
+def equal_moduli_differences(A: Raag, field: FieldSpec) -> list[int]:
+    """Per degree k, the |V|-th finite difference of b_k over covers with every modulus n = 1 .. |V|+1.
+
+    With every modulus n, b_k of the cover is a polynomial in n of degree at
+    most |V| (the identity in `_character_sum_betti`), so this is |V|! times
+    its top coefficient.
+    """
+    L = A.complex
+    covers = [
+        cover_betti(A, abelian_quotient(A, dict.fromkeys(L.vertices, n)), field).betti
+        for n in range(1, len(L.vertices) + 2)
+    ]
+    differences = []
+    for k in range(L.dim + 2):
+        values = [betti[k] for betti in covers]
+        for _ in L.vertices:
+            values = [b - a for a, b in zip(values, values[1:])]
+        (difference,) = values
+        differences.append(difference)
+    return differences
+
+
 class TestGrowthLimit:
     """The paper's limit along equal moduli: b_k(n) / n^|V| tends to `dfg_betti_raag`."""
 
     @pytest.mark.parametrize("field", [QQ, F2, F3], ids=["Q", "F2", "F3"])
     def test_leading_coefficient_is_the_closed_form(self, field):
-        # with every modulus n, b_k of the cover is a polynomial in n of degree
-        # at most |V| (the identity in `_character_sum_betti`), so its |V|-th
-        # finite difference over n = 1 .. |V|+1 is |V|! times its top coefficient
         rng = random.Random(1500 + field.char)
         cases = 0
         for _ in range(60):
             L = random_flag_complex(rng, 6)
-            A, m = Raag(L), len(L.vertices)
-            covers = [
-                cover_betti(A, abelian_quotient(A, dict.fromkeys(L.vertices, n)), field).betti
-                for n in range(1, m + 2)
-            ]
-            for k in range(L.dim + 2):
-                values = [betti[k] for betti in covers]
-                for _ in range(m):
-                    values = [b - a for a, b in zip(values, values[1:])]
-                assert values == [factorial(m) * dfg_betti_raag(A, field, k)], (L, k)
-                cases += 1
+            A = Raag(L)
+            closed = [factorial(len(L.vertices)) * dfg_betti_raag(A, field, k) for k in range(L.dim + 2)]
+            assert equal_moduli_differences(A, field) == closed, L
+            cases += len(closed)
         assert cases > 150
+
+    @pytest.mark.parametrize("field, closed", [(QQ, [0, 0, 0, 0]), (F2, [0, 0, 1, 1])], ids=["Q", "F2"])
+    def test_twelve_vertex_rp2_grows_by_its_mod_2_homology(self, field, closed):
+        # the rational and mod 2 growth of the flag RP^2 differ in degrees 2 and 3
+        A = Raag(rp2_twelve())
+        assert [dfg_betti_raag(A, field, k) for k in range(4)] == closed
+        assert equal_moduli_differences(A, field) == [factorial(12) * b for b in closed]
+        # the character sum against elimination of the same cover, N = 64
+        abelian = abelian_quotient(A, dict.fromkeys(range(6), 2))
+        explicit = FiniteQuotient(A, abelian.order, abelian.action)
+        assert cover_betti(A, abelian, field).betti == cover_betti(A, explicit, field).betti
 
 
 def flag_completion_of_rp2():
