@@ -17,8 +17,9 @@ degree these Betti numbers are the gradient approximants that the
 closed-form values `dfg_betti_raag` / `graph_product_betti` bound and,
 along suitable chains, match in the limit.  `cover_betti` eliminates
 these blocks only for explicit quotients: for an abelian quotient it gets
-the same numbers, over every field, from a character sum summed by
-links, and the quotient never builds its permutations.
+the same numbers, over every field, from a character sum over living
+links, summed face by face, and the quotient never builds its
+permutations.
 """
 
 from __future__ import annotations
@@ -413,10 +414,9 @@ def cover_betti(
     two computations, chosen by the kind of quotient alone:
 
     * an abelian quotient from `abelian_quotient`, over every field: the
-      Betti numbers are a character sum summed by links, face by face
-      over the subsets of its living common neighbours
-      (`_character_sum_betti`), checked against each boundary's shape and
-      the Euler characteristic (ArithmeticError on a mismatch);
+      Betti numbers are a character sum over living links, summed face
+      by face (`_character_sum_betti`), checked against each boundary's
+      shape and the Euler characteristic (ArithmeticError on a mismatch);
     * an explicit quotient: rank d_1 is N - #orbits over every field,
       since the image of d_1 is spanned by the Schreier-graph edges
       e_{v.x} - e_x and H_0 of a permutation module is free on its orbits

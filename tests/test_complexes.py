@@ -443,7 +443,7 @@ class TestReducedBetti:
         assert reduced_betti(K, F2).reduced_betti == (0, 0, 1, 1)
         assert integral_homology(K, 1) == (0, [2])
 
-    def test_every_field_reads_one_smith_form_per_degree_from_two(self, monkeypatch):
+    def test_every_field_eliminates_only_degrees_two_and_up(self, monkeypatch):
         # d_0 and d_1 are counted from vertices and components; only d_2 is eliminated
         calls = {"rank": 0, "smith": 0}
 
