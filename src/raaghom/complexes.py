@@ -90,7 +90,8 @@ class SimplicialComplex:
         self._by_dim = by_dim
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
-        # ("smith", k) -> SmithForm of d_k, "adjacency", "flag", "core" -> core mask
+        # ("smith", k) -> SmithForm of d_k, ("masks", k) -> `face_masks(k)`,
+        # "adjacency", "flag", "core" -> core mask
         self._memo: dict = {}
 
     @classmethod
@@ -169,6 +170,15 @@ class SimplicialComplex:
         for v in verts:
             m &= adjacency[self._index[v]]
         return m
+
+    def face_masks(self, k: int) -> list[tuple[Face, int, int]]:
+        """The k-faces in order, each with its vertex mask and CN mask, listed once per complex."""
+        listed = self._memo.get(("masks", k))
+        if listed is None:
+            listed = self._memo[("masks", k)] = [
+                (s, self.mask(s), self.common_neighbours(s)) for s in self._by_dim.get(k, ())
+            ]
+        return listed
 
     def core(self, mask: int) -> int:
         """The mask left after removing dominated vertices from a mask U.
@@ -555,16 +565,20 @@ def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
         if k >= 2:
             sf = smith_normal_form(boundary_matrix(K, k))
         else:
-            r = min(len(K.vertices), 1) if k == 0 else len(K.vertices) - _component_count(K)
+            full = (1 << len(K.vertices)) - 1
+            r = min(len(K.vertices), 1) if k == 0 else len(K.vertices) - _component_count(K, full)
             sf = SmithForm(rank=r, elementary_divisors=(1,) * r)
         K._memo[("smith", k)] = sf
     return sf
 
 
-def _component_count(K: SimplicialComplex) -> int:
-    """The number of components of K's 1-skeleton, by a walk over adjacency masks."""
+def _component_count(K: SimplicialComplex, mask: int) -> int:
+    """The number of components of the 1-skeleton of K's full subcomplex on a mask.
+
+    It is a walk over adjacency masks, restricted to the mask.
+    """
     adjacency = K._adjacency()
-    unseen = (1 << len(K.vertices)) - 1
+    unseen = mask
     count = 0
     while unseen:
         count += 1
@@ -605,6 +619,21 @@ def is_n_acyclic(K: SimplicialComplex, n: int, field: FieldSpec) -> bool:
     if n < -1:
         return True
     return not any(reduced_betti(K, field).reduced_betti[: n + 2])
+
+
+def is_n_acyclic_on(K: SimplicialComplex, mask: int, n: int, field: FieldSpec) -> bool:
+    """True when the full subcomplex on a mask is n-acyclic over a field.
+
+    Degrees -1 and 0 are read from the mask over every field: b~_{-1}
+    vanishes when the mask is nonempty, and b~_0 too when its 1-skeleton
+    is connected.  From n = 1 on, the subcomplex on the mask's core is
+    read, so masks with one core share one entry of K's memo.
+    """
+    if n < 0:
+        return n < -1 or mask != 0
+    if n == 0:
+        return _component_count(K, mask) == 1
+    return is_n_acyclic(K.subcomplex(K.core(mask)), n, field)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .complexes import SimplicialComplex, integral_homology, is_n_acyclic, reduced_betti
+from .complexes import SimplicialComplex, integral_homology, is_n_acyclic_on, reduced_betti
 from .exact import FieldSpec
 from .kernels import Character, is_fpn, living_set_violation
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
@@ -201,10 +201,10 @@ def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: in
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    acyclic_links = 0  # vertices whose link is (n-1)-acyclic
-    for i, v in enumerate(L.vertices):
-        if is_n_acyclic(L.link((v,)), n - 1, field):
-            acyclic_links |= 1 << i
+    acyclic_links = 0  # vertices whose link, the full subcomplex on CN(v), is (n-1)-acyclic
+    for _, v_mask, cn in L.face_masks(0):
+        if is_n_acyclic_on(L, cn, n - 1, field):
+            acyclic_links |= v_mask
     verdicts = set()
     for living in range(1, 1 << len(L.vertices)):
         if living_set_violation(L, living, n, field) is None:

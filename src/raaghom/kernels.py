@@ -31,7 +31,7 @@ from .complexes import (
     boundary_matrix,
     chain_boundary,
     integral_homology,
-    is_n_acyclic,
+    is_n_acyclic_on,
     json_int,
     json_object,
     json_vertex_map,
@@ -172,21 +172,23 @@ def living_set_violation(
 ) -> Optional[Face]:
     """``fpn_violation`` for every character whose living vertices form a mask.
 
-    L being flag, the living link of a dead simplex s is the full
-    subcomplex on CN(s) & living.  Each test reads the subcomplex on that
-    mask's core, so masks with one core share one entry of L's memo.
-    Dead simplices of dimension above n impose vacuous conditions, and L
-    has none above its dimension, so the scan stops at the smaller.
+    L being flag, the living link of a dead simplex s of dimension k is the
+    full subcomplex on CN(s) & living, and it must be (n - k - 1)-acyclic;
+    the living part itself, for the empty simplex, (n - 1)-acyclic.  Each
+    test is `is_n_acyclic_on` that mask: degrees -1 and 0 are read from the
+    mask alone (nonempty, connected), higher degrees from the subcomplex on
+    the mask's core.  Dead simplices of dimension above n impose vacuous
+    conditions, and L has none above its dimension, so the scan stops at
+    the smaller.  The faces, with their masks and CN masks, are listed
+    once per complex (`face_masks`).
     """
     if not L.is_flag():
         raise ValueError("finiteness checking needs a flag complex")
-    if not is_n_acyclic(L.subcomplex(L.core(living)), n - 1, field):
+    if not is_n_acyclic_on(L, living, n - 1, field):
         return ()
     for k in range(0, min(n, L.dim) + 1):
-        for s in L.faces_of_dim(k):
-            if not L.mask(s) & living and not is_n_acyclic(
-                L.subcomplex(L.core(L.common_neighbours(s) & living)), n - k - 1, field
-            ):
+        for s, s_mask, cn in L.face_masks(k):
+            if not s_mask & living and not is_n_acyclic_on(L, cn & living, n - k - 1, field):
                 return s
     return None
 

@@ -21,6 +21,7 @@ from raaghom.complexes import (
     flag_completion,
     integral_homology,
     is_n_acyclic,
+    is_n_acyclic_on,
     oriented_face,
     reduced_betti,
 )
@@ -536,6 +537,20 @@ class TestAcyclicity:
         for field in (QQ, F2):
             assert is_n_acyclic(c4(), 0, field)
             assert not is_n_acyclic(c4(), 1, field)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(flag_complexes())
+    @example(SimplicialComplex([], []))
+    @example(flag_completion(range(6), [(0, 1), (1, 2), (4, 5)]))  # a path, an edge and an isolated vertex
+    @example(c4())
+    def test_mask_test_is_acyclicity_of_the_full_subcomplex(self, L):
+        # the reference reads an equal but separate complex, so no memo is shared
+        twin = flag_completion(L.vertices, L.edges())
+        for mask in range(1 << len(L.vertices)):  # the empty mask and every disconnected one included
+            for field in (QQ, F2, F3):
+                for n in range(-2, 4):
+                    expected = is_n_acyclic(twin.subcomplex(mask), n, field)
+                    assert is_n_acyclic_on(L, mask, n, field) == expected, (mask, n, field)
 
 
 class TestChains:

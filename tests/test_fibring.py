@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raaghom.complexes import barycentric_subdivision, flag_completion, reduced_betti
+from raaghom.complexes import SimplicialComplex, barycentric_subdivision, flag_completion, reduced_betti
 from raaghom.exact import F2, QQ, FieldSpec
 from raaghom.fibring import (
     CoefficientRing,
@@ -23,7 +23,9 @@ from raaghom.fibring import (
 from raaghom.kernels import Character, fpn_violation, is_fpn, kernel_betti, living_link
 from raaghom.raags import Raag, abelian_quotient
 
-from fixtures import c4, full_simplex, grid_surface, random_flag_complex, rp2_six, rp2_twelve, two_points
+from fixtures import (
+    c4, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve, two_points,
+)
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
@@ -230,6 +232,35 @@ class TestNoLeaksBetweenComplexes:
                     assert fibres_fibre_check(L, n, field, bound) == brute_force_fibres_fibre(
                         twin, n, field, bound
                     )
+
+    def test_degrees_minus_one_and_zero_read_no_core(self, monkeypatch):
+        # at n = 1 the living part is tested in degree 0 and dead vertices and
+        # edges in degrees 0 and -1, so no living link needs a core
+        calls = {"core": 0, "common_neighbours": 0}
+
+        def counting(name):
+            original = getattr(SimplicialComplex, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SimplicialComplex, name, counting(name))
+        L = octahedron()
+        twin = flag_completion(L.vertices, L.edges())
+        assert find_characters(L, 1, QQ, 1) == brute_force_characters(twin, 1, QQ, 1)
+        assert fibres_fibre_check(L, 1, QQ, 1) == brute_force_fibres_fibre(twin, 1, QQ, 1)
+        calls["core"] = calls["common_neighbours"] = 0
+        L = octahedron()
+        find_characters(L, 1, F2, 1)
+        fibres_fibre_check(L, 1, F2, 1)
+        assert calls["core"] == 0
+        assert 0 < calls["common_neighbours"] <= len(L.faces)  # each face's CN mask is listed once
+        find_characters(L, 2, F2, 1)
+        assert calls["core"] > 0  # degree 1 still reads the core
 
     def test_non_flag_complex_rejected(self):
         L = rp2_six()  # every pair of vertices is an edge, but not every triple a face
