@@ -20,9 +20,13 @@ vertex order: full subcomplexes by mask, the reduced Betti profile per
 field, and the Smith form per boundary degree.  A complex never changes
 after construction, so nothing in the memo goes stale, and it is freed
 with the complex.  For a flag complex the link of a face s is the full
-subcomplex on the common neighbours CN(s) of its vertices, so links, and
-the living links of an Artin kernel (CN(s) intersected with the living
-vertices), are memo lookups by mask.
+subcomplex on the common neighbours CN(s) of its vertices, so links are
+memo lookups by mask, and each face's mask and CN mask are listed once
+(``face_masks``).  The living links of an Artin kernel are the full
+subcomplexes on CN(s) intersected with the living vertices, and
+``is_n_acyclic_on`` tests them by mask: degrees -1 and 0 come from the
+mask itself (nonempty, connected), higher degrees from the subcomplex on
+the mask's core.
 
 Homology is read from a core.  In a flag complex a vertex u of a mask U
 is dominated when another v in U is adjacent to every vertex of U that u
