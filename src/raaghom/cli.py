@@ -59,7 +59,6 @@ from .raags import (
     gradient_sequence,
 )
 
-CACHE_ENV = "AGRARIAN_CACHE"
 CACHE_SCHEMA = 1
 T = TypeVar("T")
 
@@ -118,6 +117,13 @@ def _integer(token: str, least: Optional[int] = None) -> int:
     return value
 
 
+def _path(token: str) -> str:
+    """A file or directory argument: any token but the empty one."""
+    if not token:
+        raise InputError("a path must not be empty")
+    return token
+
+
 def _degrees(spec: str) -> list[int]:
     """``k`` or ``lo..hi``, both ends included."""
     lo, dots, hi = spec.partition("..")
@@ -167,22 +173,16 @@ def _flag_complex(path: str) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def _cache_dir(args) -> Optional[Path]:
-    if getattr(args, "cache", None):
-        return Path(args.cache)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
 def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
     """Memoise (complex, quotient, field, degree) -> rank as small JSON files on disk.
 
-    The hook takes the quotient first, as `gradient_sequence` passes it,
-    and keys its entry by the quotient's explicit JSON form.  An entry is
-    ``{"schema": 1, "shape": [rows, cols], "rank": r}``.  It is trusted
-    only when its schema and matrix shape match and the rank fits the
-    shape; anything else is recomputed and overwritten, so a stale or
-    foreign file cannot change a report.
+    The hook is `cover_betti`'s ``rank_hook(q, degree, shape, compute)``.
+    An entry is keyed by one sha256 over the complex JSON, the quotient's
+    explicit JSON form, the field token and the degree.  It is
+    ``{"schema": 1, "shape": [rows, cols], "rank": r}``, trusted only
+    when its schema and matrix shape match and the rank fits the shape;
+    anything else is recomputed and overwritten, so a stale or foreign
+    file cannot change a report.
     """
     try:
         cache.mkdir(parents=True, exist_ok=True)
@@ -193,8 +193,8 @@ def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
     def hook(
         q: FiniteQuotient, degree: int, shape: tuple[int, int], compute: Callable[[], int]
     ) -> int:
-        job_key = _job_key(complex_json, json.dumps(q.to_json_dict(), sort_keys=True), field.token())
-        digest = hashlib.sha256(f"{job_key}:{degree}".encode()).hexdigest()
+        parts = (complex_json, json.dumps(q.to_json_dict(), sort_keys=True), field.token(), str(degree))
+        digest = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
         path = cache / f"rank-{digest}.json"
         try:
             entry = json.loads(path.read_text())
@@ -216,10 +216,6 @@ def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
     return hook
 
 
-def _job_key(*parts: str) -> str:
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         try:
             _atomic_write(Path(out), text)
         except OSError as e:
@@ -330,8 +326,7 @@ def _cmd_gradient(args) -> str:
     A = Raag(K)
     chain = _quotients(args.chain, A)
     _read(check_gradient_chain, chain, args.degree)
-    cache = _cache_dir(args)
-    hook = None if cache is None else _cached_rank_hook(cache, K, args.field)
+    hook = None if args.cache is None else _cached_rank_hook(Path(args.cache), K, args.field)
     values = gradient_sequence(A, chain, args.field, args.degree, rank_hook=hook)
     rows = [(q.order, int(v * q.order), v) for q, v in zip(chain, values)]
     if args.format == "csv":
@@ -410,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return partial(_integer, least=least)
 
     def common(p, *, fmt=True):
-        p.add_argument("--out", help="write the report to this path (default: stdout)")
+        p.add_argument("--out", type=_path, help="write the report to this path (default: stdout)")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -453,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=field, required=True)
     p.add_argument("--chain", type=_chain, required=True, help="abelian:2,3,4 or quotient JSON files")
     p.add_argument("--degree", type=at_least(0), required=True)
-    p.add_argument("--cache", help=f"rank cache directory (default: ${CACHE_ENV})")
+    p.add_argument("--cache", type=_path, help="rank cache directory")
     common(p)
     p.set_defaults(run=_cmd_gradient)
 

@@ -22,7 +22,9 @@ Each caller has one pivot rule:
   pivot is its own inverse, so integer rows stay ints under it;
 - `smith_normal_form` pivots on a +-1 entry of the shortest row that
   holds one, chosen the same way, and falls back to the entry of least
-  absolute value only when no unit remains;
+  absolute value only when no unit remains; it clears that pivot's
+  column by division with remainder and, since A and its transpose have
+  one Smith form, clears the pivot's row as a column of the transpose;
 - `solve` and `nullspace` eliminate columns left to right (`_echelon`)
   and share one back-substitution (`_back_substitute`).
 Rank and elementary divisors do not depend on the pivot order.  `solve`
@@ -333,11 +335,14 @@ class SmithForm:
 # ---------------------------------------------------------------------------
 
 
-def _index(m: ExactMatrix) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
-    """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: {r, ...}}."""
+def _index(entries) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
+    """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: {r, ...}}.
+
+    ``entries`` is an iterable of ((row, col), value) pairs with no zero value.
+    """
     rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries:
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     buckets: dict[int, set[int]] = {}
@@ -423,24 +428,27 @@ def rank(m: ExactMatrix) -> int:
     length, so choosing a pivot never rescans the matrix.
     """
     p = m.field.char
-    rows, cols, buckets = _index(m)
+    rows, cols, buckets = _index(m.entries.items())
     rk = 0
     while buckets:
         pr = min(buckets[min(buckets)])
-        prow = rows[pr]
-        pc = _sparsest_col(cols, prow)
-        piv = prow[pc]
-        if p:
-            minus_inv = -pow(piv, -1, p)
-        else:  # a +-1 pivot is its own inverse, so integer rows stay ints
-            minus_inv = -piv if piv == 1 or piv == -1 else -1 / Fraction(piv)
-        for r in list(cols[pc]):
-            if r != pr:
-                factor = rows[r][pc] * minus_inv  # -a / pivot clears column pc of row r
-                _add_row(rows, cols, buckets, pr, r, factor % p if p else factor, p)
-        _pop_row(rows, cols, buckets, pr)
+        _pivot_out(rows, cols, buckets, pr, _sparsest_col(cols, rows[pr]), p)
         rk += 1
     return rk
+
+
+def _pivot_out(rows, cols, buckets, pr: int, pc: int, p: int) -> None:
+    """Clear column pc with row pr, reduced mod p unless p is 0, then drop row pr."""
+    piv = rows[pr][pc]
+    if p:
+        minus_inv = -pow(piv, -1, p)
+    else:  # a +-1 pivot is its own inverse, so integer rows stay ints
+        minus_inv = -piv if piv == 1 or piv == -1 else -1 / Fraction(piv)
+    for r in list(cols[pc]):
+        if r != pr:
+            factor = rows[r][pc] * minus_inv  # -a / pivot clears column pc of row r
+            _add_row(rows, cols, buckets, pr, r, factor % p if p else factor, p)
+    _pop_row(rows, cols, buckets, pr)
 
 
 def _echelon(
@@ -452,7 +460,7 @@ def _echelon(
     elimination order and rows maps surviving row indices to sparse rows.
     """
     fd = m.field
-    rows, cols, buckets = _index(m)
+    rows, cols, buckets = _index(m.entries.items())
     b = [fd.of(x) for x in rhs] if rhs is not None else None
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -525,25 +533,6 @@ def _back_substitute(fd: FieldSpec, rows, pivots, x: list[Scalar], rhs: Sequence
 # ---------------------------------------------------------------------------
 
 
-def _add_col(rows, cols, buckets, src: int, dst: int, factor: int) -> None:
-    """Column dst += factor * column src (src != dst), keeping the indexes in step."""
-    for r in list(cols.get(src, ())):
-        row = rows[r]
-        old = len(row)
-        new = row.get(dst, 0) + factor * row[src]
-        if new:
-            row[dst] = new
-            cols.setdefault(dst, set()).add(r)
-        elif dst in row:
-            del row[dst]
-            rest = cols[dst]
-            rest.discard(r)
-            if not rest:
-                del cols[dst]
-        if len(row) != old:
-            _rebucket(buckets, r, old, len(row))
-
-
 def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
     """A +-1 entry in the shortest row holding one, or (-1, -1) if there is none.
 
@@ -561,13 +550,18 @@ def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
 def smith_normal_form(m: ExactMatrix) -> SmithForm:
     """Smith normal form by sparse integer elimination.
 
-    Phase one diagonalises with integer row/column operations.  The pivot
+    Phase one diagonalises with integer row operations only.  The pivot
     is a +-1 entry from the shortest row that holds one (see
-    `_unit_pivot`): its column is cleared by row operations and its row
-    is dropped as a diagonal 1.  Only when no unit remains is the pivot
-    the entry of least absolute value, ties at the lowest (row, col); it
-    is reduced by gcd steps until its row and column are clear, and its
-    absolute value is peeled off whether or not it divides the rest.
+    `_unit_pivot`): its column is cleared and its row is dropped as a
+    diagonal 1, the step `rank` takes.  Only when no unit remains is the
+    pivot the entry of least absolute value, ties at the lowest (row,
+    col).  Its column is cleared by division with remainder; a remainder
+    is a smaller entry, and the pivot is picked anew.  When the column is
+    clear and the row is not, the rest of the matrix is re-indexed as its
+    transpose, which has the same Smith form, and the same pivot clears
+    its row there as a column; a pivot is transposed at most once.  Once
+    its row and column are clear, its absolute value is peeled off
+    whether or not it divides the rest.
     Phase two turns that diagonal into the divisibility chain, since
     diag(a, b) and diag(gcd, lcm) are equivalent: it exchanges gcd and
     lcm among the entries > 1 until each divides the next and puts the
@@ -577,45 +571,30 @@ def smith_normal_form(m: ExactMatrix) -> SmithForm:
     """
     if m.field != QQ or not all(type(v) is int for v in m.entries.values()):
         raise ValueError(f"Smith normal form needs an integer matrix, got {m!r}")
-    rows, cols, buckets = _index(m)
+    rows, cols, buckets = _index(m.entries.items())
     diagonal: list[int] = []
     while rows:
         pr, pc = _unit_pivot(rows, cols, buckets)
         if pr >= 0:
-            piv = rows[pr][pc]
-            for r in list(cols[pc]):
-                if r != pr:
-                    _add_row(rows, cols, buckets, pr, r, -rows[r][pc] * piv, 0)
-            _pop_row(rows, cols, buckets, pr)
+            _pivot_out(rows, cols, buckets, pr, pc, 0)
             diagonal.append(1)
             continue
         _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
         piv = rows[pr][pc]
-        # clear the pivot column, then the pivot row; a nonzero remainder
-        # produces a smaller entry and we re-select the pivot
-        dirty = False
-        for r in sorted(cols.get(pc, set())):
-            if r == pr:
-                continue
-            q = rows[r][pc] // piv
-            if q:
-                _add_row(rows, cols, buckets, pr, r, -q, 0)
-            if rows.get(r, {}).get(pc, 0) != 0:
-                dirty = True
-        if dirty:
-            continue
-        for c in sorted(rows.get(pr, {}).keys()):
-            if c == pc:
-                continue
-            q = rows[pr][c] // piv
-            if q:
-                _add_col(rows, cols, buckets, pc, c, -q)
-            if rows.get(pr, {}).get(c, 0) != 0:
-                dirty = True
-        if dirty or len(rows.get(pr, {})) > 1 or len(cols.get(pc, set())) > 1:
-            continue
-        diagonal.append(abs(piv))
-        _pop_row(rows, cols, buckets, pr)
+        while True:
+            for r in list(cols[pc]):
+                if r != pr:  # |rows[r][pc]| >= |piv|, so the quotient is never 0
+                    _add_row(rows, cols, buckets, pr, r, -(rows[r][pc] // piv), 0)
+            if len(cols[pc]) > 1 or len(rows[pr]) == 1:
+                break
+            # the column is clear and the row is not: clear the row as a
+            # column of the transpose, with the same pivot
+            rows, cols, buckets = _index(((c, r), v) for r, row in rows.items() for c, v in row.items())
+            pr, pc = pc, pr
+        if len(cols[pc]) == 1:  # the row is clear too
+            diagonal.append(abs(piv))
+            _pop_row(rows, cols, buckets, pr)
+        # otherwise a remainder is left: a smaller entry to pivot on
 
     # repair the divisibility chain (diag(a, b) ~ diag(gcd, lcm)); units
     # divide everything, so only the entries > 1 take part

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import prod
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -361,8 +360,7 @@ def _character_sum_betti(
     living = L.mask(v for v, nv in zip(L.vertices, n) if nv > 1)
     inner: dict[int, list[int]] = {}  # CN(s) & living -> index i holds the sum of the b~_{i-1}
     betti = [0] * (L.dim + 2)
-    for s in L.faces:
-        cn = L.common_neighbours(s)
+    for s, s_mask, cn in (f for k in range(-1, L.dim + 1) for f in L.face_masks(k)):
         key = cn & living
         sums = inner.get(key)
         if sums is None:
@@ -376,7 +374,7 @@ def _character_sum_betti(
             for u, count in subsets:
                 for i, b in enumerate(reduced_betti(L.subcomplex(L.core(u)), field).reduced_betti):
                     sums[i] += count * b
-        outside = ~(cn | L.mask(s))
+        outside = ~(cn | s_mask)
         weight = prod(nv for i, nv in enumerate(n) if outside >> i & 1)
         for i, b in enumerate(sums):
             if b:  # b sums the b~_{i-1}
@@ -400,12 +398,16 @@ def _check_betti(betti: Sequence[int], cells: Sequence[int], N: int) -> None:
             raise ArithmeticError(f"rank of d_{k + 1} would be {r}, outside [0, {limit}]")
 
 
+# rank_hook(q, degree, shape, compute) -> rank; see `cover_betti`
+RankHook = Callable[[FiniteQuotient, int, tuple[int, int], Callable[[], int]], int]
+
+
 def cover_betti(
     A: Raag,
     q: FiniteQuotient,
     field: FieldSpec,
     *,
-    rank_hook: Optional[Callable[[int, tuple[int, int], Callable[[], int]], int]] = None,
+    rank_hook: Optional[RankHook] = None,
 ) -> CoverHomologyReport:
     """Betti numbers of the finite cover determined by a quotient.
 
@@ -424,11 +426,12 @@ def cover_betti(
       to an N-fold block matrix and eliminated, so a 0-dimensional
       complex (a free group) eliminates nothing.
 
-    The optional ``rank_hook(degree, shape, compute)`` lets callers memoise
-    the eliminated ranks: ``shape`` is the (rows, cols) of the specialised
-    boundary and ``compute()`` returns its rank, building the matrix only
-    when called.  The hook returns the rank.  It sees degrees 2 and up of
-    explicit quotients only: d_1 and abelian quotients eliminate nothing.
+    The optional ``rank_hook(q, degree, shape, compute)`` lets callers
+    memoise the eliminated ranks: ``shape`` is the (rows, cols) of the
+    specialised boundary of degree ``degree`` over ``q`` and ``compute()``
+    returns its rank, building the matrix only when called.  The hook
+    returns the rank.  It sees degrees 2 and up of explicit quotients
+    only: d_1 and abelian quotients eliminate nothing.
     """
     if q.over != A:
         raise ValueError("quotient is for a different group")
@@ -447,7 +450,7 @@ def cover_betti(
                 return rank(specialize(salvetti_boundary(A, k, field), q))
 
             shape = (cells[k - 1] * N, cells[k] * N)
-            ranks[k] = compute() if rank_hook is None else rank_hook(k, shape, compute)
+            ranks[k] = compute() if rank_hook is None else rank_hook(q, k, shape, compute)
         betti = [cells[k] * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     return CoverHomologyReport(
         order=N,
@@ -467,20 +470,19 @@ def check_gradient_chain(chain: Sequence[FiniteQuotient], degree: int) -> None:
 
 def gradient_sequence(
     A: Raag, chain: Sequence[FiniteQuotient], field: FieldSpec, degree: int,
-    *, rank_hook: Optional[Callable[..., int]] = None,
+    *, rank_hook: Optional[RankHook] = None,
 ) -> list[Fraction]:
     """Normalised Betti numbers b_k/N along a chain of quotients.
 
     The values are reported raw; no convergence judgement is made.  The
-    optional ``rank_hook(q, degree, shape, compute)`` is `cover_betti`'s
-    hook with the quotient being computed passed first, so it too sees
-    only degrees 2 and up of explicit quotients.
+    optional ``rank_hook(q, degree, shape, compute)`` is passed to
+    `cover_betti` for every quotient of the chain unchanged, so it sees
+    only degrees 2 and up of the explicit quotients.
     """
     check_gradient_chain(chain, degree)
     out = []
     for q in chain:
-        hook = None if rank_hook is None else partial(rank_hook, q)
-        report = cover_betti(A, q, field, rank_hook=hook)
+        report = cover_betti(A, q, field, rank_hook=rank_hook)
         out.append(report.normalized[degree] if degree < len(report.betti) else Fraction(0))
     return out
 

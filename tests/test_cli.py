@@ -78,6 +78,13 @@ class TestBetti:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
+    def test_empty_out_path_is_input_error(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..1", "--out", "",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
 
 class TestErrors:
     def test_missing_file_is_input_error(self, workdir, capsys):
@@ -313,16 +320,6 @@ class TestGradient:
         code2, out2, _ = run_cli(capsys, *args)
         assert code2 == 0 and out1 == out2
 
-    def test_cache_env_var(self, workdir, capsys, monkeypatch):
-        cache = workdir / "envcache"
-        monkeypatch.setenv("AGRARIAN_CACHE", str(cache))
-        code, _, _ = run_cli(
-            capsys, "gradient", "--complex", "c4.json", "--field", "Q",
-            "--chain", "c4_z2.json", "--degree", "0",
-        )
-        assert code == 0
-        assert list(cache.glob("rank-*.json"))
-
     @pytest.mark.parametrize("field", ["Q", "F2"])
     def test_cache_entries_with_wrong_shape_or_no_schema_are_recomputed(self, workdir, capsys, field):
         cache = workdir / "cache"
@@ -371,6 +368,15 @@ class TestGradient:
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_empty_cache_path_is_input_error(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "gradient", "--complex", "c4.json", "--field", "Q",
+            "--chain", "c4_z2.json", "--degree", "1", "--cache", "",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+        assert not list(workdir.rglob("rank-*.json"))
 
     def test_abelian_chain_with_char_dividing_order(self, workdir, capsys):
         # N = n^4 reaches 2^40: only the character sum can take this chain

@@ -433,6 +433,10 @@ class TestSmithNormalForm:
     @example(IntMatrix.diagonal([4, 6]))
     @example(IntMatrix.diagonal([6, 10, 15]))
     @example(IntMatrix.from_rows([[4, 6], [6, 4]]))
+    # ties of least |value|: picking a new pivot after transposing cycles on both
+    @example(IntMatrix(4, 5, {(0, 0): 6, (0, 3): 2, (0, 4): 6, (1, 0): -2, (1, 3): 6, (1, 4): 6,
+                              (2, 0): -4, (2, 4): 4, (3, 0): 2, (3, 1): -4, (3, 2): 4, (3, 4): -2}))
+    @example(IntMatrix(4, 2, {(0, 0): -4, (0, 1): 2, (1, 0): 2, (2, 1): 2, (3, 0): -4, (3, 1): 6}))
     def test_matches_determinantal_divisors(self, m):
         # entries without units make the least-|value| pivot rule run
         ds = determinantal_divisors(dense_rows(m))

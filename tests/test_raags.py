@@ -424,14 +424,14 @@ class TestCharacterSum:
         for field in (QQ, F2):
             seen = []
 
-            def hook(degree, shape, compute):
+            def hook(q, degree, shape, compute):
                 r = compute()
-                seen.append((degree, shape, r))
+                seen.append((q, degree, shape, r))
                 return r
 
             report = cover_betti(A, explicit, field, rank_hook=hook)
             r2 = rank(specialize(salvetti_boundary(A, 2, field), explicit))
-            assert seen == [(2, (64, 64), r2)]  # rank d_1 is read from the orbits
+            assert seen == [(explicit, 2, (64, 64), r2)]  # rank d_1 is read from the orbits
             assert report.betti == cover_betti(A, explicit, field).betti
             seen.clear()
             assert cover_betti(A, abelian, field, rank_hook=hook).betti == report.betti
@@ -484,6 +484,22 @@ class TestGradientSequence:
         A = raag_two_points()
         with pytest.raises(ValueError):
             gradient_sequence(A, [abelian_quotient(A, {"a": 2, "b": 2})], QQ, -1)
+
+    def test_hook_sees_each_explicit_quotient_and_no_abelian_one(self):
+        A = raag_edge()
+        abelian = [abelian_quotient(A, {"a": n, "b": n}) for n in (1, 2, 3)]
+        explicit = [FiniteQuotient(A, q.order, q.action) for q in abelian]
+        chain = [abelian[0], explicit[0], explicit[1], abelian[1], explicit[2], abelian[2]]
+        seen = []
+
+        def hook(q, degree, shape, compute):
+            seen.append((q, degree, shape))
+            return compute()
+
+        vals = gradient_sequence(A, chain, QQ, 1, rank_hook=hook)
+        assert vals == gradient_sequence(A, chain, QQ, 1)
+        # the edge's Salvetti complex is the torus: d_2 is 2N x N, and d_1 comes from the orbits
+        assert seen == [(q, 2, (2 * q.order, q.order)) for q in explicit]
 
 
 class TestClosedForms:
