@@ -15,7 +15,6 @@ from .complexes import (
     HomologyProfile,
     SimplicialComplex,
     barycentric_subdivision,
-    betti_numbers,
     boundary_matrix,
     chain_boundary,
     flag_completion,
@@ -29,7 +28,6 @@ from .exact import (
     FieldSpec,
     IntMatrix,
     SmithForm,
-    betti_from_boundaries,
     nullspace,
     rank,
     smith_normal_form,
@@ -50,7 +48,6 @@ from .kernels import (
     LivingDeadPartition,
     PreconditionError,
     PushResult,
-    count_vertex_orbits,
     is_fpn,
     living_link,
     mve_positive_criterion,
@@ -72,7 +69,6 @@ from .raags import (
     graph_product_betti,
     salvetti_boundary,
     specialize,
-    weighted_nerve_betti,
 )
 
 __version__ = "0.1.0"

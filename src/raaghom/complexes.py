@@ -7,22 +7,30 @@ there.  A global vertex order is fixed at construction and every face,
 boundary sign, and matrix layout derives from it, so all outputs are
 deterministic.
 
-Flag complexes are built by one clique walk over vertex bitmasks: it
-pops the lowest vertex of a candidate mask and extends by the candidates
+A face is stored as its vertex mask, bit i standing for the i-th vertex,
+and the faces of each dimension are kept in the lexicographic order of
+their index tuples (`lex_order`).  Labels appear only where faces are
+read or written: the views ``faces`` and ``faces_of_dim``, ``sort_face``,
+``link``'s argument, JSON, chains and the witnesses of the finiteness
+checks.  A boundary is read off a mask: dropping bit i of a face f gives
+the facet f ^ (1 << i), with sign (-1) to the number of bits of f below i.
+
+Flag complexes are built by one clique walk over vertex masks: it pops
+the lowest vertex of a candidate mask and extends by the candidates
 adjacent to it, so it lists the cliques inside a mask per dimension,
 already in the order faces are kept in.  Clique completion, full
 subcomplexes and links of a flag complex, barycentric subdivisions and
 the flag test itself run this walk; full subcomplexes of a complex that
 is not flag keep the parent's faces inside the mask.
 
-Each complex carries one memo, keyed by vertex bitmasks over its own
-vertex order: full subcomplexes by mask, the reduced Betti profile per
-field, and the Smith form per boundary degree.  A complex never changes
-after construction, so nothing in the memo goes stale, and it is freed
-with the complex.  For a flag complex the link of a face s is the full
+Each complex carries one memo, keyed by vertex masks over its own vertex
+order: full subcomplexes by mask, the reduced Betti profile per field,
+and the Smith form per boundary degree.  A complex never changes after
+construction, so nothing in the memo goes stale, and it is freed with
+the complex.  For a flag complex the link of a face s is the full
 subcomplex on the common neighbours CN(s) of its vertices, so links are
-memo lookups by mask, and each face's mask and CN mask are listed once
-(``face_masks``).  The living links of an Artin kernel are the full
+memo lookups by mask, and each face's CN mask is listed once
+(``cn_masks``).  The living links of an Artin kernel are the full
 subcomplexes on CN(s) intersected with the living vertices, and
 ``is_n_acyclic_on`` tests them by mask: degrees -1 and 0 come from the
 mask itself (nonempty, connected), higher degrees from the subcomplex on
@@ -60,12 +68,13 @@ _LABEL_TYPES = {str, int}  # of a vertex label read from a file; bool is not int
 class SimplicialComplex:
     """A finite simplicial complex on an ordered vertex list.
 
-    Faces are stored explicitly (downward closed, including the empty
-    face) as tuples sorted by the global vertex order.  Bit i of a vertex
-    mask stands for ``vertices[i]``.
+    Faces, downward closed and the empty face included, are stored as
+    vertex masks, bit i standing for ``vertices[i]``, per dimension in the
+    lexicographic order of their index tuples (`lex_order`).  ``faces``
+    and ``faces_of_dim`` give them as tuples of labels in vertex order.
     """
 
-    __slots__ = ("vertices", "faces", "_index", "_by_dim", "_hash", "_memo")
+    __slots__ = ("vertices", "_index", "_by_dim", "_hash", "_memo")
 
     def __init__(
         self,
@@ -78,36 +87,32 @@ class SimplicialComplex:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        face_set: set[Face] = {()}
-        face_set.update((v,) for v in self.vertices)
+        by_size: dict[int, set[int]] = {0: {0}, 1: {1 << i for i in range(len(self.vertices))}}
         for f in faces:
-            face_set.add(self.sort_face(f))
+            m = self._face_mask(f)
+            by_size.setdefault(m.bit_count(), set()).add(m)
         if not closed:  # the vertices and the empty face are in already
-            for size in range(max(map(len, face_set)), 2, -1):
-                face_set.update(sub for f in list(face_set) if len(f) == size for sub in combinations(f, size - 1))
-        self.faces = frozenset(face_set)
-        by_dim: dict[int, list[Face]] = {}
-        for f in self.faces:
-            by_dim.setdefault(len(f) - 1, []).append(f)
-        for k in by_dim:
-            by_dim[k].sort(key=self._key)
-        self._by_dim = by_dim
+            for size in range(max(by_size), 2, -1):
+                below = by_size.setdefault(size - 1, set())
+                for m in by_size.get(size, ()):
+                    below.update(m ^ bit for bit in mask_bits(m))
+        key = lex_order(len(self.vertices))
+        self._by_dim = {size - 1: sorted(ms, key=key) for size, ms in sorted(by_size.items()) if ms}
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
-        # ("smith", k) -> SmithForm of d_k, ("masks", k) -> `face_masks(k)`,
-        # "adjacency", "flag", "core" -> core mask
+        # ("smith", k) -> SmithForm of d_k, "faces" -> the label view,
+        # "face set", "cn", "adjacency", "flag", "core" -> core mask
         self._memo: dict = {}
 
     @classmethod
-    def _of_cliques(cls, vertices: Sequence[Label], by_dim: dict[int, list[Face]]) -> "SimplicialComplex":
-        """The flag complex whose faces per dimension a clique walk listed, taken as they are."""
+    def _of_masks(cls, vertices: Sequence[Label], by_dim: dict[int, list[int]], **memo) -> "SimplicialComplex":
+        """The complex whose face masks per dimension are listed in order, taken as they are."""
         K = cls.__new__(cls)
         K.vertices = tuple(vertices)
         K._index = {v: i for i, v in enumerate(K.vertices)}
-        K.faces = frozenset(chain.from_iterable(by_dim.values()))
         K._by_dim = by_dim
         K._hash = None
-        K._memo = {"flag": True}
+        K._memo = memo
         return K
 
     # -- basic queries -------------------------------------------------------
@@ -115,36 +120,62 @@ class SimplicialComplex:
     def index(self, v: Label) -> int:
         return self._index[v]
 
-    def _key(self, face: Face) -> tuple:
-        return tuple(map(self._index.__getitem__, face))
+    def _face_mask(self, verts: Iterable[Label]) -> int:
+        """The mask of a face given by labels; an unknown or repeated vertex raises ValueError."""
+        vs = tuple(verts)
+        m = 0
+        for v in vs:
+            i = self._index.get(v)
+            if i is None:
+                raise ValueError(f"unknown vertex {v!r}")
+            m |= 1 << i
+        if m.bit_count() != len(vs):
+            raise ValueError(f"repeated vertex in face {vs!r}")
+        return m
+
+    def labels(self, m: int) -> Face:
+        """The labels of a mask's vertices, in vertex order."""
+        return tuple(self.vertices[bit.bit_length() - 1] for bit in mask_bits(m))
+
+    def _is_face(self, m: int) -> bool:
+        face_set = self._memo.get("face set")
+        if face_set is None:
+            face_set = self._memo["face set"] = frozenset(chain.from_iterable(self._by_dim.values()))
+        return m in face_set
 
     def sort_face(self, verts: Iterable[Label]) -> Face:
-        vs = tuple(verts)
-        for v in vs:
-            if v not in self._index:
-                raise ValueError(f"unknown vertex {v!r}")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in face {vs!r}")
-        return tuple(sorted(vs, key=self._index.__getitem__))
+        return self.labels(self._face_mask(verts))
+
+    @property
+    def faces(self) -> frozenset[Face]:
+        """Every face as a tuple of labels in vertex order, built on first use."""
+        view = self._memo.get("faces")
+        if view is None:
+            view = self._memo["faces"] = frozenset(map(self.labels, chain.from_iterable(self._by_dim.values())))
+        return view
 
     @property
     def dim(self) -> int:
         return max(self._by_dim)
 
     def faces_of_dim(self, k: int) -> list[Face]:
-        return list(self._by_dim.get(k, ()))
+        return [self.labels(m) for m in self._by_dim.get(k, ())]
+
+    def masks_of_dim(self, k: int) -> Sequence[int]:
+        """The k-faces as masks, in order; the complex's own list, which callers leave as it is."""
+        return self._by_dim.get(k, ())
 
     def n_faces(self, k: int) -> int:
         return len(self._by_dim.get(k, ()))
 
     def has_face(self, verts: Iterable[Label]) -> bool:
         try:
-            return self.sort_face(verts) in self.faces
+            return self._is_face(self._face_mask(verts))
         except ValueError:
             return False
 
     def adjacent(self, u: Label, v: Label) -> bool:
-        return u != v and self.sort_face((u, v)) in self.faces
+        return u != v and self._is_face(self._face_mask((u, v)))
 
     def edges(self) -> list[Face]:
         return self.faces_of_dim(1)
@@ -161,9 +192,10 @@ class SimplicialComplex:
         adjacency = self._memo.get("adjacency")
         if adjacency is None:
             adjacency = [0] * len(self.vertices)
-            for u, v in self._by_dim.get(1, ()):
-                adjacency[self._index[u]] |= 1 << self._index[v]
-                adjacency[self._index[v]] |= 1 << self._index[u]
+            for e in self._by_dim.get(1, ()):
+                low = e & -e
+                adjacency[low.bit_length() - 1] |= e ^ low
+                adjacency[e.bit_length() - 1] |= low
             self._memo["adjacency"] = adjacency
         return adjacency
 
@@ -175,14 +207,21 @@ class SimplicialComplex:
             m &= adjacency[self._index[v]]
         return m
 
-    def face_masks(self, k: int) -> list[tuple[Face, int, int]]:
-        """The k-faces in order, each with its vertex mask and CN mask, listed once per complex."""
-        listed = self._memo.get(("masks", k))
-        if listed is None:
-            listed = self._memo[("masks", k)] = [
-                (s, self.mask(s), self.common_neighbours(s)) for s in self._by_dim.get(k, ())
-            ]
-        return listed
+    def cn_masks(self) -> dict[int, int]:
+        """Each face's mask mapped to the mask of its common neighbours, faces in order; built once.
+
+        A face's CN mask is that of the face without its last vertex, cut
+        down to that vertex's neighbours.
+        """
+        cn = self._memo.get("cn")
+        if cn is None:
+            adjacency = self._adjacency()
+            cn = self._memo["cn"] = {0: (1 << len(self.vertices)) - 1}
+            for k in range(self.dim + 1):
+                for f in self._by_dim[k]:
+                    last = f.bit_length() - 1
+                    cn[f] = cn[f ^ 1 << last] & adjacency[last]
+        return cn
 
     def core(self, mask: int) -> int:
         """The mask left after removing dominated vertices from a mask U.
@@ -195,31 +234,11 @@ class SimplicialComplex:
         dominated.  A complex that is not flag keeps every vertex: its
         links need not be the full subcomplexes that make this test work.
         """
-        if not self.is_flag():
-            return mask
-        adjacency = self._adjacency()
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            rest = mask
-            while rest:
-                u_bit = rest & -rest
-                rest ^= u_bit
-                u = u_bit.bit_length() - 1
-                closed = (adjacency[u] | u_bit) & mask
-                others = adjacency[u] & mask
-                while others:
-                    v_bit = others & -others
-                    others ^= v_bit
-                    if not closed & ~(adjacency[v_bit.bit_length() - 1] | v_bit):
-                        mask ^= u_bit
-                        shrunk = True
-                        break
-        return mask
+        return _core(self._adjacency(), mask) if self.is_flag() else mask
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating face count with the empty face contributing -1."""
-        return sum((-1) ** (len(f) + 1) for f in self.faces)  # an int: the exponent is never negative
+        return sum(len(fs) if k % 2 == 0 else -len(fs) for k, fs in self._by_dim.items())
 
     # -- derived complexes -----------------------------------------------------
 
@@ -231,43 +250,37 @@ class SimplicialComplex:
         """The full subcomplex on the vertices in a mask, built once per mask.
 
         In a flag complex it is the clique complex on the mask, listed by
-        the clique walk; any other complex keeps its faces inside the mask.
+        the clique walk over the neighbour masks cut down to the mask; any
+        other complex keeps its faces inside the mask.
         """
         if mask == (1 << len(self.vertices)) - 1:
             return self
         sub = self._memo.get(mask)
         if sub is None:
-            sub_vertices = [v for i, v in enumerate(self.vertices) if mask >> i & 1]
+            bits = mask_bits(mask)
+            sub_vertices = [self.vertices[bit.bit_length() - 1] for bit in bits]
             if self.is_flag():
-                sub = SimplicialComplex._of_cliques(
-                    sub_vertices, _clique_walk(self.vertices, self._adjacency(), mask)
-                )
+                adjacency = self._adjacency()
+                sub_adjacency = _squeeze([adjacency[bit.bit_length() - 1] & mask for bit in bits], mask)
+                walk = _clique_walk(sub_adjacency, (1 << len(bits)) - 1)
+                sub = SimplicialComplex._of_masks(sub_vertices, walk, flag=True, adjacency=sub_adjacency)
             else:
-                sub_faces = [f for f in self.faces if not self.mask(f) & ~mask]
-                sub = SimplicialComplex(sub_vertices, sub_faces, closed=True)
+                sub = SimplicialComplex._of_masks(sub_vertices, _restrict(self._by_dim, mask))
             self._memo[mask] = sub
         return sub
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
         """The link {t : t disjoint from s, t union s a face} of a face s."""
-        s = self.sort_face(simplex)
-        if s not in self.faces:
-            raise ValueError(f"{s!r} is not a face")
+        s = self._face_mask(simplex)
+        if not self._is_face(s):
+            raise ValueError(f"{self.labels(s)!r} is not a face")
         if not s:
             return self
         if self.is_flag():
-            return self.subcomplex(self.common_neighbours(s))
-        s_set = set(s)
-        lk_faces = []
-        for f in self.faces:
-            if any(v in s_set for v in f):
-                continue
-            if self.sort_face(f + s) in self.faces:
-                lk_faces.append(f)
-        lk_vertices = sorted(
-            {f[0] for f in lk_faces if len(f) == 1}, key=self._index.__getitem__
-        )
-        return SimplicialComplex(lk_vertices, lk_faces, closed=True)
+            return self.subcomplex(self.cn_masks()[s])
+        lk = {k: [f for f in fs if not f & s and self._is_face(f | s)] for k, fs in self._by_dim.items()}
+        keep = sum(lk[0])
+        return SimplicialComplex._of_masks(self.labels(keep), _restrict(lk, keep))
 
     def is_flag(self) -> bool:
         """True when every pairwise-adjacent vertex set spans a face.
@@ -279,8 +292,8 @@ class SimplicialComplex:
         flag = self._memo.get("flag")
         if flag is None:
             full = (1 << len(self.vertices)) - 1
-            walk = _clique_walk(self.vertices, self._adjacency(), full, limit=len(self.faces))
-            flag = self._memo["flag"] = walk is not None
+            count = sum(map(len, self._by_dim.values()))
+            flag = self._memo["flag"] = _clique_walk(self._adjacency(), full, limit=count) is not None
         return flag
 
     # -- equality / hashing ------------------------------------------------------
@@ -288,11 +301,11 @@ class SimplicialComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self.faces == other.faces
+        return self.vertices == other.vertices and self._by_dim == other._by_dim
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vertices, self.faces))
+            self._hash = hash((self.vertices, tuple(tuple(fs) for _, fs in sorted(self._by_dim.items()))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -304,7 +317,7 @@ class SimplicialComplex:
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "faces": [list(f) for k in sorted(self._by_dim) if k >= 0 for f in self._by_dim[k]],
+            "faces": [list(self.labels(f)) for k in sorted(self._by_dim) if k >= 0 for f in self._by_dim[k]],
         }
 
     @classmethod
@@ -386,32 +399,82 @@ def json_vertex_map(
     return out
 
 
+def lex_order(n: int) -> Callable[[int], str]:
+    """The sort key that puts masks of one size over n vertices in the order of their index tuples.
+
+    Two such masks first differ at the lowest bit of their xor, and the one
+    holding it comes first: that is ascending order of the complemented
+    n-digit binary form read from bit 0 on.
+    """
+    full, digits = (1 << n) - 1, f"0{n}b"
+    return lambda m: format(m ^ full, digits)[::-1]
+
+
+def mask_bits(m: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while m:
+        bit = m & -m
+        out.append(bit)
+        m ^= bit
+    return out
+
+
+def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
+    """The masks, each inside ``keep``, with the bits of ``keep`` renumbered 0, 1, ... in order.
+
+    A bit of ``keep`` moves to the number of bits of ``keep`` below it.
+    """
+    out = []
+    for m in masks:
+        squeezed = 0
+        while m:
+            bit = m & -m
+            m ^= bit
+            squeezed |= 1 << (keep & (bit - 1)).bit_count()
+        out.append(squeezed)
+    return out
+
+
+def _restrict(by_dim: dict[int, list[int]], mask: int) -> dict[int, list[int]]:
+    """The faces inside a mask per dimension, in the mask's own vertex numbering.
+
+    Renumbering keeps the order of the vertices, so it keeps the order of
+    the faces; dimensions left without a face are dropped.
+    """
+    out = {}
+    for k, fs in by_dim.items():
+        inside = [f for f in fs if not f & ~mask]
+        if inside:
+            out[k] = _squeeze(inside, mask)
+    return out
+
+
 def _clique_walk(
-    labels: Sequence[Label], adjacency: Sequence[int], mask: int, limit: Optional[int] = None
-) -> Optional[dict[int, list[Face]]]:
-    """The cliques inside a vertex mask per dimension, each list in vertex order.
+    adjacency: Sequence[int], mask: int, limit: Optional[int] = None
+) -> Optional[dict[int, list[int]]]:
+    """The cliques inside a vertex mask per dimension, as masks, each list in order.
 
     A clique grows only by candidates after its last vertex: popping the
     lowest bit i leaves the higher candidates, and those adjacent to i
     extend the new clique, so only the bits above i of ``adjacency[i]``
-    are read.  Each dimension is grown from the sorted one below, so it
-    comes out sorted.  Faces are tuples of ``labels[i]``, the empty one
-    included.  With a limit the walk returns None as soon as it has found
-    more cliques than that.
+    are read.  Each dimension is grown from the ordered one below, so it
+    comes out in lexicographic order.  The empty clique is included.
+    With a limit the walk returns None as soon as it has found more
+    cliques than that.
     """
-    by_dim: dict[int, list[Face]] = {-1: [()]}
-    faces, candidates = [()], [mask]
+    by_dim: dict[int, list[int]] = {-1: [0]}
+    faces, candidates = [0], [mask]
     found = 1
     while True:
-        grown: list[Face] = []
+        grown: list[int] = []
         grown_candidates: list[int] = []
         for face, cand in zip(faces, candidates):
             while cand:
                 bit = cand & -cand
                 cand ^= bit
-                i = bit.bit_length() - 1
-                grown.append(face + (labels[i],))
-                grown_candidates.append(cand & adjacency[i])
+                grown.append(face | bit)
+                grown_candidates.append(cand & adjacency[bit.bit_length() - 1])
             if limit is not None and found + len(grown) > limit:
                 return None
         if not grown:
@@ -419,6 +482,28 @@ def _clique_walk(
         by_dim[len(by_dim) - 1] = faces = grown
         candidates = grown_candidates
         found += len(grown)
+
+
+def _core(adjacency: Sequence[int], mask: int) -> int:
+    """`SimplicialComplex.core` of a flag complex with these neighbour masks."""
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        rest = mask
+        while rest:
+            u_bit = rest & -rest
+            rest ^= u_bit
+            u = u_bit.bit_length() - 1
+            closed = (adjacency[u] | u_bit) & mask
+            others = adjacency[u] & mask
+            while others:
+                v_bit = others & -others
+                others ^= v_bit
+                if not closed & ~(adjacency[v_bit.bit_length() - 1] | v_bit):
+                    mask ^= u_bit
+                    shrunk = True
+                    break
+    return mask
 
 
 def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]]) -> SimplicialComplex:
@@ -437,28 +522,30 @@ def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]])
             raise ValueError(f"edge {pair!r} uses unknown vertex")
         adjacency[index[u]] |= 1 << index[v]
         adjacency[index[v]] |= 1 << index[u]
-    K = SimplicialComplex._of_cliques(verts, _clique_walk(verts, adjacency, (1 << len(verts)) - 1))
-    K._memo["adjacency"] = adjacency
-    return K
+    walk = _clique_walk(adjacency, (1 << len(verts)) - 1)
+    return SimplicialComplex._of_masks(verts, walk, flag=True, adjacency=adjacency)
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Vertices are the nonempty faces of K, faces are chains under inclusion.
 
     The chains are the cliques of the comparability graph of K's faces.
-    Cells are ordered by size, so every proper superset of a cell comes
-    after it and the walk needs only the supersets.  The result is always
-    flag, which is how flag triangulations of arbitrary complexes are
-    produced here.
+    Cells are K's faces in their order, by dimension first, so every
+    proper superset of a cell comes after it and the walk needs only the
+    supersets.  A cell is labelled by its tuple of K's labels.  The result
+    is always flag, which is how flag triangulations of arbitrary
+    complexes are produced here.
     """
-    cells = sorted((f for f in K.faces if f), key=lambda f: (len(f), K._key(f)))
+    cells = [f for k in range(K.dim + 1) for f in K.masks_of_dim(k)]
     position = {f: i for i, f in enumerate(cells)}
     supersets = [0] * len(cells)
     for j, g in enumerate(cells):
-        for size in range(1, len(g)):
-            for f in combinations(g, size):
-                supersets[position[f]] |= 1 << j
-    return SimplicialComplex._of_cliques(cells, _clique_walk(cells, supersets, (1 << len(cells)) - 1))
+        f = (g - 1) & g
+        while f:  # every nonempty proper submask of g
+            supersets[position[f]] |= 1 << j
+            f = (f - 1) & g
+    walk = _clique_walk(supersets, (1 << len(cells)) - 1)
+    return SimplicialComplex._of_masks([K.labels(f) for f in cells], walk, flag=True)
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> IntMatrix:
@@ -466,22 +553,21 @@ def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> Int
 
     Rows are (k-1)-faces, columns are k-faces.  With ``augmented`` the
     degree-0 matrix maps each vertex to the empty face with coefficient 1;
-    without it the degree-0 matrix has no rows.
+    without it the degree-0 matrix has no rows.  Dropping bit i of a face
+    f gives the row f ^ (1 << i), with sign (-1) to the number of bits of
+    f below i, its position in the face.
     """
     if not 0 <= k <= K.dim + 1:
         raise ValueError(f"degree {k} out of range for a complex of dimension {K.dim}")
-    cols = K.faces_of_dim(k)
-    if k == 0:
-        rows = [()] if augmented else []
-    else:
-        rows = K.faces_of_dim(k - 1)
+    cols = K.masks_of_dim(k)
+    rows = ([0] if augmented else []) if k == 0 else K.masks_of_dim(k - 1)
     row_pos = {f: i for i, f in enumerate(rows)}
     m = IntMatrix(len(rows), len(cols))
     for j, f in enumerate(cols):  # the entries are in bounds and +-1, so they go straight in
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1 :]
-            if sub in row_pos:
-                m.entries[(row_pos[sub], j)] = (-1) ** i
+        for i, bit in enumerate(mask_bits(f)):
+            row = row_pos.get(f ^ bit)
+            if row is not None:
+                m.entries[(row, j)] = (-1) ** i
     return m
 
 
@@ -544,15 +630,6 @@ def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
         padded = profile.reduced_betti + (0,) * (K.dim - core.dim)
         profile = K._memo[field] = HomologyProfile(field=field, reduced_betti=padded)
     return profile
-
-
-def betti_numbers(K: SimplicialComplex, field: FieldSpec, *, reduced: bool = True) -> list[int]:
-    """Betti numbers in degrees 0..dim; the unreduced ones differ only in b_0."""
-    profile = reduced_betti(K, field)
-    values = list(profile.reduced_betti[1:])
-    if not reduced and K.dim >= 0:
-        values[0] += 1 - profile.reduced_betti[0]  # put back the component lost to reduction
-    return values
 
 
 def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
@@ -630,14 +707,24 @@ def is_n_acyclic_on(K: SimplicialComplex, mask: int, n: int, field: FieldSpec) -
 
     Degrees -1 and 0 are read from the mask over every field: b~_{-1}
     vanishes when the mask is nonempty, and b~_0 too when its 1-skeleton
-    is connected.  From n = 1 on, the subcomplex on the mask's core is
-    read, so masks with one core share one entry of K's memo.
+    is connected.  From n = 1 on, `reduced_betti_on` the mask is read.
+    K must be flag, which the callers check once.
     """
     if n < 0:
         return n < -1 or mask != 0
     if n == 0:
         return _component_count(K, mask) == 1
-    return is_n_acyclic(K.subcomplex(K.core(mask)), n, field)
+    return not any(reduced_betti_on(K, mask, field).reduced_betti[: n + 2])
+
+
+def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> HomologyProfile:
+    """`reduced_betti` of the full subcomplex on a mask's core, K being flag.
+
+    The core has the homology of the full subcomplex on the mask, and masks
+    with one core share one entry of K's memo.  K must be flag, which the
+    callers check once, where `core` checks it on every call.
+    """
+    return reduced_betti(K.subcomplex(_core(K._adjacency(), mask)), field)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ one); `over_field` reads it over F_p by reducing each entry and over Q
 returns it unchanged, and `smith_normal_form` takes only such a matrix.
 Matrices are stored sparsely as {(row, col): value} with no explicit
 zeros.  Every elimination indexes the nonzeros by row and by column and
-keeps the rows in buckets by number of nonzeros, and every elimination
-step is one row operation, `_add_row`: row dst += factor * row src,
+keeps the rows in buckets by number of nonzeros, each bucket in
+ascending row order, and every elimination step is one row operation, `_add_row`: row dst += factor * row src,
 reduced mod p over F_p, with both indexes and the buckets kept in step.
 Each caller has one pivot rule:
 - `rank` pivots in the lowest-index shortest row, on its entry whose
@@ -36,6 +36,7 @@ the rest of the matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -335,39 +336,41 @@ class SmithForm:
 # ---------------------------------------------------------------------------
 
 
-def _index(entries) -> tuple[dict, dict[int, set[int]], dict[int, set[int]]]:
-    """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: {r, ...}}.
+def _index(entries) -> tuple[dict, dict[int, set[int]], dict[int, list[int]]]:
+    """Nonzeros by row {r: {c: v}} and by column {c: {r, ...}}, and row ids by length {nnz: [r, ...]}.
 
-    ``entries`` is an iterable of ((row, col), value) pairs with no zero value.
+    ``entries`` is an iterable of ((row, col), value) pairs with no zero
+    value.  Each bucket lists its row ids in ascending order.
     """
     rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries:
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    buckets: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        buckets.setdefault(len(row), set()).add(r)
+    buckets: dict[int, list[int]] = {}
+    for r in sorted(rows):
+        buckets.setdefault(len(rows[r]), []).append(r)
     return rows, cols, buckets
 
 
-def _rebucket(buckets: dict[int, set[int]], r: int, old: int, new: int) -> None:
+def _rebucket(buckets: dict[int, list[int]], r: int, old: int, new: int) -> None:
     """Move row r from the bucket for length old to the one for length new.
 
     Length 0 means "no row": old == 0 only adds, new == 0 only removes.
-    Empty buckets are deleted, so ``min(buckets)`` is the shortest row length.
+    Empty buckets are deleted, so ``min(buckets)`` is the shortest row length,
+    and each bucket stays in ascending order, found by bisection.
     """
     if old:
         bucket = buckets[old]
-        bucket.discard(r)
+        del bucket[bisect_left(bucket, r)]
         if not bucket:
             del buckets[old]
     if new:
         bucket = buckets.get(new)
         if bucket is None:
-            buckets[new] = {r}
+            buckets[new] = [r]
         else:
-            bucket.add(r)
+            insort(bucket, r)
 
 
 def _pop_row(rows, cols, buckets, r: int) -> None:
@@ -431,7 +434,7 @@ def rank(m: ExactMatrix) -> int:
     rows, cols, buckets = _index(m.entries.items())
     rk = 0
     while buckets:
-        pr = min(buckets[min(buckets)])
+        pr = buckets[min(buckets)][0]
         _pivot_out(rows, cols, buckets, pr, _sparsest_col(cols, rows[pr]), p)
         rk += 1
     return rk
@@ -540,7 +543,7 @@ def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
     the unit whose column has the fewest nonzeros wins, lowest column on ties.
     """
     for length in sorted(buckets):
-        for r in sorted(buckets[length]):
+        for r in buckets[length]:
             pc = _sparsest_col(cols, [c for c, v in rows[r].items() if v == 1 or v == -1])
             if pc >= 0:
                 return r, pc
@@ -611,28 +614,3 @@ def smith_normal_form(m: ExactMatrix) -> SmithForm:
     ds.sort()
     units = len(diagonal) - len(ds)
     return SmithForm(rank=len(diagonal), elementary_divisors=(1,) * units + tuple(ds))
-
-
-# ---------------------------------------------------------------------------
-# Betti numbers from a pair of consecutive boundaries
-# ---------------------------------------------------------------------------
-
-
-def betti_from_boundaries(d_k: ExactMatrix, d_k1: ExactMatrix) -> int:
-    """dim ker(d_k) - rank(d_k1) for consecutive boundary matrices.
-
-    d_k has columns indexed by k-cells, d_k1 by (k+1)-cells; the pair must
-    compose to zero.
-    """
-    if d_k.field != d_k1.field:
-        raise ValueError("boundary matrices over different fields")
-    if d_k.cols != d_k1.rows:
-        raise ValueError(
-            f"boundaries do not compose: d_k is {d_k.rows}x{d_k.cols}, "
-            f"d_k1 is {d_k1.rows}x{d_k1.cols}"
-        )
-    if not d_k.mul(d_k1).is_zero():
-        raise ValueError("d_k . d_{k+1} != 0")
-    b = d_k.cols - rank(d_k) - rank(d_k1)
-    assert b >= 0
-    return b

@@ -164,6 +164,14 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
     return FibringReport(L, ring, n, True, (ones,), None)
 
 
+def _check_search(L: SimplicialComplex, bound: int) -> None:
+    """Raise ValueError unless bound >= 1 and L is flag, once per search over living sets."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if not L.is_flag():
+        raise ValueError("finiteness checking needs a flag complex")
+
+
 def find_characters(
     L: SimplicialComplex, n: int, field: FieldSpec, bound: int
 ) -> list[tuple[int, ...]]:
@@ -175,8 +183,7 @@ def find_characters(
     living set is checked once and all its surjective value tuples are
     emitted.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_search(L, bound)
     nonzero = tuple(x for x in range(-bound, bound + 1) if x)
     out = []
     for living in range(1, 1 << len(L.vertices)):
@@ -199,12 +206,11 @@ def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: in
     the living set of a character, and every nonempty living set is
     realised at any bound >= 1, so the scan runs over living sets.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_search(L, bound)
     acyclic_links = 0  # vertices whose link, the full subcomplex on CN(v), is (n-1)-acyclic
-    for _, v_mask, cn in L.face_masks(0):
-        if is_n_acyclic_on(L, cn, n - 1, field):
-            acyclic_links |= v_mask
+    for i, v in enumerate(L.vertices):
+        if is_n_acyclic_on(L, L.common_neighbours((v,)), n - 1, field):
+            acyclic_links |= 1 << i
     verdicts = set()
     for living in range(1, 1 << len(L.vertices)):
         if living_set_violation(L, living, n, field) is None:

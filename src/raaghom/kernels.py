@@ -35,6 +35,7 @@ from .complexes import (
     json_int,
     json_object,
     json_vertex_map,
+    lex_order,
     oriented_face,
     reduced_betti,
 )
@@ -164,6 +165,8 @@ def fpn_violation(
     """
     if phi.complex != L:
         raise ValueError("character is not defined on this complex")
+    if not L.is_flag():
+        raise ValueError("finiteness checking needs a flag complex")
     return living_set_violation(L, L.mask(phi.living_vertices()), n, field)
 
 
@@ -179,17 +182,17 @@ def living_set_violation(
     mask alone (nonempty, connected), higher degrees from the subcomplex on
     the mask's core.  Dead simplices of dimension above n impose vacuous
     conditions, and L has none above its dimension, so the scan stops at
-    the smaller.  The faces, with their masks and CN masks, are listed
-    once per complex (`face_masks`).
+    the smaller.  Each face's CN mask is listed once per complex
+    (`cn_masks`).  L must be flag: the searches check that once, and
+    `fpn_violation` on each call.
     """
-    if not L.is_flag():
-        raise ValueError("finiteness checking needs a flag complex")
     if not is_n_acyclic_on(L, living, n - 1, field):
         return ()
+    cn = L.cn_masks()
     for k in range(0, min(n, L.dim) + 1):
-        for s, s_mask, cn in L.face_masks(k):
-            if not s_mask & living and not is_n_acyclic_on(L, cn & living, n - k - 1, field):
-                return s
+        for s in L.masks_of_dim(k):
+            if not s & living and not is_n_acyclic_on(L, cn[s] & living, n - k - 1, field):
+                return L.labels(s)
     return None
 
 
@@ -226,13 +229,6 @@ def kernel_betti(
         if w:
             total += w * reduced_betti(L.link((v,)), field).betti(m - 1)
     return total
-
-
-def count_vertex_orbits(L: SimplicialComplex, phi: Character, v) -> int:
-    """Number of level-set components over a living vertex: |phi(v)|."""
-    if phi(v) == 0:
-        raise PreconditionError(f"vertex {v!r} is dead")
-    return abs(phi(v))
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +289,6 @@ def push_cycle_to_living(
                 f"kernel is not FP_{n} over {field.token()} (dead simplex {bad!r})"
             )
 
-    def living_count(face: Face) -> int:
-        return sum(1 for u in face if phi(u) != 0)
-
-    def dead_part(face: Face) -> Face:
-        return tuple(u for u in face if phi(u) == 0)
-
     def add_term(acc: dict, face: Face, coef: Scalar) -> None:
         new = field.add(acc.get(face, field.zero), coef)
         if new == 0:
@@ -319,22 +309,27 @@ def push_cycle_to_living(
 
     current: dict[Face, Scalar] = dict(z.coefficients)
     witness: dict[Face, Scalar] = {}
+    living = L.mask(phi.living_vertices())
+    order = lex_order(len(L.vertices))
 
     for m in range(0, n):
         while True:
-            groups: dict[Face, list[Face]] = {}
+            groups: dict[int, list[Face]] = {}  # by the mask of the dead part
             for face in current:
-                if living_count(face) == m:
-                    groups.setdefault(dead_part(face), []).append(face)
+                f = L.mask(face)
+                if (f & living).bit_count() == m:
+                    groups.setdefault(f & ~living, []).append(face)
             if not groups:
                 break
-            lam = min(groups, key=L._key)
+            # every dead part has n - m vertices, so lex_order applies
+            lam_mask = min(groups, key=order)
+            lam = L.labels(lam_mask)
             # the support simplices containing lam; peel off lam and fill
             # the living (m-1)-cycle that remains, augmented when m = 0
             cone = living_link(L, phi, (v,) + lam)
             row_pos = {f: i for i, f in enumerate(cone.faces_of_dim(m - 1))}
             rhs = [field.zero] * len(row_pos)
-            for s in groups[lam]:
+            for s in groups[lam_mask]:
                 tau = tuple(u for u in s if phi(u) != 0)
                 _, eps = oriented_face(lam + tau, L)
                 i = row_pos[tau]

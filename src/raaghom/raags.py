@@ -29,7 +29,9 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, json_int, json_object, json_vertex_map, reduced_betti
+from .complexes import (
+    SimplicialComplex, json_int, json_object, json_vertex_map, mask_bits, reduced_betti, reduced_betti_on,
+)
 from .exact import ExactMatrix, FieldSpec, rank
 
 
@@ -116,13 +118,13 @@ def salvetti_boundary(A: Raag, k: int, field: FieldSpec) -> SalvettiBoundary:
     L = A.complex
     if not 0 <= k <= L.dim + 2:
         raise ValueError(f"degree {k} out of range")
-    rows = L.faces_of_dim(k - 2) if k >= 1 else []
-    cols = L.faces_of_dim(k - 1)
+    rows = L.masks_of_dim(k - 2) if k >= 1 else []
+    cols = L.masks_of_dim(k - 1)
     row_pos = {f: i for i, f in enumerate(rows)}
     entries = {}
     for j, s in enumerate(cols):
-        for i, v in enumerate(s):  # i is 0-based; the sign is (-1)^i
-            entries[(row_pos[s[:i] + s[i + 1 :]], j)] = (v, (-1) ** i)
+        for i, bit in enumerate(mask_bits(s)):  # i is 0-based; the sign is (-1)^i
+            entries[(row_pos[s ^ bit], j)] = (L.vertices[bit.bit_length() - 1], (-1) ** i)
     return SalvettiBoundary(len(rows), len(cols), A, field, entries)
 
 
@@ -360,7 +362,7 @@ def _character_sum_betti(
     living = L.mask(v for v, nv in zip(L.vertices, n) if nv > 1)
     inner: dict[int, list[int]] = {}  # CN(s) & living -> index i holds the sum of the b~_{i-1}
     betti = [0] * (L.dim + 2)
-    for s, s_mask, cn in (f for k in range(-1, L.dim + 1) for f in L.face_masks(k)):
+    for s, cn in L.cn_masks().items():
         key = cn & living
         sums = inner.get(key)
         if sums is None:
@@ -372,13 +374,13 @@ def _character_sum_betti(
                 rest ^= bit
                 subsets += [(u | bit, c * (n[bit.bit_length() - 1] - 1)) for u, c in subsets]
             for u, count in subsets:
-                for i, b in enumerate(reduced_betti(L.subcomplex(L.core(u)), field).reduced_betti):
+                for i, b in enumerate(reduced_betti_on(L, u, field).reduced_betti):
                     sums[i] += count * b
-        outside = ~(cn | s_mask)
+        outside = ~(cn | s)
         weight = prod(nv for i, nv in enumerate(n) if outside >> i & 1)
         for i, b in enumerate(sums):
             if b:  # b sums the b~_{i-1}
-                betti[len(s) + i] += weight * b
+                betti[s.bit_count() + i] += weight * b
     return betti
 
 
@@ -505,29 +507,3 @@ def graph_product_betti(K: SimplicialComplex, field: FieldSpec, degree: int) -> 
     ValueError otherwise), and the value is that of the RAAG on K.
     """
     return dfg_betti_raag(Raag(K), field, degree)
-
-
-def weighted_nerve_betti(
-    K: SimplicialComplex,
-    weights: Mapping[object, int],
-    field: FieldSpec,
-    degree: int,
-) -> int:
-    """Weighted sum of link Betti numbers over a scattered vertex set.
-
-    ``weights`` assigns a positive multiplicity to each chosen vertex; the
-    chosen vertices must be pairwise nonadjacent in K.  Returns
-    sum_a n_a * b~_{degree-1}(link(a); field).
-    """
-    chosen = sorted(weights, key=K.index)
-    for v in chosen:
-        if weights[v] < 1:
-            raise ValueError(f"weight of {v!r} must be positive")
-    for i, u in enumerate(chosen):
-        for v in chosen[i + 1 :]:
-            if K.adjacent(u, v):
-                raise ValueError(f"weighted vertices {u!r}, {v!r} are adjacent")
-    total = 0
-    for v in chosen:
-        total += weights[v] * reduced_betti(K.link((v,)), field).betti(degree - 1)
-    return total

@@ -194,3 +194,80 @@ def living_set_character_sum(L, moduli, field) -> list[int]:
             for i, b in enumerate(reduced_betti(L.subcomplex(L.common_neighbours(s) & w), field).reduced_betti):
                 betti[len(s) + i] += count * b  # b is b~_{i-1}
     return betti
+
+
+class TupleComplex:
+    """A simplicial complex kept as tuples of labels, the reference for the mask representation.
+
+    Faces are closed under subsets by `combinations`, each sorted by the
+    vertex order, and each dimension is listed in the order of the faces'
+    index tuples.  The boundary deletes one vertex at a time, with sign
+    (-1)^position; links and full subcomplexes are read off the face set.
+    """
+
+    def __init__(self, vertices, faces) -> None:
+        self.vertices = tuple(vertices)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        closed = {()} | {(v,) for v in self.vertices}
+        for f in faces:
+            f = tuple(sorted(f, key=self.index.__getitem__))
+            for size in range(1, len(f) + 1):
+                closed.update(combinations(f, size))
+        self.faces = frozenset(closed)
+
+    @classmethod
+    def clique_complex(cls, vertices, edges) -> "TupleComplex":
+        """Every vertex set whose pairs are all edges is a face."""
+        adjacent = {frozenset(e) for e in edges}
+        vertices = tuple(vertices)
+        cliques = [
+            sub
+            for size in range(1, len(vertices) + 1)
+            for sub in combinations(vertices, size)
+            if all(frozenset(p) in adjacent for p in combinations(sub, 2))
+        ]
+        return cls(vertices, cliques)
+
+    def faces_of_dim(self, k: int) -> list[tuple]:
+        key = lambda f: [self.index[v] for v in f]  # noqa: E731
+        return sorted((f for f in self.faces if len(f) == k + 1), key=key)
+
+    @property
+    def dim(self) -> int:
+        return max(len(f) for f in self.faces) - 1
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vertices": list(self.vertices),
+            "faces": [list(f) for k in range(self.dim + 1) for f in self.faces_of_dim(k)],
+        }
+
+    def boundary_entries(self, k: int, augmented: bool = True) -> dict:
+        rows = ([()] if augmented else []) if k == 0 else self.faces_of_dim(k - 1)
+        row_pos = {f: i for i, f in enumerate(rows)}
+        entries = {}
+        for j, f in enumerate(self.faces_of_dim(k)):
+            for i in range(len(f)):
+                sub = f[:i] + f[i + 1 :]
+                if sub in row_pos:
+                    entries[(row_pos[sub], j)] = (-1) ** i
+        return entries
+
+    def _sorted(self, verts) -> tuple:
+        return tuple(sorted(verts, key=self.index.__getitem__))
+
+    def link(self, s: tuple) -> "TupleComplex":
+        faces = [t for t in self.faces if not set(t) & set(s) and self._sorted(t + s) in self.faces]
+        return TupleComplex(self._sorted({v for t in faces for v in t}), faces)
+
+    def full_subcomplex(self, keep) -> "TupleComplex":
+        keep = set(keep)
+        faces = [f for f in self.faces if keep.issuperset(f)]
+        return TupleComplex([v for v in self.vertices if v in keep], faces)
+
+    def is_flag(self) -> bool:
+        edges = {frozenset(f) for f in self.faces if len(f) == 2}
+        return self.faces == TupleComplex.clique_complex(self.vertices, edges).faces
+
+    def euler_characteristic_reduced(self) -> int:
+        return sum((-1) ** (len(f) + 1) for f in self.faces)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +16,13 @@ from raaghom.complexes import (
     ChainVector,
     SimplicialComplex,
     barycentric_subdivision,
-    betti_numbers,
     boundary_matrix,
     chain_boundary,
     flag_completion,
     integral_homology,
     is_n_acyclic,
     is_n_acyclic_on,
+    lex_order,
     oriented_face,
     reduced_betti,
 )
@@ -30,7 +31,7 @@ from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 from fixtures import (
     c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
 )
-from oracles import dense_rank_mod_p, dense_rank_rationals
+from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
@@ -386,6 +387,64 @@ class TestCliqueWalk:
             assert B.is_flag()
 
 
+@st.composite
+def labelled_complexes(draw, max_vertices: int = 7) -> tuple[list[str], Optional[list], Optional[list]]:
+    """(labels, faces, None) for a complex given by faces, or (labels, None, edges) for a flag one.
+
+    Labels come in an order unlike their sorted order, and each face lists
+    its vertices in a random order.
+    """
+    labels, edges = draw(labelled_graphs(max_vertices))
+    if draw(st.booleans()) or not labels:
+        return labels, None, edges
+    faces = draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True), max_size=10))
+    return labels, faces, None
+
+
+class TestMaskRepresentation:
+    """Faces stored as masks read the same as `oracles.TupleComplex`, which keeps label tuples."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(labelled_complexes())
+    @example((["b", "a", "c"], [["c", "a"], ["a", "b", "c"]], None))
+    @example((["b", "a", "c"], [["c", "a"], ["b", "c"], ["a", "b"]], None))  # a hollow triangle: not flag
+    def test_matches_the_tuple_representation(self, complex_input):
+        labels, faces, edges = complex_input
+        if edges is None:
+            K, T = SimplicialComplex(labels, faces), TupleComplex(labels, faces)
+        else:
+            K, T = flag_completion(labels, edges), TupleComplex.clique_complex(labels, edges)
+        assert K.vertices == T.vertices and K.faces == T.faces and K.dim == T.dim
+        for k in range(-1, K.dim + 2):
+            assert K.faces_of_dim(k) == T.faces_of_dim(k)
+            # the masks of a dimension are in the order of the faces' index tuples
+            assert list(K.masks_of_dim(k)) == [K.mask(f) for f in T.faces_of_dim(k)]
+        assert K.to_json_dict() == T.to_json_dict()
+        for k in range(K.dim + 2):
+            for augmented in (True, False):
+                entries = boundary_matrix(K, k, augmented).entries
+                assert list(entries.items()) == list(T.boundary_entries(k, augmented).items())
+        assert K.is_flag() == T.is_flag()
+        assert K.euler_characteristic_reduced() == T.euler_characteristic_reduced()
+        for s in T.faces:
+            lk, expected = K.link(s), T.link(s)
+            assert lk.vertices == expected.vertices and lk.to_json_dict() == expected.to_json_dict()
+        for mask in range(1 << len(labels)):
+            sub = K.subcomplex(mask)
+            expected = T.full_subcomplex(v for i, v in enumerate(labels) if mask >> i & 1)
+            assert sub.vertices == expected.vertices and sub.to_json_dict() == expected.to_json_dict()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))).flatmap(
+        lambda nk: st.tuples(st.just(nk[0]), st.lists(st.sets(st.integers(0, nk[0] - 1), min_size=nk[1],
+                                                                 max_size=nk[1]), min_size=1, max_size=20))))
+    def test_lex_order_is_index_tuple_order(self, sized_sets):
+        n, sets = sized_sets
+        masks = [sum(1 << i for i in s) for s in sets]
+        by_tuple = [sum(1 << i for i in t) for t in sorted(tuple(sorted(s)) for s in sets)]
+        assert sorted(masks, key=lex_order(n)) == by_tuple
+
+
 class TestBoundaryMatrix:
     def test_single_edge_column(self):
         K = SimplicialComplex("uv", [("u", "v")])
@@ -478,11 +537,6 @@ class TestReducedBetti:
     def test_octahedron_sphere(self):
         prof = reduced_betti(octahedron(), QQ)
         assert (prof.betti(0), prof.betti(1), prof.betti(2)) == (0, 0, 1)
-
-    def test_unreduced_flag(self):
-        K = SimplicialComplex("ab", [("a",), ("b",)])
-        assert betti_numbers(K, QQ, reduced=True)[0] == 1
-        assert betti_numbers(K, QQ, reduced=False)[0] == 2
 
     def test_euler_characteristic_matches_face_count(self):
         rng = random.Random(777)

@@ -19,7 +19,6 @@ from raaghom.exact import (
     IntMatrix,
     SmithForm,
     _is_prime,
-    betti_from_boundaries,
     nullspace,
     rank,
     smith_normal_form,
@@ -473,29 +472,6 @@ class TestSmithNormalForm:
         sf = smith_normal_form(m)
         assert sf.elementary_divisors == (2, 4)
         assert sf.torsion_divisors == (2, 4)
-
-
-class TestBettiFromBoundaries:
-    def test_both_zero_shared_dimension(self):
-        d_k = ExactMatrix.zeros(3, 5, QQ)
-        d_k1 = ExactMatrix.zeros(5, 2, QQ)
-        assert betti_from_boundaries(d_k, d_k1) == 5
-
-    def test_circle_one_zero_cell(self):
-        d1 = ExactMatrix.zeros(1, 1, QQ)  # the 1-cell maps to v - v = 0
-        d2 = ExactMatrix.zeros(1, 0, QQ)
-        d0 = ExactMatrix.zeros(0, 1, QQ)
-        assert betti_from_boundaries(d0, d1) == 1  # b_0
-        assert betti_from_boundaries(d1, d2) == 1  # b_1
-
-    def test_composability_rejected(self):
-        with pytest.raises(ValueError):
-            betti_from_boundaries(ExactMatrix.zeros(2, 3, QQ), ExactMatrix.zeros(4, 1, QQ))
-
-    def test_nonzero_composition_rejected(self):
-        a = ExactMatrix.identity(2, QQ)
-        with pytest.raises(ValueError):
-            betti_from_boundaries(a, a)
 
 
 class TestSerialisation:

@@ -23,7 +23,6 @@ from raaghom.kernels import (
     Character,
     InconsistencyError,
     PreconditionError,
-    count_vertex_orbits,
     fpn_violation,
     is_fpn,
     living_link,
@@ -199,17 +198,6 @@ class TestTheoremB:
                     assert kernel_betti(L, phi.scale(c), m, F2, enforce=False) == (
                         c * kernel_betti(L, phi, m, F2, enforce=False)
                     )
-
-
-class TestCountVertexOrbits:
-    def test_values(self):
-        L = c4()
-        phi = char(L, 1, -3, 2, 0)
-        assert count_vertex_orbits(L, phi, 0) == 1
-        assert count_vertex_orbits(L, phi, 1) == 3
-        assert count_vertex_orbits(L, phi, 2) == 2
-        with pytest.raises(PreconditionError):
-            count_vertex_orbits(L, phi, 3)
 
 
 def cone_over_c4_with_extra_living():

@@ -24,7 +24,6 @@ from raaghom.raags import (
     graph_product_betti,
     salvetti_boundary,
     specialize,
-    weighted_nerve_betti,
 )
 
 from fixtures import c4, full_simplex, random_flag_complex, rp2_six, rp2_twelve, two_points
@@ -586,25 +585,3 @@ def flag_completion_of_rp2():
     from raaghom.complexes import barycentric_subdivision
 
     return barycentric_subdivision(rp2_six())
-
-
-class TestWeightedNerve:
-    def test_cone_apex_over_c4(self):
-        # cone over a 4-cycle: the link of the apex is the 4-cycle
-        verts = ["apex", 0, 1, 2, 3]
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [("apex", i) for i in range(4)]
-        K = flag_completion(verts, edges)
-        assert weighted_nerve_betti(K, {"apex": 1}, QQ, 2) == 1
-        assert weighted_nerve_betti(K, {"apex": 2}, QQ, 2) == 2  # linear in the weight
-
-    def test_empty_weight_set(self):
-        for p in range(4):
-            assert weighted_nerve_betti(c4(), {}, QQ, p) == 0
-
-    def test_adjacent_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_nerve_betti(c4(), {0: 1, 1: 1}, QQ, 1)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_nerve_betti(c4(), {0: 0}, QQ, 1)
