@@ -33,7 +33,8 @@ import json, os, sys
 src, perfbench, inputs, cache, out = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import jobs
-plan = json.loads(open(os.path.join(inputs, "plan.json")).read())
+with open(os.path.join(inputs, "plan.json")) as fh:
+    plan = json.load(fh)
 os.chdir(inputs)
 outcomes = [list(jobs.run(job, cache)[:2]) for job in plan["jobs"]]
 with open(out, "w") as fh:
