@@ -8,6 +8,13 @@ Exact computation (no floating point) of:
 * closed-form skew-field Betti numbers of RAAGs, graph products, and
   Artin kernels, with the finiteness (FP_n) and fibring decisions that
   go with them.
+
+The result records (`FieldSpec`, `SmithForm`, `HomologyProfile`,
+`CoefficientRing`, `FibringReport`, `LivingDeadPartition`, `PushResult`,
+`CoverHomologyReport` and `acceptance.CriterionResult`) are plain
+immutable classes with ``__slots__``, written out by hand, so that no
+CLI call pays for generating them or for importing ``inspect``, ``ast``
+and ``dis``.
 """
 
 from .complexes import (

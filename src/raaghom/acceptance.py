@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -52,12 +51,19 @@ RP2_SIX_TRIANGLES = [
 ]
 
 
-@dataclass(frozen=True)
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+    """One criterion's number, name, verdict and detail line; immutable."""
+
+    __slots__ = ("number", "name", "passed", "detail")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def rp2_flag_triangulation() -> SimplicialComplex:

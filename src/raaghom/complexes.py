@@ -54,7 +54,6 @@ share one elimination among all masks with one core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -571,12 +570,17 @@ def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> Int
     return m
 
 
-@dataclass(frozen=True)
 class HomologyProfile:
-    """Reduced Betti numbers b~_{-1}, b~_0, ..., b~_dim over one field."""
+    """Reduced Betti numbers b~_{-1}, b~_0, ..., b~_dim over one field; immutable."""
 
-    field: FieldSpec
-    reduced_betti: tuple[int, ...]
+    __slots__ = ("field", "reduced_betti")
+
+    def __init__(self, field: FieldSpec, reduced_betti: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "reduced_betti", reduced_betti)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def betti(self, degree: int) -> int:
         """b~_degree, with degrees outside the stored range equal to 0."""

@@ -37,7 +37,6 @@ the rest of the matrix.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Sequence, Union
@@ -77,15 +76,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """The rationals (``char == 0``) or the prime field F_p (``char == p``)."""
+    """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
-    char: int = 0
+    Immutable, and equal and hashed by its characteristic, so a field is a
+    memo key.
+    """
 
-    def __post_init__(self) -> None:
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
+    __slots__ = ("char",)
+
+    def __init__(self, char: int = 0) -> None:
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        object.__setattr__(self, "char", char)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return self.char == other.char
+
+    def __hash__(self) -> int:
+        return hash(self.char)
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(char={self.char})"
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -310,21 +327,35 @@ class IntMatrix(ExactMatrix):
         return cls(rows or n, cols or n, {(i, i): d for i, d in enumerate(diag)})
 
 
-@dataclass(frozen=True)
 class SmithForm:
-    """Rank and elementary divisors d_1 | d_2 | ... | d_r (each >= 1)."""
+    """Rank and elementary divisors d_1 | d_2 | ... | d_r (each >= 1).
 
-    rank: int
-    elementary_divisors: tuple[int, ...]
+    Immutable, and equal and hashed by its rank and divisors.
+    """
 
-    def __post_init__(self) -> None:
-        ds = self.elementary_divisors
-        if len(ds) != self.rank:
+    __slots__ = ("rank", "elementary_divisors")
+
+    def __init__(self, rank: int, elementary_divisors: tuple[int, ...]) -> None:
+        ds = elementary_divisors
+        if len(ds) != rank:
             raise ValueError("number of divisors must equal rank")
         if any(d < 1 for d in ds):
             raise ValueError("divisors must be >= 1")
         if any(ds[i + 1] % ds[i] != 0 for i in range(len(ds) - 1)):
             raise ValueError("divisibility chain violated")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "elementary_divisors", ds)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SmithForm):
+            return NotImplemented
+        return self.rank == other.rank and self.elementary_divisors == other.elementary_divisors
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.elementary_divisors))
 
     @property
     def torsion_divisors(self) -> tuple[int, ...]:
@@ -536,17 +567,21 @@ def _back_substitute(fd: FieldSpec, rows, pivots, x: list[Scalar], rhs: Sequence
 # ---------------------------------------------------------------------------
 
 
-def _unit_pivot(rows, cols, buckets) -> tuple[int, int]:
+def _unit_pivot(rows, cols, buckets, no_unit: set[int]) -> tuple[int, int]:
     """A +-1 entry in the shortest row holding one, or (-1, -1) if there is none.
 
     Rows of equal length are tried from the lowest index; within the row
     the unit whose column has the fewest nonzeros wins, lowest column on ties.
+    Rows in ``no_unit`` are known to hold no unit and are skipped; every
+    row tried and found without one is added to it.
     """
     for length in sorted(buckets):
         for r in buckets[length]:
-            pc = _sparsest_col(cols, [c for c, v in rows[r].items() if v == 1 or v == -1])
-            if pc >= 0:
-                return r, pc
+            if r not in no_unit:
+                pc = _sparsest_col(cols, [c for c, v in rows[r].items() if v == 1 or v == -1])
+                if pc >= 0:
+                    return r, pc
+                no_unit.add(r)
     return -1, -1
 
 
@@ -575,24 +610,29 @@ def smith_normal_form(m: ExactMatrix) -> SmithForm:
     if m.field != QQ or not all(type(v) is int for v in m.entries.values()):
         raise ValueError(f"Smith normal form needs an integer matrix, got {m!r}")
     rows, cols, buckets = _index(m.entries.items())
+    no_unit: set[int] = set()  # rows without a +-1 entry; a row leaves when a row operation changes it
     diagonal: list[int] = []
     while rows:
-        pr, pc = _unit_pivot(rows, cols, buckets)
+        pr, pc = _unit_pivot(rows, cols, buckets, no_unit)
         if pr >= 0:
+            no_unit -= cols[pc]
             _pivot_out(rows, cols, buckets, pr, pc, 0)
             diagonal.append(1)
             continue
         _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
         piv = rows[pr][pc]
         while True:
+            no_unit -= cols[pc]
             for r in list(cols[pc]):
                 if r != pr:  # |rows[r][pc]| >= |piv|, so the quotient is never 0
                     _add_row(rows, cols, buckets, pr, r, -(rows[r][pc] // piv), 0)
             if len(cols[pc]) > 1 or len(rows[pr]) == 1:
                 break
             # the column is clear and the row is not: clear the row as a
-            # column of the transpose, with the same pivot
+            # column of the transpose, with the same pivot; row ids now
+            # name the old columns, so nothing is known about their units
             rows, cols, buckets = _index(((c, r), v) for r, row in rows.items() for c, v in row.items())
+            no_unit.clear()
             pr, pc = pc, pr
         if len(cols[pc]) == 1:  # the row is clear too
             diagonal.append(abs(piv))

@@ -17,7 +17,6 @@ inequality harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence
@@ -28,26 +27,40 @@ from .kernels import Character, is_fpn, living_set_violation
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 
-@dataclass(frozen=True)
 class CoefficientRing:
-    """A skew field F, the integers (modulus 0), or Z/m for any m >= 2."""
+    """A skew field F, the integers (modulus 0), or Z/m for any m >= 2.
 
-    kind: str  # "field" | "Z" | "Z/m"
-    field: Optional[FieldSpec] = None
-    modulus: Optional[int] = None
+    Immutable, and equal and hashed by its kind, field and modulus.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind == "field":
-            if self.field is None:
+    __slots__ = ("kind", "field", "modulus")
+
+    def __init__(self, kind: str, field: Optional[FieldSpec] = None, modulus: Optional[int] = None) -> None:
+        if kind == "field":
+            if field is None:
                 raise ValueError("field ring needs a FieldSpec")
-        elif self.kind == "Z":
-            if self.modulus != 0:
+        elif kind == "Z":
+            if modulus != 0:
                 raise ValueError("the integers have modulus 0")
-        elif self.kind == "Z/m":
-            if self.modulus is None or self.modulus < 2:
+        elif kind == "Z/m":
+            if modulus is None or modulus < 2:
                 raise ValueError("modulus must be >= 2")
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise ValueError(f"unknown ring kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoefficientRing):
+            return NotImplemented
+        return (self.kind, self.field, self.modulus) == (other.kind, other.field, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.field, self.modulus))
 
     @classmethod
     def of_field(cls, field: FieldSpec) -> "CoefficientRing":
@@ -82,22 +95,33 @@ class CoefficientRing:
         return f"Z/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class FibringReport:
-    """Verdict of a fibring decision, with witnesses or an obstruction."""
+    """Verdict of a fibring decision, with witnesses or an obstruction; immutable."""
 
-    complex: SimplicialComplex
-    ring: CoefficientRing
-    level: int
-    verdict: bool
-    witnesses: tuple[Character, ...]
-    obstruction_degree: Optional[int]
+    __slots__ = ("complex", "ring", "level", "verdict", "witnesses", "obstruction_degree")
 
-    def __post_init__(self) -> None:
-        if self.verdict and self.obstruction_degree is not None:
+    def __init__(
+        self,
+        complex: SimplicialComplex,
+        ring: CoefficientRing,
+        level: int,
+        verdict: bool,
+        witnesses: tuple[Character, ...],
+        obstruction_degree: Optional[int],
+    ) -> None:
+        if verdict and obstruction_degree is not None:
             raise ValueError("a positive verdict cannot carry an obstruction")
-        if not self.verdict and self.obstruction_degree is None:
+        if not verdict and obstruction_degree is None:
             raise ValueError("a negative verdict needs an obstruction degree")
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "obstruction_degree", obstruction_degree)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def to_json_dict(self) -> dict:
         return {

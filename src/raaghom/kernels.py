@@ -20,7 +20,6 @@ computed here is read off from the living/dead structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, Optional
 
@@ -123,10 +122,17 @@ class Character:
         return f"Character({self.value_tuple()})"
 
 
-@dataclass(frozen=True)
 class LivingDeadPartition:
-    living: SimplicialComplex
-    dead: SimplicialComplex
+    """The full subcomplexes on the living and on the dead vertices; immutable."""
+
+    __slots__ = ("living", "dead")
+
+    def __init__(self, living: SimplicialComplex, dead: SimplicialComplex) -> None:
+        object.__setattr__(self, "living", living)
+        object.__setattr__(self, "dead", dead)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
@@ -236,12 +242,17 @@ def kernel_betti(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PushResult:
-    """Output of ``push_cycle_to_living``: z' and w with z - z' = dw."""
+    """Output of ``push_cycle_to_living``: z' and w with z - z' = dw; immutable."""
 
-    cycle: ChainVector
-    witness: ChainVector
+    __slots__ = ("cycle", "witness")
+
+    def __init__(self, cycle: ChainVector, witness: ChainVector) -> None:
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def push_cycle_to_living(

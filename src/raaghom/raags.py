@@ -24,7 +24,6 @@ permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Optional, Sequence
@@ -292,19 +291,22 @@ def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
     return out
 
 
-@dataclass(frozen=True)
 class CoverHomologyReport:
-    """Betti numbers of one finite cover together with their N-normalisations."""
+    """Betti numbers of one finite cover together with their N-normalisations; immutable."""
 
-    order: int
-    betti: tuple[int, ...]
-    normalized: tuple[Fraction, ...]
+    __slots__ = ("order", "betti", "normalized")
 
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.betti):
+    def __init__(self, order: int, betti: tuple[int, ...], normalized: tuple[Fraction, ...]) -> None:
+        if any(b < 0 for b in betti):
             raise ValueError("negative Betti number")
-        if any(Fraction(b, self.order) != q for b, q in zip(self.betti, self.normalized)):
+        if any(Fraction(b, order) != q for b, q in zip(betti, normalized)):
             raise ValueError("normalised values must equal betti/order exactly")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "normalized", normalized)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +18,9 @@ from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import FieldSpec
 from raaghom.fibring import find_characters
 from raaghom.raags import FiniteQuotient, Raag, abelian_quotient
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_regular_quotient(path, vertices, edges, n):
@@ -45,6 +52,23 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestStartUp:
+    def test_import_loads_no_code_introspection(self):
+        # every CLI call pays for what `import raaghom.cli` loads; dataclasses
+        # alone, through inspect, ast and dis, cost about 10 ms of it.  -S keeps
+        # a site .pth file from importing any of them first.
+        script = (
+            "import sys, raaghom, raaghom.cli\n"
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestBetti:
