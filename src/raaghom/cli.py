@@ -6,13 +6,16 @@ and `FiniteQuotient.from_json_dict`.  `_read` loads a file, calls its
 reader and turns the reader's ValueError into malformed input.  This
 module keeps no file schema.
 
-Arguments are read where they are declared, each by its argparse
-``type``.  Every integer, in ``--n`` or ``--degrees 0..3`` or
-``--chain abelian:2,3`` alike, goes through `_integer`: a token is read
-only when ``str(int(token)) == token``, and each option names its least
-value.  Field and ring tokens are read only as reports write them.  The
-parser's own errors (a missing, unknown or malformed argument) are
-malformed input like any other.
+Arguments are read against two tables: `_COMMANDS` gives each command
+its runner, help line and options, and `_OPTIONS` gives each option its
+reader and default, or marks it required.  `_parse` reads ``argv``
+against them, each value by its option's reader in argv order.  Every
+integer, in ``--n`` or ``--degrees 0..3`` or ``--chain abelian:2,3``
+alike, goes through `_integer`: a token is read only when
+``str(int(token)) == token``, and each option names its least value.
+Field and ring tokens are read only as reports write them.  A missing,
+unknown, ambiguous or malformed argument is malformed input like any
+other, and ``-h`` or ``--help`` prints the usage text the tables give.
 
 Reports are byte-deterministic for identical inputs: JSON is emitted with
 sorted keys, rationals as "p/q" strings, and no timestamps.  Every report
@@ -28,10 +31,9 @@ failed command writes.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,6 +41,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .complexes import SimplicialComplex
@@ -63,8 +66,8 @@ CACHE_SCHEMA = 1
 T = TypeVar("T")
 
 
-# an ArgumentTypeError, so that argparse names the option whose type function raised it
-class InputError(argparse.ArgumentTypeError):
+# not a ValueError, which `_read` would wrap in a second InputError
+class InputError(Exception):
     """Malformed input: missing file, bad JSON, unknown token, bad argument (exit 2)."""
 
 
@@ -184,6 +187,8 @@ def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
     anything else is recomputed and overwritten, so a stale or foreign
     file cannot change a report.
     """
+    import hashlib  # loaded only for --cache: it costs about 4.6 ms of a start
+
     try:
         cache.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -382,110 +387,112 @@ def _cmd_report(args) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument reading
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are malformed input, reported like any other."""
-
-    def error(self, message: str):
-        raise InputError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="raaghom",
-        description="Homological invariants of right-angled Artin groups and their kernels.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    field = partial(_read, FieldSpec.from_token)
-
-    def at_least(least: int) -> Callable[[str], int]:
-        return partial(_integer, least=least)
-
-    def common(p, *, fmt=True):
-        p.add_argument("--out", type=_path, help="write the report to this path (default: stdout)")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("betti", help="closed-form Betti numbers of the RAAG on a flag complex")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--degrees", type=_degrees, required=True, help="e.g. 0..3")
-    common(p)
-    p.set_defaults(run=_cmd_betti)
-
-    p = sub.add_parser("kernel-betti", help="closed-form Betti numbers of an Artin kernel")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--phi", required=True, help="character JSON file")
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--degrees", type=_degrees, required=True)
-    p.add_argument("--force", action="store_true", help="skip the FP_n/surjectivity preconditions")
-    common(p)
-    p.set_defaults(run=_cmd_kernel_betti)
-
-    p = sub.add_parser("fpn-check", help="decide FP_n of an Artin kernel")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--n", type=at_least(0), required=True)
-    common(p, fmt=False)
-    p.set_defaults(run=_cmd_fpn_check)
-
-    p = sub.add_parser("fibring", help="virtual FP_n fibring verdict over a ring")
-    p.add_argument("--complex", required=True)
-    p.add_argument(
-        "--ring", type=partial(_read, CoefficientRing.from_token), required=True,
-        help="Q, F2, ..., Z, or Z/6",
-    )
-    p.add_argument("--n", type=at_least(0), required=True)
-    common(p, fmt=False)
-    p.set_defaults(run=_cmd_fibring)
-
-    p = sub.add_parser("gradient", help="normalised cover Betti numbers along a quotient chain")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--chain", type=_chain, required=True, help="abelian:2,3,4 or quotient JSON files")
-    p.add_argument("--degree", type=at_least(0), required=True)
-    p.add_argument("--cache", type=_path, help="rank cache directory")
-    common(p)
-    p.set_defaults(run=_cmd_gradient)
-
-    p = sub.add_parser("characters", help="surjective characters passing FP_n, up to a bound")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--n", type=at_least(0), required=True)
-    p.add_argument("--bound", type=at_least(1), required=True)
-    common(p, fmt=False)
-    p.set_defaults(run=_cmd_characters)
-
-    p = sub.add_parser("kaz-check", help="closed form <= normalised cover Betti, per quotient")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--field", type=field, required=True)
-    p.add_argument("--quotients", type=_chain, required=True, help="abelian:... or quotient JSON files")
-    p.add_argument("--max-degree", type=at_least(0), required=True)
-    common(p, fmt=False)
-    p.set_defaults(run=_cmd_kaz_check)
-
-    p = sub.add_parser("report", help="run the acceptance suite and print a pass/fail table")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--criteria", type=_criteria, help="comma list of criterion numbers (default: all)")
-    common(p, fmt=False)
-    p.set_defaults(run=_cmd_report)
-
-    return parser
+def _format(token: str) -> str:
+    if token not in ("json", "csv"):
+        raise InputError(f"invalid choice: {token!r} (choose from 'json', 'csv')")
+    return token
 
 
-_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
+_AT_LEAST_0 = partial(_integer, least=0)
+
+# option -> (reader, default).  A default of ... makes the option required;
+# a reader of None makes it a flag, which takes no value.
+_OPTIONS = {
+    "--complex": (str, ...), "--phi": (str, ...),
+    "--field": (partial(_read, FieldSpec.from_token), ...),
+    "--ring": (partial(_read, CoefficientRing.from_token), ...),
+    "--degrees": (_degrees, ...), "--chain": (_chain, ...), "--quotients": (_chain, ...),
+    "--degree": (_AT_LEAST_0, ...), "--max-degree": (_AT_LEAST_0, ...),
+    "--n": (_AT_LEAST_0, ...), "--bound": (partial(_integer, least=1), ...),
+    "--seed": (_integer, 0), "--criteria": (_criteria, None), "--cache": (_path, None),
+    "--out": (_path, None), "--format": (_format, "json"), "--force": (None, False),
+}
+
+# command -> (runner, help line, its options)
+_COMMANDS = {
+    "betti": (_cmd_betti, "closed-form Betti numbers of the RAAG on a flag complex",
+              "--complex --field --degrees --out --format"),
+    "kernel-betti": (_cmd_kernel_betti, "closed-form Betti numbers of an Artin kernel",
+                     "--complex --phi --field --degrees --force --out --format"),
+    "fpn-check": (_cmd_fpn_check, "decide FP_n of an Artin kernel", "--complex --phi --field --n --out"),
+    "fibring": (_cmd_fibring, "virtual FP_n fibring verdict over a ring (Q, F2, ..., Z, Z/6)",
+                "--complex --ring --n --out"),
+    "gradient": (_cmd_gradient, "normalised cover Betti numbers along a chain (abelian:2,3 or files)",
+                 "--complex --field --chain --degree --cache --out --format"),
+    "characters": (_cmd_characters, "surjective characters passing FP_n, up to a bound",
+                   "--complex --field --n --bound --out"),
+    "kaz-check": (_cmd_kaz_check, "closed form <= normalised cover Betti, per quotient",
+                  "--complex --field --quotients --max-degree --out"),
+    "report": (_cmd_report, "run the acceptance suite and print a pass/fail table", "--seed --criteria --out"),
+}
+
+
+def _usage(args: SimpleNamespace) -> str:
+    """The help text: every command with its help line, or the options of ``args.command``."""
+    if args.command is None:
+        lines = ["usage: raaghom COMMAND [OPTIONS]", "", "commands:"]
+        lines += [f"  {name:<14}{text}" for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        _, text, names = _COMMANDS[args.command]
+        lines = [f"usage: raaghom {args.command} [OPTIONS]", "", text, "", "options:"]
+        for name in names.split():
+            reader, default = _OPTIONS[name]
+            value = "" if reader is None else f" {name[2:].upper()}"
+            lines.append(f"  {name}{value}" + (" (required)" if default is ... else ""))
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The arguments ``argv`` gives its command, read against `_COMMANDS` and `_OPTIONS`.
+
+    An option is named in full or by a unique prefix, with its value in
+    the next token or after ``=``.  Each value is read by the option's
+    reader as it is met, so the last occurrence of an option wins.  The
+    arguments hold the ``run`` function, which is `_usage` when ``argv``
+    asks for help, and the ``command``, None when no command is named.
+    """
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(run=_usage, command=None, out=None)
+    if command not in _COMMANDS:
+        raise InputError(f"expected a command, one of {', '.join(_COMMANDS)}")
+    run, _, names = _COMMANDS[command]
+    values = {name: _OPTIONS[name][1] for name in names.split()}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(run=_usage, command=command, out=None)
+        given, eq, value = token.partition("=")
+        matches = [given] if given in values else [n for n in values if len(given) > 2 and n.startswith(given)]
+        if len(matches) != 1:
+            problem = f"is ambiguous: {', '.join(matches)}" if matches else f"is not an option of {command}"
+            raise InputError(f"{given!r} {problem}")
+        name = matches[0]
+        reader = _OPTIONS[name][0]
+        if eq and reader is None:
+            raise InputError(f"argument {name}: takes no value, got {value!r}")
+        if not eq and reader is not None:
+            value = next(tokens, None)
+            # a token starting with "-" is the next option unless it is "-" or a negative number
+            if value is None or value.startswith("-") and not re.fullmatch(r"-|-\d+|-\d*\.\d+", value):
+                raise InputError(f"argument {name}: expected one argument")
+        try:
+            values[name] = True if reader is None else reader(value)
+        except InputError as e:
+            raise InputError(f"argument {name}: {e}") from None
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(run=run, command=command, **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         result = args.run(args)
         code, text = result if isinstance(result, tuple) else (0, result)
         _emit(text, args.out)

@@ -54,21 +54,28 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def modules_loaded_by_import(names):
+    """Which of ``names`` a fresh ``python -S`` interpreter holds once ``raaghom.cli`` is imported."""
+    # -S keeps a site .pth file from importing any of them first
+    script = f"import sys, raaghom, raaghom.cli\nprint(*sorted({set(names)!r} & sys.modules.keys()))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestStartUp:
     def test_import_loads_no_code_introspection(self):
         # every CLI call pays for what `import raaghom.cli` loads; dataclasses
-        # alone, through inspect, ast and dis, cost about 10 ms of it.  -S keeps
-        # a site .pth file from importing any of them first.
-        script = (
-            "import sys, raaghom, raaghom.cli\n"
-            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        # alone, through inspect, ast and dis, cost about 10 ms of it
+        assert modules_loaded_by_import({"dataclasses", "inspect", "ast", "dis"}) == []
+
+    def test_import_loads_no_argument_parser_or_hashlib(self):
+        # argparse and its gettext cost 2-3 ms of every start, hashlib about
+        # 4.6 ms; only a --cache job needs hashlib, and loads it then
+        assert modules_loaded_by_import({"argparse", "gettext", "hashlib", "_hashlib"}) == []
 
 
 class TestBetti:
@@ -201,6 +208,159 @@ class TestArguments:
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"]["kind"] == "input"
+
+
+BETTI = ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..2")
+
+
+class TestReader:
+    """How argv is read: option forms, prefixes, repeats, help, and what is malformed.
+
+    ``report`` must print what `BETTI` prints, ``usage`` a usage text, and
+    ``input`` is malformed input: exit 2 with one JSON line on stderr.
+    """
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (BETTI, "report"),
+            (("betti", "--degrees", "0..2", "--field", "Q", "--complex", "c4.json"), "report"),
+            (("betti", "--complex=c4.json", "--field=Q", "--degrees=0..2"), "report"),
+            (("betti", "--comp", "c4.json", "--fi=Q", "--deg", "0..2"), "report"),
+            (BETTI[:4] + ("F2",) + BETTI[3:], "report"),
+            (BETTI + ("--format", "csv", "--format=json"), "report"),
+            (("kernel-betti", "--complex", "c4.json", "--phi", "phi_ones.json", "--f", "Q", "--degrees", "0"),
+             "input"),
+            (("kernel-betti", "--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q",
+              "--degrees", "0", "--force=x"), "input"),
+            (BETTI + ("--format",), "input"),
+            (("fpn-check", "--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "--out"),
+             "input"),
+            (BETTI + ("c4.json",), "input"),
+            (BETTI + ("--",), "input"),
+            (("--", *BETTI), "input"),
+            (("betti", "--phi", "phi_ones.json", *BETTI[1:]), "input"),
+            (("--complex", "c4.json", "betti"), "input"),
+            ((), "input"),
+            (("-h",), "usage"),
+            (("--help",), "usage"),
+            (("gradient", "--help"), "usage"),
+            (BETTI + ("-h",), "usage"),
+        ],
+        ids=[
+            "canonical",
+            "any-order",
+            "equals",
+            "unique-prefix",
+            "last-field-wins",
+            "last-format-wins",
+            "ambiguous-prefix",
+            "flag-with-value",
+            "no-value-at-end",
+            "option-for-value",
+            "stray-positional",
+            "double-dash",
+            "double-dash-first",
+            "other-commands-option",
+            "option-before-command",
+            "empty",
+            "h",
+            "help",
+            "command-help",
+            "help-after-options",
+        ],
+    )
+    def test_argv(self, workdir, capsys, args, expected):
+        code, out, err = run_cli(capsys, *args)
+        if expected == "input":
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert json.loads(err)["error"]["kind"] == "input"
+            return
+        assert code == 0 and err == ""
+        if expected == "usage":
+            assert out.startswith("usage: raaghom ")
+        else:
+            assert out == run_cli(capsys, *BETTI)[1]
+
+    def test_command_usage_marks_required_options(self, workdir, capsys):
+        code, out, err = run_cli(capsys, "gradient", "-h")
+        assert code == 0 and err == ""
+        assert "  --chain CHAIN (required)\n" in out and "  --cache CACHE\n" in out
+        code, out, _ = run_cli(capsys, "-h")
+        assert code == 0 and all(f"  {c} " in out for c in (*WELL_FORMED, "report"))
+
+
+# well-formed options for each command but report, which runs the acceptance
+# suite; kernel-betti's fail a precondition (exit 1), phi_ones is not FP_2 on c4
+WELL_FORMED = {
+    "betti": ("--complex", "c4.json", "--field", "Q", "--degrees", "0..2"),
+    "kernel-betti": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "F2", "--degrees", "0..2"),
+    "fpn-check": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "1"),
+    "fibring": ("--complex", "c4.json", "--ring", "Z/6", "--n", "1"),
+    "gradient": ("--complex", "c4.json", "--field", "F2", "--chain", "abelian:1,2", "--degree", "1"),
+    "characters": ("--complex", "c4.json", "--field", "Q", "--n", "1", "--bound", "1"),
+    "kaz-check": ("--complex", "c4.json", "--field", "F2", "--quotients", "c4_z2.json", "--max-degree", "1"),
+}
+COMMANDS = tuple(WELL_FORMED)
+OPTION_TOKENS = (
+    "--complex", "--phi", "--field", "--ring", "--degrees", "--degree", "--max-degree", "--n",
+    "--bound", "--chain", "--quotients", "--cache", "--force", "--seed", "--criteria", "--out",
+    "--format", "--comp", "--f", "--deg", "--", "-h", "-x",
+)
+VALUE_TOKENS = (
+    "c4.json", "phi_ones.json", "c4_z2.json", "triangle.json", "hollow.json", "missing.json",
+    "out.json", "cache",
+    "Q", "F2", "F4", "Z", "Z/6", "0", "1", "2", "-1", "1.5", "+1", "0..2", "2..1", "abelian:1,2",
+    "abelian:2,1", "c4_z2.json,c4_z2.json", "json", "csv", "xml", "", "-",
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command, now and then none, and maybe its well-formed options, with options,
+    values and the two joined by ``=`` put in at drawn places."""
+    command = draw(st.sampled_from(COMMANDS))
+    # half the options drawn are the command's own required ones
+    options = st.sampled_from(OPTION_TOKENS) | st.sampled_from(WELL_FORMED[command][::2])
+    values = st.sampled_from(VALUE_TOKENS)
+    argv = list(WELL_FORMED[command]) if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.integers(0, 5))
+        if kind < 2:
+            tokens = [draw(options), draw(values)]
+        elif kind < 4:
+            tokens = [f"{draw(options)}={draw(values)}"]
+        else:
+            tokens = [draw(options) if kind == 4 else draw(values)]
+        # between two options' tokens, or anywhere
+        at = draw(st.integers(0, len(argv) // 2)) * 2 if kind < 4 else draw(st.integers(0, len(argv)))
+        argv[at:at] = tokens
+    return ([command] if draw(st.sampled_from([True] * 9 + [False])) else []) + argv
+
+
+@pytest.fixture()
+def restore_inputs(workdir):
+    """Writes the input files back: a drawn ``--out`` may have replaced one with a report."""
+    saved = {path: path.read_bytes() for path in workdir.iterdir()}
+    return lambda: [path.write_bytes(data) for path, data in saved.items()]
+
+
+class TestAnyArgv:
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argvs())
+    def test_gets_a_clean_answer(self, workdir, capsys, restore_inputs, argv):
+        restore_inputs()
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+            return
+        assert out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == ("input" if code == 2 else "precondition")
 
 
 class TestKernelCommands:
