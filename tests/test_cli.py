@@ -210,7 +210,18 @@ class TestArguments:
         assert json.loads(err)["error"]["kind"] == "input"
 
 
-BETTI = ("betti", "--complex", "c4.json", "--field", "Q", "--degrees", "0..2")
+# well-formed options for each command but report, which runs the acceptance
+# suite; kernel-betti's fail a precondition (exit 1), phi_ones is not FP_2 on c4
+WELL_FORMED = {
+    "betti": ("--complex", "c4.json", "--field", "Q", "--degrees", "0..2"),
+    "kernel-betti": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "F2", "--degrees", "0..2"),
+    "fpn-check": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "1"),
+    "fibring": ("--complex", "c4.json", "--ring", "Z/6", "--n", "1"),
+    "gradient": ("--complex", "c4.json", "--field", "F2", "--chain", "abelian:1,2", "--degree", "1"),
+    "characters": ("--complex", "c4.json", "--field", "Q", "--n", "1", "--bound", "1"),
+    "kaz-check": ("--complex", "c4.json", "--field", "F2", "--quotients", "c4_z2.json", "--max-degree", "1"),
+}
+BETTI = ("betti", *WELL_FORMED["betti"])
 
 
 class TestReader:
@@ -290,18 +301,6 @@ class TestReader:
         assert code == 0 and all(f"  {c} " in out for c in (*WELL_FORMED, "report"))
 
 
-# well-formed options for each command but report, which runs the acceptance
-# suite; kernel-betti's fail a precondition (exit 1), phi_ones is not FP_2 on c4
-WELL_FORMED = {
-    "betti": ("--complex", "c4.json", "--field", "Q", "--degrees", "0..2"),
-    "kernel-betti": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "F2", "--degrees", "0..2"),
-    "fpn-check": ("--complex", "c4.json", "--phi", "phi_ones.json", "--field", "Q", "--n", "1"),
-    "fibring": ("--complex", "c4.json", "--ring", "Z/6", "--n", "1"),
-    "gradient": ("--complex", "c4.json", "--field", "F2", "--chain", "abelian:1,2", "--degree", "1"),
-    "characters": ("--complex", "c4.json", "--field", "Q", "--n", "1", "--bound", "1"),
-    "kaz-check": ("--complex", "c4.json", "--field", "F2", "--quotients", "c4_z2.json", "--max-degree", "1"),
-}
-COMMANDS = tuple(WELL_FORMED)
 OPTION_TOKENS = (
     "--complex", "--phi", "--field", "--ring", "--degrees", "--degree", "--max-degree", "--n",
     "--bound", "--chain", "--quotients", "--cache", "--force", "--seed", "--criteria", "--out",
@@ -319,7 +318,7 @@ VALUE_TOKENS = (
 def argvs(draw):
     """A command, now and then none, and maybe its well-formed options, with options,
     values and the two joined by ``=`` put in at drawn places."""
-    command = draw(st.sampled_from(COMMANDS))
+    command = draw(st.sampled_from(list(WELL_FORMED)))
     # half the options drawn are the command's own required ones
     options = st.sampled_from(OPTION_TOKENS) | st.sampled_from(WELL_FORMED[command][::2])
     values = st.sampled_from(VALUE_TOKENS)
@@ -342,7 +341,12 @@ def argvs(draw):
 def restore_inputs(workdir):
     """Writes the input files back: a drawn ``--out`` may have replaced one with a report."""
     saved = {path: path.read_bytes() for path in workdir.iterdir()}
-    return lambda: [path.write_bytes(data) for path, data in saved.items()]
+
+    def restore():
+        for path, data in saved.items():
+            path.write_bytes(data)
+
+    return restore
 
 
 class TestAnyArgv:
