@@ -50,6 +50,12 @@ F_p the number prime to p, which gives ``reduced_betti`` over every
 field, padded with zeros to the complex's own degrees, and the torsion of
 ``integral_homology``.  Callers that look up ``subcomplex(core(mask))``
 share one elimination among all masks with one core.
+
+d_2 is eliminated without the rows of the edges of a spanning forest of
+the 1-skeleton ("clearing"), which keeps its elementary divisors: the
+forest's fundamental cycles are a Z-basis of ker d_1, a direct summand of
+C_1, so dropping the forest coordinates maps ker d_1, which holds im d_2,
+isomorphically onto the coordinates left.
 """
 
 from __future__ import annotations
@@ -558,8 +564,12 @@ def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> Int
     """
     if not 0 <= k <= K.dim + 1:
         raise ValueError(f"degree {k} out of range for a complex of dimension {K.dim}")
-    cols = K.masks_of_dim(k)
     rows = ([0] if augmented else []) if k == 0 else K.masks_of_dim(k - 1)
+    return _boundary(rows, K.masks_of_dim(k))
+
+
+def _boundary(rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
+    """The boundary from the faces ``cols`` to the faces ``rows``; a facet not in ``rows`` is left out."""
     row_pos = {f: i for i, f in enumerate(rows)}
     m = IntMatrix(len(rows), len(cols))
     for j, f in enumerate(cols):  # the entries are in bounds and +-1, so they go straight in
@@ -643,12 +653,18 @@ def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
     universal coefficient theorem): the augmented d_0 is onto Z when K has
     a vertex, and coker d_1 = H_0(K; Z) is free on the components of the
     1-skeleton.  So both forms are all 1s, of rank 1 (0 without a vertex)
-    and |V| - #components.  Only degrees 2 and up are eliminated.
+    and |V| - #components.  Only degrees 2 and up are eliminated, d_2
+    without the rows of the edges of a spanning forest (`_spanning_forest`),
+    which keeps its elementary divisors (see the module docstring).
     """
     sf = K._memo.get(("smith", k))
     if sf is None:
         if k >= 2:
-            sf = smith_normal_form(boundary_matrix(K, k))
+            rows = K.masks_of_dim(k - 1)
+            if k == 2:  # clearing: the rows of a spanning forest's edges go, which keeps the form
+                forest = _spanning_forest(K)
+                rows = [e for e in rows if e not in forest]
+            sf = smith_normal_form(_boundary(rows, K.masks_of_dim(k)))
         else:
             full = (1 << len(K.vertices)) - 1
             r = min(len(K.vertices), 1) if k == 0 else len(K.vertices) - _component_count(K, full)
@@ -676,6 +692,29 @@ def _component_count(K: SimplicialComplex, mask: int) -> int:
             unseen ^= reached
             stack |= reached
     return count
+
+
+def _spanning_forest(K: SimplicialComplex) -> set[int]:
+    """The edge masks of a breadth-first spanning forest of K's 1-skeleton.
+
+    Each component is walked from its lowest vertex, and every vertex
+    reached adds the edge it is first reached by, so the forest has
+    |V| - #components edges.
+    """
+    adjacency = K._adjacency()
+    unseen = (1 << len(K.vertices)) - 1
+    forest = set()
+    while unseen:
+        root = unseen & -unseen
+        unseen ^= root
+        queue = [root]
+        for bit in queue:  # the queue grows while it is read
+            reached = adjacency[bit.bit_length() - 1] & unseen
+            unseen ^= reached
+            for other in mask_bits(reached):
+                forest.add(bit | other)
+                queue.append(other)
+    return forest
 
 
 def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
@@ -802,7 +841,12 @@ class ChainVector:
         return self.add(other.scale(self.field.neg(self.field.one)))
 
     def supported_in(self, K: SimplicialComplex) -> bool:
-        return all(f in K.faces for f in self.coefficients)
+        """True when every face of the chain is a face of K with its labels in K's vertex order.
+
+        Each face is tested by its mask; one with an unknown label, a
+        repeated vertex or its labels out of order is not supported.
+        """
+        return all(K.has_face(f) and K.sort_face(f) == f for f in self.coefficients)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainVector):

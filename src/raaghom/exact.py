@@ -375,9 +375,17 @@ def _index(entries) -> tuple[dict, dict[int, set[int]], dict[int, list[int]]]:
     """
     rows: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries:
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+    for (r, c), v in entries:  # get, not setdefault, which would build a dict and a set per entry
+        row = rows.get(r)
+        if row is None:
+            rows[r] = {c: v}
+        else:
+            row[c] = v
+        col = cols.get(c)
+        if col is None:
+            cols[c] = {r}
+        else:
+            col.add(r)
     buckets: dict[int, list[int]] = {}
     for r in sorted(rows):
         buckets.setdefault(len(rows[r]), []).append(r)

@@ -205,6 +205,37 @@ class FiniteQuotient:
                         stack.append(y)
         return count
 
+    def _spanning_forest(self) -> list[int]:
+        """The 1-cells of a spanning forest of the Schreier graph, as rows of the specialised d_2.
+
+        The Schreier graph joins each point x to P_v x by the 1-cell (v, x),
+        which is row i * N + x of the specialised d_2 when v is vertex i.
+        It walks the graph as `orbit_count` does and adds (v, x) whenever
+        it first reaches P_v x from x, so the forest has N - #orbits 1-cells.
+        Generators with the most neighbours are tried first, since row i of
+        d_2 has an entry for each edge at vertex i; ties go in vertex order.
+        """
+        L, N = self.over.complex, self.order
+        action = self.action
+        order = sorted(L.vertices, key=lambda v: L.common_neighbours((v,)).bit_count(), reverse=True)
+        perms = [(L.index(v) * N, action[v]) for v in order]
+        seen = [False] * N
+        forest = []
+        for start in range(N):
+            if seen[start]:
+                continue
+            seen[start] = True
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for base, p in perms:
+                    y = p[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        stack.append(y)
+                        forest.append(base + x)
+        return forest
+
     @property
     def transitive(self) -> bool:
         # the regular action of a group is transitive
@@ -428,7 +459,16 @@ def cover_betti(
       e_{v.x} - e_x and H_0 of a permutation module is free on its orbits
       (Shapiro's lemma).  Each boundary of degree 2 and up is specialised
       to an N-fold block matrix and eliminated, so a 0-dimensional
-      complex (a free group) eliminates nothing.
+      complex (a free group) eliminates nothing.  The N - #orbits rows
+      of d_2 that are 1-cells of a spanning forest of the Schreier graph
+      are cleared first (`FiniteQuotient._spanning_forest`).  The forest
+      is walked only when d_2 is eliminated, so a cover that eliminates
+      nothing walks the graph once, to count the orbits.
+
+    Clearing keeps rank d_2 over every field.  The forest's fundamental
+    cycles are a basis of ker d_1, so ker d_1 is a direct summand of C_1
+    that dropping the forest coordinates maps isomorphically onto the
+    coordinates left; im d_2 lies in ker d_1.
 
     The optional ``rank_hook(q, degree, shape, compute)`` lets callers
     memoise the eliminated ranks: ``shape`` is the (rows, cols) of the
@@ -451,7 +491,11 @@ def cover_betti(
         ranks[1] = N - q.orbit_count
         for k in range(2, top + 1):
             def compute(k: int = k) -> int:
-                return rank(specialize(salvetti_boundary(A, k, field), q))
+                m = specialize(salvetti_boundary(A, k, field), q)
+                if k == 2:  # clear the rows of a spanning forest, which keeps the rank
+                    cleared = set(q._spanning_forest())
+                    m.entries = {rc: v for rc, v in m.entries.items() if rc[0] not in cleared}
+                return rank(m)
 
             shape = (cells[k - 1] * N, cells[k] * N)
             ranks[k] = compute() if rank_hook is None else rank_hook(q, k, shape, compute)

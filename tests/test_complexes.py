@@ -534,6 +534,25 @@ class TestReducedBetti:
         for k in range(min(2, K.dim + 2)):
             assert complexes._smith_form(K, k) == smith_normal_form(boundary_matrix(K, k))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(flag_or_other_complexes())
+    @example(rp2_six())
+    @example(grid_surface(4, klein=True))
+    @example(SimplicialComplex(range(7), [(0, 1, 2), (2, 3), (4, 5)]))  # a triangle with a tail, an edge, a point
+    @example(SimplicialComplex(range(8), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6)]))  # not flag
+    def test_degree_two_is_eliminated_without_the_forest_rows(self, K):
+        # clearing keeps every elementary divisor, whatever K's components and isolated vertices
+        forest = complexes._spanning_forest(K)
+        assert forest <= set(K.masks_of_dim(1))
+        full = (1 << len(K.vertices)) - 1
+        components = complexes._component_count(K, full)
+        assert len(forest) == len(K.vertices) - components
+        pairs = [((e & -e).bit_length() - 1, e.bit_length() - 1) for e in forest]
+        spanned = flag_completion(range(len(K.vertices)), pairs)
+        assert complexes._component_count(spanned, full) == components  # it spans, so it has no cycle
+        if K.dim >= 1:
+            assert complexes._smith_form(K, 2) == smith_normal_form(boundary_matrix(K, 2))
+
     def test_octahedron_sphere(self):
         prof = reduced_betti(octahedron(), QQ)
         assert (prof.betti(0), prof.betti(1), prof.betti(2)) == (0, 0, 1)
@@ -625,6 +644,26 @@ class TestChains:
     def test_vertex_boundary_hits_empty_face(self):
         z = ChainVector(0, F2, {(("a"),): 1})
         assert chain_boundary(z).coefficients == {(): 1}
+
+    def test_supported_in_takes_faces_in_vertex_order_only(self):
+        K = SimplicialComplex("bac", [("b", "a"), ("a", "c")])  # vertex order b, a, c
+        assert ChainVector(1, QQ, {("b", "a"): 1, ("a", "c"): 2}).supported_in(K)
+        assert ChainVector(0, QQ, {("c",): 1}).supported_in(K)
+        assert not ChainVector(1, QQ, {("a", "b"): 1}).supported_in(K)  # unsorted
+        assert not ChainVector(1, QQ, {("b", "c"): 1}).supported_in(K)  # no such edge
+        assert not ChainVector(1, QQ, {("b", "x"): 1}).supported_in(K)  # unknown label
+        assert not ChainVector(1, QQ, {("a", "a"): 1}).supported_in(K)  # repeated vertex
+        assert ChainVector.zero(2, QQ).supported_in(K)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(labelled_complexes(), st.data())
+    def test_supported_in_matches_the_label_view(self, complex_input, data):
+        labels, faces, edges = complex_input
+        K = SimplicialComplex(labels, faces) if edges is None else flag_completion(labels, edges)
+        pool = labels + ["zz"]
+        chain = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=2, max_size=2), max_size=3))
+        z = ChainVector(1, F2, {tuple(f): 1 for f in chain})
+        assert z.supported_in(K) == all(f in K.faces for f in z.coefficients)
 
     def test_add_sub_scale(self):
         a = ChainVector(0, QQ, {("x",): Fraction(2)})

@@ -323,6 +323,46 @@ class TestExplicitCovers:
         A, q, field = case
         assert list(cover_betti(A, q, field).betti) == _eliminated_betti(A, q, field)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(explicit_covers())
+    def test_degree_two_is_eliminated_without_the_forest_rows(self, case):
+        A, q, field = case
+        L, N = A.complex, q.order
+        forest = q._spanning_forest()
+        parent = list(range(N))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def components(cells):
+            parent[:] = range(N)
+            for x, y in cells:
+                parent[find(x)] = find(y)
+            return sum(find(x) == x for x in range(N))
+
+        orbits = components((x, y) for p in q.action.values() for x, y in enumerate(p))
+        assert len(set(forest)) == len(forest) == N - orbits == N - q.orbit_count
+        # the forest's 1-cells (v, x) join x to P_v x and reach every orbit, so they form a spanning forest
+        assert components((r % N, q.action[L.vertices[r // N]][r % N]) for r in forest) == orbits
+        eliminated = []
+
+        def spy(m):
+            eliminated.append(m)
+            return rank(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raags, "rank", spy)
+            betti = cover_betti(A, q, field).betti
+        assert list(betti) == _eliminated_betti(A, q, field)
+        assert len(eliminated) == max(L.dim, 0)  # degrees 2 to dim + 1
+        if eliminated:
+            d2 = eliminated[0]
+            assert (d2.rows, d2.cols) == (L.n_faces(0) * N, L.n_faces(1) * N)
+            assert not {r for r, _ in d2.entries} & set(forest)
+            assert rank(d2) == rank(specialize(salvetti_boundary(A, 2, field), q))
+
     def test_both_kinds_of_action_are_drawn(self):
         transitive = set()
 
