@@ -92,7 +92,8 @@ class SimplicialComplex:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        by_size: dict[int, set[int]] = {0: {0}, 1: {1 << i for i in range(len(self.vertices))}}
+        n = len(self.vertices)
+        by_size: dict[int, set[int]] = {0: {0}, 1: {1 << i for i in range(n)}}
         for f in faces:
             m = self._face_mask(f)
             by_size.setdefault(m.bit_count(), set()).add(m)
@@ -101,13 +102,19 @@ class SimplicialComplex:
                 below = by_size.setdefault(size - 1, set())
                 for m in by_size.get(size, ()):
                     below.update(m ^ bit for bit in mask_bits(m))
-        key = lex_order(len(self.vertices))
-        self._by_dim = {size - 1: sorted(ms, key=key) for size, ms in sorted(by_size.items()) if ms}
+        # every face is a clique, so the walk lists the faces, in order, unless it finds more cliques
+        adjacency = _adjacency_of(by_size.get(2, ()), n)
+        walk = _clique_walk(adjacency, (1 << n) - 1, limit=sum(map(len, by_size.values())))
+        if walk is None:
+            key = lex_order(n)
+            self._by_dim = {size - 1: sorted(ms, key=key) for size, ms in sorted(by_size.items()) if ms}
+        else:
+            self._by_dim = walk
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
         # ("smith", k) -> SmithForm of d_k, "faces" -> the label view,
         # "face set", "cn", "adjacency", "flag", "core" -> core mask
-        self._memo: dict = {}
+        self._memo: dict = {"flag": walk is not None, "adjacency": adjacency}
 
     @classmethod
     def _of_masks(cls, vertices: Sequence[Label], by_dim: dict[int, list[int]], **memo) -> "SimplicialComplex":
@@ -137,6 +144,13 @@ class SimplicialComplex:
         if m.bit_count() != len(vs):
             raise ValueError(f"repeated vertex in face {vs!r}")
         return m
+
+    def _face_of(self, verts: Iterable[Label]) -> int:
+        """The mask of a face given by labels; ValueError when it is no face of this complex."""
+        s = self._face_mask(verts)
+        if not self._is_face(s):
+            raise ValueError(f"{self.labels(s)!r} is not a face")
+        return s
 
     def labels(self, m: int) -> Face:
         """The labels of a mask's vertices, in vertex order."""
@@ -196,12 +210,7 @@ class SimplicialComplex:
         """Per vertex index, the mask of its neighbours."""
         adjacency = self._memo.get("adjacency")
         if adjacency is None:
-            adjacency = [0] * len(self.vertices)
-            for e in self._by_dim.get(1, ()):
-                low = e & -e
-                adjacency[low.bit_length() - 1] |= e ^ low
-                adjacency[e.bit_length() - 1] |= low
-            self._memo["adjacency"] = adjacency
+            adjacency = self._memo["adjacency"] = _adjacency_of(self._by_dim.get(1, ()), len(self.vertices))
         return adjacency
 
     def common_neighbours(self, verts: Iterable[Label]) -> int:
@@ -276,9 +285,7 @@ class SimplicialComplex:
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
         """The link {t : t disjoint from s, t union s a face} of a face s."""
-        s = self._face_mask(simplex)
-        if not self._is_face(s):
-            raise ValueError(f"{self.labels(s)!r} is not a face")
+        s = self._face_of(simplex)
         if not s:
             return self
         if self.is_flag():
@@ -293,6 +300,9 @@ class SimplicialComplex:
         Every face is a clique of the 1-skeleton, so the complex is flag
         exactly when the clique walk over all vertices finds no more
         cliques than there are faces; it stops at the first one beyond.
+        The constructor and the clique walks of flag complexes take the
+        verdict as they build; only a subcomplex or link of a complex that
+        is not flag runs the walk here.
         """
         flag = self._memo.get("flag")
         if flag is None:
@@ -423,6 +433,16 @@ def mask_bits(m: int) -> list[int]:
         out.append(bit)
         m ^= bit
     return out
+
+
+def _adjacency_of(edges: Iterable[int], n: int) -> list[int]:
+    """Per vertex index of n, the mask of its neighbours along the edge masks."""
+    adjacency = [0] * n
+    for e in edges:
+        low = e & -e
+        adjacency[low.bit_length() - 1] |= e ^ low
+        adjacency[e.bit_length() - 1] |= low
+    return adjacency
 
 
 def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
@@ -768,6 +788,20 @@ def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> Homol
     callers check once, where `core` checks it on every call.
     """
     return reduced_betti(K.subcomplex(_core(K._adjacency(), mask)), field)
+
+
+def link_core(K: SimplicialComplex, v: Label) -> SimplicialComplex:
+    """A complex with the homology of the link of the vertex v over every ring.
+
+    For a flag K it is the full subcomplex on the core of CN(v): lk(v) is
+    the full subcomplex on CN(v), so its core is found in K's neighbour
+    masks, as in `reduced_betti_on`, and only the core is built.  Any other
+    K gives ``K.link((v,))``.
+    """
+    if not K.is_flag():
+        return K.link((v,))
+    adjacency = K._adjacency()
+    return K.subcomplex(_core(adjacency, adjacency[K.index(v)]))
 
 
 # ---------------------------------------------------------------------------

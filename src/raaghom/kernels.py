@@ -35,6 +35,7 @@ from .complexes import (
     json_object,
     json_vertex_map,
     lex_order,
+    link_core,
     oriented_face,
     reduced_betti,
 )
@@ -146,9 +147,15 @@ def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
 
 
 def living_link(L: SimplicialComplex, phi: Character, simplex: Iterable) -> SimplicialComplex:
-    """Full subcomplex of the link of a face spanned by living vertices."""
-    lk = L.link(simplex)
-    return lk.full_subcomplex([v for v in lk.vertices if phi(v) != 0])
+    """Full subcomplex of the link of a face spanned by living vertices.
+
+    For a flag L it is the full subcomplex on CN(s) & living, built once
+    from L's masks; for any other L the link is built first.
+    """
+    if not L.is_flag():
+        lk = L.link(simplex)
+        return lk.full_subcomplex([v for v in lk.vertices if phi(v) != 0])
+    return L.subcomplex(L.cn_masks()[L._face_of(simplex)] & L.mask(phi.living_vertices()))
 
 
 def is_fpn(L: SimplicialComplex, phi: Character, n: int, field: FieldSpec) -> bool:
@@ -233,7 +240,7 @@ def kernel_betti(
     for v in L.vertices:
         w = abs(phi(v))
         if w:
-            total += w * reduced_betti(L.link((v,)), field).betti(m - 1)
+            total += w * reduced_betti(link_core(L, v), field).betti(m - 1)
     return total
 
 
@@ -288,8 +295,8 @@ def push_cycle_to_living(
         raise PreconditionError(f"vertex {v!r} is living; pushing applies to dead vertices")
     if z.degree != n - 1:
         raise PreconditionError(f"expected a degree-{n - 1} chain, got degree {z.degree}")
-    lk = L.link((v,))
-    if not z.supported_in(lk):
+    # f is a face of lk(v), with its labels in lk(v)'s vertex order, which is L's
+    if not all(L.has_face(f + (v,)) and L.sort_face(f) == f for f in z.coefficients):
         raise PreconditionError("cycle is not supported in the link of v")
     if not chain_boundary(z).is_zero():
         raise PreconditionError("input chain is not a cycle")
@@ -381,7 +388,7 @@ def torsion_contributions(L: SimplicialComplex, phi: Character, p: int) -> dict:
         if w == 0:
             out[v] = 0
             continue
-        _, torsion = integral_homology(L.link((v,)), p - 1)
+        _, torsion = integral_homology(link_core(L, v), p - 1)
         order = 1
         for d in torsion:
             order *= d
@@ -404,7 +411,7 @@ def mve_positive_criterion(L: SimplicialComplex, phi: Character, p: int) -> bool
     for v in L.vertices:
         if phi(v) == 0:
             continue
-        betti, torsion = integral_homology(L.link((v,)), p - 1)
+        betti, torsion = integral_homology(link_core(L, v), p - 1)
         if betti or torsion:
             return True
     return False

@@ -217,15 +217,23 @@ class TupleComplex:
 
     @classmethod
     def clique_complex(cls, vertices, edges) -> "TupleComplex":
-        """Every vertex set whose pairs are all edges is a face."""
+        """Every vertex set whose pairs are all edges is a face.
+
+        The cliques of each size are the smaller ones extended by a later
+        vertex adjacent to all of their vertices, so the search stops at
+        the first size with no clique.
+        """
         adjacent = {frozenset(e) for e in edges}
         vertices = tuple(vertices)
-        cliques = [
-            sub
-            for size in range(1, len(vertices) + 1)
-            for sub in combinations(vertices, size)
-            if all(frozenset(p) in adjacent for p in combinations(sub, 2))
-        ]
+        cliques, grown = [], [()]
+        while grown:
+            grown = [
+                sub + (v,)
+                for sub in grown
+                for v in vertices[vertices.index(sub[-1]) + 1 if sub else 0 :]
+                if all(frozenset((u, v)) in adjacent for u in sub)
+            ]
+            cliques += grown
         return cls(vertices, cliques)
 
     def faces_of_dim(self, k: int) -> list[tuple]:

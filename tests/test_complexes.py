@@ -356,9 +356,9 @@ class TestCliqueWalk:
             assert_same_lists(sub, expected)
             assert sub.is_flag() and expected.is_flag()
 
-    def test_flag_test_stops_soon_after_the_face_count(self):
-        # the complete graph on 16 vertices, given as faces: 137 faces, 2**16 cliques
-        K = SimplicialComplex(range(16), combinations(range(16), 2))
+    def test_flag_test_stops_soon_after_the_face_count(self, monkeypatch):
+        # the complete graph on 16 vertices, given as faces: 137 faces, 2**16 cliques;
+        # the verdict is taken by the walk that construction runs, so its reads are counted
         reads = []
 
         class CountingMasks(list):
@@ -366,8 +366,15 @@ class TestCliqueWalk:
                 reads.append(i)
                 return super().__getitem__(i)
 
-        K._memo["adjacency"] = CountingMasks(K._adjacency())
-        assert not K.is_flag()
+        walk = complexes._clique_walk
+
+        def counting_walk(adjacency, *args, **kwargs):
+            return walk(CountingMasks(adjacency), *args, **kwargs)
+
+        monkeypatch.setattr(complexes, "_clique_walk", counting_walk)
+        K = SimplicialComplex(range(16), combinations(range(16), 2))
+        monkeypatch.undo()
+        assert not K.is_flag() and K.n_faces(2) == 0
         assert len(K.faces) <= len(reads) <= len(K.faces) + 16  # one read per clique found
 
     def test_barycentric_subdivision_lists_every_chain_in_order(self):
@@ -443,6 +450,77 @@ class TestMaskRepresentation:
         masks = [sum(1 << i for i in s) for s in sets]
         by_tuple = [sum(1 << i for i in t) for t in sorted(tuple(sorted(s)) for s in sets)]
         assert sorted(masks, key=lex_order(n)) == by_tuple
+
+
+def shuffled_face_list(rng: random.Random, vertices, faces) -> tuple[list[str], list[list[str]]]:
+    """The faces over labels s0, s1, ... in a shuffled vertex order, the faces and each face's labels shuffled."""
+    name = {v: f"s{i}" for i, v in enumerate(vertices)}
+    labels = list(name.values())
+    rng.shuffle(labels)
+    out = [rng.sample([name[v] for v in f], len(f)) for f in faces]
+    rng.shuffle(out)
+    return labels, out
+
+
+def cone(vertices, faces) -> tuple[list, list]:
+    return list(vertices) + ["apex"], [list(f) + ["apex"] for f in faces]
+
+
+def once_subdivided_surfaces() -> dict:
+    """Vertices and triangles of flag RP^2, torus and Klein bottle: barycentric subdivisions."""
+    surfaces = {"rp2": rp2_six(), "torus": grid_surface(3, False), "klein": grid_surface(3, True)}
+    subdivided = {name: barycentric_subdivision(K) for name, K in surfaces.items()}
+    return {name: (B.vertices, B.faces_of_dim(2)) for name, B in subdivided.items()}
+
+
+NOT_FLAG_FACE_LISTS = {
+    "rp2 on 6 vertices": (range(1, 7), rp2_six().faces_of_dim(2)),
+    "hollow triangle": ("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
+    "K4 edges and one triangle": (range(4), list(combinations(range(4), 2)) + [(0, 1, 2)]),
+}
+
+
+class TestFaceListOrder:
+    """A face-listed complex keeps the faces of `oracles.TupleComplex`, in its order.
+
+    A flag one takes them from the clique walk, any other one sorts them.
+    """
+
+    @pytest.mark.parametrize("coned", [False, True], ids=["surface", "cone"])
+    @pytest.mark.parametrize("name", ["rp2", "torus", "klein"])
+    def test_flag_surfaces_and_cones(self, name, coned):
+        vertices, faces = once_subdivided_surfaces()[name]
+        if coned:
+            vertices, faces = cone(vertices, faces)
+        self.check_against_tuples(random.Random(name), vertices, faces, flag=True)
+
+    @pytest.mark.parametrize("name", NOT_FLAG_FACE_LISTS)
+    def test_face_lists_that_are_not_flag(self, name):
+        self.check_against_tuples(random.Random(name), *NOT_FLAG_FACE_LISTS[name], flag=False)
+
+    @staticmethod
+    def check_against_tuples(rng: random.Random, vertices, faces, flag: bool) -> None:
+        labels, faces = shuffled_face_list(rng, vertices, faces)
+        K = SimplicialComplex.from_json_dict({"vertices": labels, "faces": faces})
+        T = TupleComplex(labels, faces)
+        assert K.vertices == T.vertices and K.dim == T.dim
+        for k in range(-1, K.dim + 2):
+            assert K.faces_of_dim(k) == T.faces_of_dim(k)
+            assert list(K.masks_of_dim(k)) == [K.mask(f) for f in T.faces_of_dim(k)]
+        for k in range(K.dim + 2):
+            assert list(boundary_matrix(K, k).entries.items()) == list(T.boundary_entries(k).items())
+        assert K.is_flag() == T.is_flag() == flag
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_one_walk_and_a_sort_only_when_not_flag(self, monkeypatch, flag):
+        vertices, faces = once_subdivided_surfaces()["rp2"] if flag else NOT_FLAG_FACE_LISTS["rp2 on 6 vertices"]
+        walks, sorts = [], []
+        walk, order = complexes._clique_walk, complexes.lex_order
+        monkeypatch.setattr(complexes, "_clique_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+        monkeypatch.setattr(complexes, "lex_order", lambda n: sorts.append(n) or order(n))
+        K = SimplicialComplex(vertices, faces)
+        assert K.is_flag() == flag
+        assert len(walks) == 1 and len(sorts) == (0 if flag else 1)
 
 
 class TestBoundaryMatrix:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from raaghom.complexes import (
     barycentric_subdivision,
     chain_boundary,
     flag_completion,
+    integral_homology,
+    reduced_betti,
 )
 from raaghom.exact import F2, QQ, FieldSpec, nullspace
 from raaghom.complexes import boundary_matrix
@@ -325,6 +328,31 @@ class TestPushCycle:
                 verify_push(L, phi, "v", z, res, 2)
 
 
+class TestPushSupport:
+    """The chain must lie in lk(v), with each face's labels in L's vertex order."""
+
+    @pytest.mark.parametrize(
+        "face",
+        [("v", "a"), ("a", "e"), ("d1", "a"), ("a", "zz")],
+        ids=["contains v", "outside the link", "out of vertex order", "unknown label"],
+    )
+    def test_unsupported_face_rejected(self, face):
+        L, phi = cone_over_c4_with_extra_living()
+        z = ChainVector(1, QQ, {("a", "d1"): 1, face: 1})
+        with pytest.raises(PreconditionError, match=r"^cycle is not supported in the link of v$"):
+            push_cycle_to_living(L, phi, "v", z, 2, enforce_fpn=False)
+
+    def test_supported_cycles_accepted(self):
+        L, phi = cone_over_c4_with_extra_living()
+        square = {("a", "d1"): 1, ("d1", "c"): 1, ("c", "d2"): 1, ("a", "d2"): -1}
+        assert ChainVector(1, QQ, square).supported_in(L.link(("v",)))
+        # the square passes the support test and fails later, on the living link of a dead vertex
+        with pytest.raises(InconsistencyError):
+            push_cycle_to_living(L, phi, "v", ChainVector(1, QQ, square), 2, enforce_fpn=False)
+        z = ChainVector(0, QQ, {("d1",): 1, ("a",): -1})
+        verify_push(L, phi, "v", z, push_cycle_to_living(L, phi, "v", z, 1, enforce_fpn=False), 1)
+
+
 def join_with_two_dead_equator_vertices():
     """The octahedron join of `join_with_dead_apex_and_dead_equator`, with b0 dead too."""
     L, phi = join_with_dead_apex_and_dead_equator()
@@ -520,6 +548,16 @@ def flag_complexes_with_characters(draw):
     return L, char(L, *values)
 
 
+@st.composite
+def face_listed_complexes_with_characters(draw):
+    """A complex on 1..6 vertices from a random face list, often not flag, and a character."""
+    n = draw(st.integers(1, 6))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8))
+    L = SimplicialComplex(range(n), faces)
+    values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    return L, char(L, *values)
+
+
 class TestMaskPathAgainstDefinition:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(flag_complexes_with_characters(), st.sampled_from((QQ, F2, F3)), st.integers(0, 3))
@@ -532,3 +570,34 @@ class TestMaskPathAgainstDefinition:
             got = living_link(L, phi, s)
             assert {frozenset(f) for f in got.faces} == expected
             assert got.vertices == tuple(v for v in L.vertices if frozenset((v,)) in expected)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(flag_complexes_with_characters(), face_listed_complexes_with_characters()),
+        st.sampled_from((QQ, F2, F3)),
+        st.integers(0, 3),
+    )
+    def test_link_invariants_read_from_the_parent(self, instance, field, m):
+        L, phi = instance
+        living = [v for v in L.vertices if phi(v) != 0]
+        for s in L.faces:
+            got, expected = living_link(L, phi, s), L.link(s).full_subcomplex(living)
+            assert got.vertices == expected.vertices and got.to_json_dict() == expected.to_json_dict()
+        links = {v: L.link((v,)) for v in L.vertices}
+        betti = sum(abs(phi(v)) * reduced_betti(links[v], field).betti(m - 1) for v in L.vertices)
+        assert kernel_betti(L, phi, m, field, enforce=False) == betti
+        homology = {v: integral_homology(links[v], m - 1) for v in L.vertices}
+        torsion = {v: abs(phi(v)) * prod(homology[v][1]) for v in L.vertices}
+        assert torsion_contributions(L, phi, m) == torsion
+        assert mve_positive_criterion(L, phi, m) == any(phi(v) and any(homology[v]) for v in L.vertices)
+
+    def test_cone_over_the_six_vertex_rp2(self):
+        rp2 = rp2_six()
+        L = SimplicialComplex(list(rp2.vertices) + ["apex"], [t + ("apex",) for t in rp2.faces_of_dim(2)])
+        assert not L.is_flag()
+        phi = Character(L, {v: 3 if v == "apex" else 1 for v in L.vertices})
+        # lk(apex) is RP^2, with H_1 = Z/2; every other link is a cone on a 5-cycle
+        assert torsion_term(L, phi, 2) == 3 * 2 + 6
+        assert kernel_betti(L, phi, 2, F2, enforce=False) == 3
+        assert kernel_betti(L, phi, 2, QQ, enforce=False) == 0
+        assert mve_positive_criterion(L, phi, 2) and not mve_positive_criterion(L, phi, 3)
