@@ -20,8 +20,12 @@ the lowest vertex of a candidate mask and extends by the candidates
 adjacent to it, so it lists the cliques inside a mask per dimension,
 already in the order faces are kept in.  Clique completion, full
 subcomplexes and links of a flag complex, barycentric subdivisions and
-the flag test itself run this walk; full subcomplexes of a complex that
-is not flag keep the parent's faces inside the mask.
+the flag test itself run this walk.  A complex given by its faces runs it
+once at construction, limited to its face count: every face is a clique,
+so when the walk stays within the limit the complex is flag, the walk's
+lists are its faces in order, and the flag verdict is taken there.  Only
+a face list that is not flag is sorted (`lex_order`).  Full subcomplexes
+of a complex that is not flag keep the parent's faces inside the mask.
 
 Each complex carries one memo, keyed by vertex masks over its own vertex
 order: full subcomplexes by mask, the reduced Betti profile per field,
@@ -34,7 +38,9 @@ memo lookups by mask, and each face's CN mask is listed once
 subcomplexes on CN(s) intersected with the living vertices, and
 ``is_n_acyclic_on`` tests them by mask: degrees -1 and 0 come from the
 mask itself (nonempty, connected), higher degrees from the subcomplex on
-the mask's core.
+the mask's core.  In the same way ``link_core`` reads the homology of a
+vertex link from the subcomplex on the core of CN(v), found in the
+parent's masks before anything is built.
 
 Homology is read from a core.  In a flag complex a vertex u of a mask U
 is dominated when another v in U is adjacent to every vertex of U that u
