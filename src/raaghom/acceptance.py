@@ -340,7 +340,7 @@ def criterion_8(seed: int = 0) -> tuple[bool, str]:
             if len(lk.vertices) < 2:
                 continue
             a, b = rng.sample(list(lk.vertices), 2)
-            z = ChainVector(0, field, {(a,): field.one, (b,): field.neg(field.one)})
+            z = ChainVector(0, field, {(a,): 1, (b,): -1})
             run_instance(L, phi, v, z, 1)
             break
     total = verified + failures

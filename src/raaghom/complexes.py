@@ -867,18 +867,14 @@ class ChainVector:
             raise ValueError("chain degree/field mismatch")
         out = dict(self.coefficients)
         for f, v in other.coefficients.items():
-            out[f] = self.field.add(out.get(f, self.field.zero), v)
+            out[f] = out.get(f, 0) + v
         return ChainVector(self.degree, self.field, out)
 
     def scale(self, c: Scalar) -> "ChainVector":
-        return ChainVector(
-            self.degree,
-            self.field,
-            {f: self.field.mul(v, c) for f, v in self.coefficients.items()},
-        )
+        return ChainVector(self.degree, self.field, {f: v * c for f, v in self.coefficients.items()})
 
     def sub(self, other: "ChainVector") -> "ChainVector":
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        return self.add(other.scale(-1))
 
     def supported_in(self, K: SimplicialComplex) -> bool:
         """True when every face of the chain is a face of K with its labels in K's vertex order.
@@ -903,11 +899,9 @@ class ChainVector:
 
 def chain_boundary(chain: ChainVector) -> ChainVector:
     """Augmented simplicial boundary: vertices map to the empty face."""
-    field = chain.field
     out: dict[Face, Scalar] = {}
     for f, coef in chain.coefficients.items():
         for i in range(len(f)):
             sub = f[:i] + f[i + 1 :]
-            sign = field.of((-1) ** i)
-            out[sub] = field.add(out.get(sub, field.zero), field.mul(sign, coef))
-    return ChainVector(chain.degree - 1, field, out)
+            out[sub] = out.get(sub, 0) + (-1) ** i * coef
+    return ChainVector(chain.degree - 1, chain.field, out)  # reduces the sums

@@ -1,11 +1,18 @@
 """Exact sparse linear algebra over Q, prime fields, and Z.
 
 Rank, linear solve, and kernel bases over an exact field, together with
-Smith normal form over the integers.  Everything is arbitrary precision:
-mod-p scalars are ints reduced into [0, p), and over Q an integral value
-is a Python int and any other a `fractions.Fraction`.  No floating point
-is used anywhere, and no two ints are ever divided; exactness is the
-correctness contract.
+Smith normal form over the integers.  Everything is arbitrary precision,
+and no floating point is used anywhere; exactness is the correctness
+contract.
+
+The scalar rule: a mod-p scalar is an int in [0, p), and over Q an
+integral value is a Python int and any other a `fractions.Fraction`.
+Field arithmetic is plain int and Fraction arithmetic, and its results
+are put back into that form by `FieldSpec.of`, which reduces mod p and
+turns an integral rational into an int.  There is one inverse,
+`_inverse`: ``pow(a, -1, p)`` over F_p; over Q a +-1 is its own inverse
+and stays an int, and any other value is inverted as a Fraction, so no
+two ints are ever divided.
 
 There is one matrix type, `ExactMatrix`.  An integer matrix is an
 `ExactMatrix` over Q whose entries are all ints (`IntMatrix` only builds
@@ -80,7 +87,8 @@ class FieldSpec:
     """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
     Immutable, and equal and hashed by its characteristic, so a field is a
-    memo key.
+    memo key.  It does no arithmetic: `of` puts a value into the field's
+    scalar form, which the module docstring states.
     """
 
     __slots__ = ("char",)
@@ -126,16 +134,6 @@ class FieldSpec:
     def token(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
 
-    # -- scalar arithmetic -------------------------------------------------
-
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.char == 0 else 1
-
     def of(self, value: Union[int, Fraction, str]) -> Scalar:
         """Coerce an int, Fraction, or "num/den" string into the field.
 
@@ -154,26 +152,6 @@ class FieldSpec:
                 return f.numerator % p * pow(den, -1, p) % p
             value = f.numerator
         return value % p if p else value
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.char == 0 else (-a) % self.char
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.char == 0:
-            return Fraction(1) / a
-        return pow(a, -1, self.char)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     def to_string(self, a: Scalar) -> str:
         if self.char == 0:
@@ -235,7 +213,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int, field: FieldSpec) -> "ExactMatrix":
-        return ExactMatrix(n, n, field, {(i, i): field.one for i in range(n)})
+        return ExactMatrix(n, n, field, {(i, i): 1 for i in range(n)})
 
     def entry(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), 0)
@@ -257,7 +235,6 @@ class ExactMatrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        fd = self.field
         by_row: dict[int, list[tuple[int, Scalar]]] = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
@@ -265,17 +242,16 @@ class ExactMatrix:
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
                 key = (r, c)
-                out[key] = fd.add(out.get(key, fd.zero), fd.mul(a, b))
-        return ExactMatrix(self.rows, other.cols, fd, out)
+                out[key] = out.get(key, 0) + a * b
+        return ExactMatrix(self.rows, other.cols, self.field, out)  # reduces the sums
 
     def mul_vector(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        fd = self.field
-        out = [fd.zero] * self.rows
+        out = [0] * self.rows
         for (r, c), v in self.entries.items():
-            out[r] = fd.add(out[r], fd.mul(v, vec[c]))
-        return out
+            out[r] += v * vec[c]
+        return [self.field.of(x) for x in out]
 
     def over_field(self, field: FieldSpec) -> "ExactMatrix":
         """This matrix over ``field``: itself over its own field, a matrix over Q reduced mod p."""
@@ -479,13 +455,16 @@ def rank(m: ExactMatrix) -> int:
     return rk
 
 
+def _inverse(a: Scalar, p: int) -> Scalar:
+    """1 / a over F_p, or over Q when p is 0, where a +-1 is its own inverse and stays an int."""
+    if p:
+        return pow(a, -1, p)
+    return a if a == 1 or a == -1 else 1 / Fraction(a)
+
+
 def _pivot_out(rows, cols, buckets, pr: int, pc: int, p: int) -> None:
     """Clear column pc with row pr, reduced mod p unless p is 0, then drop row pr."""
-    piv = rows[pr][pc]
-    if p:
-        minus_inv = -pow(piv, -1, p)
-    else:  # a +-1 pivot is its own inverse, so integer rows stay ints
-        minus_inv = -piv if piv == 1 or piv == -1 else -1 / Fraction(piv)
+    minus_inv = -_inverse(rows[pr][pc], p)
     for r in list(cols[pc]):
         if r != pr:
             factor = rows[r][pc] * minus_inv  # -a / pivot clears column pc of row r
@@ -501,9 +480,9 @@ def _echelon(
     Returns (rows, pivots, rhs) where pivots is a list of (row, col) in
     elimination order and rows maps surviving row indices to sparse rows.
     """
-    fd = m.field
+    p, of = m.field.char, m.field.of
     rows, cols, buckets = _index(m.entries.items())
-    b = [fd.of(x) for x in rhs] if rhs is not None else None
+    b = [of(x) for x in rhs] if rhs is not None else None
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
     for c in range(m.cols):
@@ -513,13 +492,13 @@ def _echelon(
         pr = min(candidates)
         used.add(pr)
         pivots.append((pr, c))
-        piv = rows[pr][c]
+        minus_inv = -_inverse(rows[pr][c], p)
         for r in candidates:
             if r != pr:
-                factor = fd.neg(fd.div(rows[r][c], piv))
-                _add_row(rows, cols, buckets, pr, r, factor, fd.char)
+                factor = of(rows[r][c] * minus_inv)
+                _add_row(rows, cols, buckets, pr, r, factor, p)
                 if b is not None:
-                    b[r] = fd.add(b[r], fd.mul(factor, b[pr]))
+                    b[r] = of(b[r] + factor * b[pr])
     return rows, pivots, b
 
 
@@ -531,42 +510,41 @@ def solve(m: ExactMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """
     if len(b) != m.rows:
         raise ValueError(f"rhs has length {len(b)}, expected {m.rows}")
-    fd = m.field
     rows, pivots, rhs = _echelon(m, b)
     assert rhs is not None
     pivot_rows = {r for r, _ in pivots}
     for r in range(m.rows):
         if r not in pivot_rows and rhs[r] != 0:
             return None
-    return _back_substitute(fd, rows, pivots, [fd.zero] * m.cols, rhs)
+    return _back_substitute(m.field, rows, pivots, [0] * m.cols, rhs)
 
 
 def nullspace(m: ExactMatrix) -> list[list[Scalar]]:
     """A basis of ker(m), one vector per free column, in column order."""
-    fd = m.field
     rows, pivots, _ = _echelon(m)
     pivot_cols = {c for _, c in pivots}
-    zero = [fd.zero] * m.rows
+    zero = [0] * m.rows
     basis = []
     for f in range(m.cols):
         if f not in pivot_cols:
-            x: list[Scalar] = [fd.zero] * m.cols
-            x[f] = fd.one
-            basis.append(_back_substitute(fd, rows, pivots, x, zero))
+            x: list[Scalar] = [0] * m.cols
+            x[f] = 1
+            basis.append(_back_substitute(m.field, rows, pivots, x, zero))
     return basis
 
 
-def _back_substitute(fd: FieldSpec, rows, pivots, x: list[Scalar], rhs: Sequence[Scalar]) -> list[Scalar]:
+def _back_substitute(field: FieldSpec, rows, pivots, x: list[Scalar], rhs: Sequence[Scalar]) -> list[Scalar]:
     """Set x's pivot entries, last pivot first, so that every echelon row r reads rhs[r].
 
     The free entries of x are taken as given.
     """
+    p, of = field.char, field.of
     for r, c in reversed(pivots):
         acc = rhs[r]
         for cc, v in rows[r].items():
             if cc != c:
-                acc = fd.sub(acc, fd.mul(v, x[cc]))
-        x[c] = fd.div(acc, rows[r][c])
+                acc -= v * x[cc]
+        x[c] = of(acc * _inverse(rows[r][c], p))
     return x
 
 

@@ -34,7 +34,6 @@ from .complexes import (
     json_int,
     json_object,
     json_vertex_map,
-    lex_order,
     link_core,
     oriented_face,
     reduced_betti,
@@ -281,8 +280,10 @@ def push_cycle_to_living(
     `solve` on the augmented degree-m boundary of that living link; at
     m = 0 the cycle is a multiple of the empty face, and the solve cones
     it off the least living vertex.  Subtracting the boundary of lam
-    joined with the filling raises the living count.  Dead faces are
-    processed lexicographically; fillings are whatever `solve` returns.
+    joined with the filling raises the living count.  That changes only
+    lam's own faces of stage m, which cancel, and faces of stage m + 1, so
+    the dead parts of a stage are taken once each, and their order cannot
+    change the answer; fillings are whatever `solve` returns.
 
     Returns (z', w) with z' supported in the living link of v, dz' = 0 and
     z - z' = dw exactly.  Raises InconsistencyError when a filling that
@@ -307,8 +308,10 @@ def push_cycle_to_living(
                 f"kernel is not FP_{n} over {field.token()} (dead simplex {bad!r})"
             )
 
+    of = field.of
+
     def add_term(acc: dict, face: Face, coef: Scalar) -> None:
-        new = field.add(acc.get(face, field.zero), coef)
+        new = of(acc.get(face, 0) + coef)
         if new == 0:
             acc.pop(face, None)
         else:
@@ -317,41 +320,32 @@ def push_cycle_to_living(
     def subtract_boundary(acc: dict, n_face_seq: tuple, coef: Scalar) -> None:
         """acc -= coef * d(oriented n_face_seq), skipping the augmentation."""
         face, sign = oriented_face(n_face_seq, L)
-        total = field.mul(coef, field.of(sign))
         for i in range(len(face)):
             sub = face[:i] + face[i + 1 :]
-            if not sub:
-                continue
-            term = field.mul(total, field.of((-1) ** i))
-            add_term(acc, sub, field.neg(term))
+            if sub:
+                add_term(acc, sub, -(-1) ** i * sign * coef)
 
     current: dict[Face, Scalar] = dict(z.coefficients)
     witness: dict[Face, Scalar] = {}
     living = L.mask(phi.living_vertices())
-    order = lex_order(len(L.vertices))
 
     for m in range(0, n):
-        while True:
-            groups: dict[int, list[Face]] = {}  # by the mask of the dead part
-            for face in current:
-                f = L.mask(face)
-                if (f & living).bit_count() == m:
-                    groups.setdefault(f & ~living, []).append(face)
-            if not groups:
-                break
-            # every dead part has n - m vertices, so lex_order applies
-            lam_mask = min(groups, key=order)
+        groups: dict[int, list[Face]] = {}  # by the mask of the dead part
+        for face in current:
+            f = L.mask(face)
+            if (f & living).bit_count() == m:
+                groups.setdefault(f & ~living, []).append(face)
+        for lam_mask, faces in groups.items():
             lam = L.labels(lam_mask)
             # the support simplices containing lam; peel off lam and fill
             # the living (m-1)-cycle that remains, augmented when m = 0
             cone = living_link(L, phi, (v,) + lam)
             row_pos = {f: i for i, f in enumerate(cone.faces_of_dim(m - 1))}
-            rhs = [field.zero] * len(row_pos)
-            for s in groups[lam_mask]:
+            rhs: list[Scalar] = [0] * len(row_pos)
+            for s in faces:
                 tau = tuple(u for u in s if phi(u) != 0)
                 _, eps = oriented_face(lam + tau, L)
-                i = row_pos[tau]
-                rhs[i] = field.add(rhs[i], field.mul(current[s], field.of(eps)))
+                rhs[row_pos[tau]] += current[s] * eps
             d_m = boundary_matrix(cone, m).over_field(field)
             psi = solve(d_m, rhs)
             if psi is None:
@@ -359,15 +353,14 @@ def push_cycle_to_living(
                     f"no filling of the living cycle in the link of {(v,) + lam!r}; "
                     f"FP_{n} over {field.token()} must fail"
                 )
-            sign_nm = field.of((-1) ** (n - m))
+            sign_nm = (-1) ** (n - m)
             for sigma, c in zip(cone.faces_of_dim(m), psi):
                 if c == 0:
                     continue
                 seq = lam + sigma
                 face, sgn = oriented_face(seq, L)
-                coef = field.mul(sign_nm, field.mul(c, field.of(sgn)))
-                add_term(witness, face, coef)
-                subtract_boundary(current, seq, field.mul(sign_nm, c))
+                add_term(witness, face, sign_nm * c * sgn)
+                subtract_boundary(current, seq, sign_nm * c)
 
     return PushResult(
         cycle=ChainVector(n - 1, field, current),

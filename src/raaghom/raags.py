@@ -186,32 +186,18 @@ class FiniteQuotient:
 
     @property
     def orbit_count(self) -> int:
-        # forward images suffice: each inverse is a power of its permutation
-        perms = self.action.values()
-        seen = [False] * self.order
-        count = 0
-        for start in range(self.order):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                for p in perms:
-                    y = p[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-        return count
+        # each orbit's tree in the spanning forest has one 1-cell fewer than points
+        return self.order - len(self._spanning_forest())
 
     def _spanning_forest(self) -> list[int]:
         """The 1-cells of a spanning forest of the Schreier graph, as rows of the specialised d_2.
 
         The Schreier graph joins each point x to P_v x by the 1-cell (v, x),
         which is row i * N + x of the specialised d_2 when v is vertex i.
-        It walks the graph as `orbit_count` does and adds (v, x) whenever
-        it first reaches P_v x from x, so the forest has N - #orbits 1-cells.
+        It walks the graph from each point not yet reached, by forward
+        images only (each inverse is a power of its permutation), and adds
+        (v, x) whenever it first reaches P_v x from x, so the forest has
+        N - #orbits 1-cells.
         Generators with the most neighbours are tried first, since row i of
         d_2 has an entry for each edge at vertex i; ties go in vertex order.
         """
@@ -461,9 +447,8 @@ def cover_betti(
       to an N-fold block matrix and eliminated, so a 0-dimensional
       complex (a free group) eliminates nothing.  The N - #orbits rows
       of d_2 that are 1-cells of a spanning forest of the Schreier graph
-      are cleared first (`FiniteQuotient._spanning_forest`).  The forest
-      is walked only when d_2 is eliminated, so a cover that eliminates
-      nothing walks the graph once, to count the orbits.
+      are cleared first (`FiniteQuotient._spanning_forest`).  The graph
+      is walked once, for the forest, which also gives rank d_1.
 
     Clearing keeps rank d_2 over every field.  The forest's fundamental
     cycles are a basis of ker d_1, so ker d_1 is a direct summand of C_1
@@ -487,13 +472,14 @@ def cover_betti(
         betti = _character_sum_betti(L, q.moduli, field)
         _check_betti(betti, cells, N)
     else:
+        forest = q._spanning_forest()
         ranks = [0] * (top + 2)
-        ranks[1] = N - q.orbit_count
+        ranks[1] = len(forest)  # N - #orbits
         for k in range(2, top + 1):
             def compute(k: int = k) -> int:
                 m = specialize(salvetti_boundary(A, k, field), q)
                 if k == 2:  # clear the rows of a spanning forest, which keeps the rank
-                    cleared = set(q._spanning_forest())
+                    cleared = set(forest)
                     m.entries = {rc: v for rc, v in m.entries.items() if rc[0] not in cleared}
                 return rank(m)
 

@@ -51,6 +51,13 @@ def random_int_matrix(rng, rows, cols, density=0.5, lo=-4, hi=4):
     return IntMatrix(rows, cols, entries)
 
 
+def in_scalar_form(values, field: FieldSpec) -> bool:
+    """The scalar rule: an int in [0, p) over F_p; over Q an int when integral and a Fraction otherwise."""
+    if field.char:
+        return all(type(v) is int and 0 <= v < field.char for v in values)
+    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)
+
+
 def dense_rows(m: IntMatrix) -> list[list[int]]:
     return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
 
@@ -309,7 +316,17 @@ class TestSolve:
     def test_identity(self):
         m = ExactMatrix.identity(4, QQ)
         b = [Fraction(3), Fraction(-1), Fraction(0), Fraction(7, 2)]
-        assert solve(m, b) == b
+        x = solve(m, b)
+        assert x == b
+        assert in_scalar_form(x, QQ)  # 3, -1 and 0 come back as ints
+
+    def test_unit_pivots_give_ints(self):
+        # every pivot of the elimination is +-1, so no value is ever a Fraction
+        m = ExactMatrix.from_rows([[1, 2, 0], [-1, -1, 1], [2, 4, -1]], QQ)
+        x = solve(m, [5, -1, 9])
+        assert x == [-1, 3, 1]
+        assert all(type(v) is int for v in x)
+        assert all(type(v) is int for v in m.mul_vector(x))
 
     def test_zero_matrix_no_solution(self):
         m = ExactMatrix.zeros(2, 3, F2)
@@ -339,6 +356,7 @@ class TestSolve:
             x = solve(m.over_field(fp), b)
             if x is not None:
                 assert m.over_field(fp).mul_vector(x) == [v % p for v in b]
+                assert in_scalar_form(x, fp)
             else:
                 assert not brute_force_has_solution(dense_rows(m), b, p, cols_n)
 
@@ -358,7 +376,9 @@ class TestNullspace:
                 basis = nullspace(em)
                 assert len(basis) == em.cols - rank(em)
                 for vec in basis:
-                    assert all(v == 0 for v in em.mul_vector(vec))
+                    assert in_scalar_form(vec, field)
+                    products = em.mul_vector(vec)
+                    assert all(v == 0 for v in products) and in_scalar_form(products, field)
 
     def test_circle_cycle(self):
         # boundary of a 3-cycle graph: kernel is one-dimensional
@@ -378,8 +398,11 @@ class TestEchelonOutputs:
         m, dense, b = system
         em = m.over_field(field)
         p = field.char
-        assert solve(em, b) == rref_solution(dense, b, m.cols, p)
-        assert nullspace(em) == rref_kernel_basis(dense, m.cols, p)
+        x, basis = solve(em, b), nullspace(em)
+        assert x == rref_solution(dense, b, m.cols, p)
+        assert basis == rref_kernel_basis(dense, m.cols, p)
+        for vec in basis + ([x, em.mul_vector(x)] if x is not None else []):
+            assert in_scalar_form(vec, field)
 
 
 class TestSmithNormalForm:

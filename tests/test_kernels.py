@@ -22,6 +22,7 @@ from raaghom.complexes import (
 )
 from raaghom.exact import F2, QQ, FieldSpec, nullspace
 from raaghom.complexes import boundary_matrix
+from raaghom.acceptance import _octahedron_join
 from raaghom.kernels import (
     Character,
     InconsistencyError,
@@ -393,6 +394,25 @@ class TestPushedFillings:
         res = push_cycle_to_living(L, phi, "v", z, 2)
         verify_push(L, phi, "v", z, res, 2)
         assert res.cycle.coefficients == cycle
+        assert res.witness.coefficients == witness
+
+    @pytest.mark.parametrize(
+        "field, witness",
+        [
+            (QQ, {("u", "a0", "b0"): 1, ("u", "a0", "c0"): -1, ("u", "a1", "b0"): -1, ("u", "a1", "c0"): 1}),
+            (F2, {("u", "a0", "b0"): 1, ("u", "a0", "c0"): 1, ("u", "a1", "b0"): 1, ("u", "a1", "c0"): 1}),
+            (F3, {("u", "a0", "b0"): 1, ("u", "a0", "c0"): 2, ("u", "a1", "b0"): 2, ("u", "a1", "c0"): 1}),
+        ],
+        ids=["Q", "F2", "F3"],
+    )
+    def test_two_dead_parts_at_one_stage(self, field, witness):
+        # every edge of the square a0 - b0 - a1 - c0 has one living vertex,
+        # so stage m = 1 has the two dead parts b0 and c0
+        L, phi, v = _octahedron_join(("b0", "c0"))
+        z = ChainVector(1, field, {("a0", "b0"): 1, ("a1", "b0"): -1, ("a1", "c0"): 1, ("a0", "c0"): -1})
+        res = push_cycle_to_living(L, phi, v, z, 2)
+        verify_push(L, phi, v, z, res, 2)
+        assert res.cycle.coefficients == {}
         assert res.witness.coefficients == witness
 
     def test_zero_cycle_coned_off_least_living_vertex(self):
