@@ -37,9 +37,9 @@ memo lookups by mask, and each face's CN mask is listed once
 (``cn_masks``).  The living links of an Artin kernel are the full
 subcomplexes on CN(s) intersected with the living vertices, and
 ``is_n_acyclic_on`` tests them by mask: degrees -1 and 0 come from the
-mask itself (nonempty, connected), higher degrees from the subcomplex on
-the mask's core.  In the same way ``link_core`` reads the homology of a
-vertex link from the subcomplex on the core of CN(v), found in the
+mask itself (nonempty, connected), higher degrees from the mask's core
+(``reduced_betti_on``).  In the same way ``link_core`` reads the homology
+of a vertex link from the subcomplex on the core of CN(v), found in the
 parent's masks before anything is built.
 
 Homology is read from a core.  In a flag complex a vertex u of a mask U
@@ -55,7 +55,10 @@ theorem): rank d_k over Q is the number of elementary divisors and over
 F_p the number prime to p, which gives ``reduced_betti`` over every
 field, padded with zeros to the complex's own degrees, and the torsion of
 ``integral_homology``.  Callers that look up ``subcomplex(core(mask))``
-share one elimination among all masks with one core.
+share one elimination among all masks with one core.  A core with no
+triangle is a graph, whose homology over every ring is free and fixed by
+its numbers of vertices, edges and components, so ``reduced_betti_on``
+reads such a core from those counts and builds no subcomplex for it.
 
 d_2 is eliminated without the rows of the edges of a spanning forest of
 the 1-skeleton ("clearing"), which keeps its elementary divisors: the
@@ -776,8 +779,9 @@ def is_n_acyclic_on(K: SimplicialComplex, mask: int, n: int, field: FieldSpec) -
 
     Degrees -1 and 0 are read from the mask over every field: b~_{-1}
     vanishes when the mask is nonempty, and b~_0 too when its 1-skeleton
-    is connected.  From n = 1 on, `reduced_betti_on` the mask is read.
-    K must be flag, which the callers check once.
+    is connected.  From n = 1 on, `reduced_betti_on` the mask is read,
+    from the vertex, edge and component counts when the mask's core has no
+    triangle.  K must be flag, which the callers check once.
     """
     if n < 0:
         return n < -1 or mask != 0
@@ -789,11 +793,36 @@ def is_n_acyclic_on(K: SimplicialComplex, mask: int, n: int, field: FieldSpec) -
 def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> HomologyProfile:
     """`reduced_betti` of the full subcomplex on a mask's core, K being flag.
 
-    The core has the homology of the full subcomplex on the mask, and masks
-    with one core share one entry of K's memo.  K must be flag, which the
-    callers check once, where `core` checks it on every call.
+    The core has the homology of the full subcomplex on the mask.  One scan
+    of the core's neighbour masks counts its V vertices and E edges and
+    stops at the first triangle, a vertex with two adjacent neighbours.  A
+    core with no triangle is a graph, whose homology over every field is
+    b~_0 = C - 1 and b~_1 = E - V + C with C components, so it is read
+    from those counts, profile length included, and nothing is built or
+    memoised.  A core with a triangle is built, and masks with one core
+    share one entry of K's memo.  K must be flag, which the callers check
+    once, where `core` checks it on every call.
     """
-    return reduced_betti(K.subcomplex(_core(K._adjacency(), mask)), field)
+    adjacency = K._adjacency()
+    core = _core(adjacency, mask)
+    if not core:
+        return HomologyProfile(field=field, reduced_betti=(1,))
+    edges = 0
+    rest = core
+    while rest:  # u is the lowest vertex of rest, and each edge is counted at its lower end
+        u = rest & -rest
+        rest ^= u
+        neighbours = adjacency[u.bit_length() - 1] & core
+        later = neighbours & rest
+        edges += later.bit_count()
+        while later:
+            v = later & -later
+            later ^= v
+            if adjacency[v.bit_length() - 1] & neighbours:
+                return reduced_betti(K.subcomplex(core), field)
+    c = _component_count(K, core)
+    betti = (0, c - 1, edges - core.bit_count() + c) if edges else (0, c - 1)
+    return HomologyProfile(field=field, reduced_betti=betti)
 
 
 def link_core(K: SimplicialComplex, v: Label) -> SimplicialComplex:

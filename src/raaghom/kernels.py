@@ -37,6 +37,7 @@ from .complexes import (
     link_core,
     oriented_face,
     reduced_betti,
+    reduced_betti_on,
 )
 from .exact import FieldSpec, Scalar, solve
 
@@ -191,10 +192,11 @@ def living_set_violation(
     full subcomplex on CN(s) & living, and it must be (n - k - 1)-acyclic;
     the living part itself, for the empty simplex, (n - 1)-acyclic.  Each
     test is `is_n_acyclic_on` that mask: degrees -1 and 0 are read from the
-    mask alone (nonempty, connected), higher degrees from the subcomplex on
-    the mask's core.  Dead simplices of dimension above n impose vacuous
-    conditions, and L has none above its dimension, so the scan stops at
-    the smaller.  Each face's CN mask is listed once per complex
+    mask alone (nonempty, connected), higher degrees from the mask's core,
+    a triangle-free core from its vertex, edge and component counts and any
+    other from its subcomplex.  Dead simplices of dimension above n impose
+    vacuous conditions, and L has none above its dimension, so the scan
+    stops at the smaller.  Each face's CN mask is listed once per complex
     (`cn_masks`).  L must be flag: the searches check that once, and
     `fpn_violation` on each call.
     """
@@ -220,7 +222,9 @@ def kernel_betti(
 
     The closed form is valid when the kernel is FP_m over the field and
     the character is surjective; both are checked unless ``enforce`` is
-    switched off (useful for formula-level experiments).
+    switched off (useful for formula-level experiments).  On a flag L,
+    lk(v) is the full subcomplex on CN(v), read by `reduced_betti_on`;
+    any other L reads `link_core`.
     """
     if enforce:
         if not phi.is_surjective:
@@ -235,11 +239,17 @@ def kernel_betti(
                     f"{m - len(bad)}-acyclic"
                 )
             raise PreconditionError(f"kernel is not FP_{m} over {field.token()}: {detail}")
+    flag = L.is_flag()
     total = 0
     for v in L.vertices:
         w = abs(phi(v))
-        if w:
-            total += w * reduced_betti(link_core(L, v), field).betti(m - 1)
+        if not w:
+            continue
+        if flag:
+            link = reduced_betti_on(L, L.common_neighbours((v,)), field)
+        else:
+            link = reduced_betti(link_core(L, v), field)
+        total += w * link.betti(m - 1)
     return total
 
 

@@ -373,9 +373,10 @@ def _character_sum_betti(
 
     which reads sum_s 2^|CN(s)| links in place of |faces| * 2^|V|.  The
     inner sum depends on s only through the mask of CN(s) among the living
-    vertices, so faces with one mask share it.  Each link is read from the
-    subcomplex on its mask's core, which has the same homology, so links
-    with one core share one elimination.
+    vertices, so faces with one mask share it.  Each link is read from its
+    mask's core, which has the same homology (`reduced_betti_on`): a core
+    with no triangle from its vertex, edge and component counts, any other
+    from its subcomplex, so links with one core share one elimination.
     """
     n = [moduli[v] for v in L.vertices]
     living = L.mask(v for v, nv in zip(L.vertices, n) if nv > 1)

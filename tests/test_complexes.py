@@ -25,13 +25,15 @@ from raaghom.complexes import (
     lex_order,
     oriented_face,
     reduced_betti,
+    reduced_betti_on,
 )
 from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
+from raaghom.raags import Raag, abelian_quotient, cover_betti
 
 from fixtures import (
     c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
 )
-from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals
+from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, living_set_character_sum
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
@@ -702,6 +704,71 @@ class TestAcyclicity:
                 for n in range(-2, 4):
                     expected = is_n_acyclic(twin.subcomplex(mask), n, field)
                     assert is_n_acyclic_on(L, mask, n, field) == expected, (mask, n, field)
+
+
+def assert_dispatcher_matches(L: SimplicialComplex, twin: SimplicialComplex, mask: int) -> None:
+    """`reduced_betti_on` a mask of L against an equal, separately built twin and against elimination."""
+    for field in (QQ, F2, F3, F5):
+        got = reduced_betti_on(L, mask, field).reduced_betti
+        assert got == reduced_betti(twin.subcomplex(twin.core(mask)), field).reduced_betti, (mask, field)
+        eliminated = eliminated_profile(twin.subcomplex(mask), field)
+        width = max(len(got), len(eliminated))
+        assert got + (0,) * (width - len(got)) == eliminated + (0,) * (width - len(eliminated)), (mask, field)
+
+
+def complete_bipartite(m: int, n: int) -> SimplicialComplex:
+    """K_{m,n}, the join of m points and n points: triangle-free, so every mask's core is a graph."""
+    return flag_completion(range(m + n), [(i, j) for i in range(m) for j in range(m, m + n)])
+
+
+class TestReducedBettiOn:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(flag_complexes())
+    @example(SimplicialComplex([], []))  # the empty mask only
+    @example(flag_completion(range(1), []))  # a single vertex
+    @example(flag_completion(range(4), []))  # a discrete set
+    @example(c4())
+    @example(cycle_complex(5))
+    @example(flag_completion(range(4), [(0, 1), (1, 2)]))  # a path and an isolated vertex
+    def test_every_mask_matches_the_core_subcomplex_and_elimination(self, L):
+        twin = flag_completion(L.vertices, L.edges())  # equal, but shares no memo with L
+        for mask in range(1 << len(L.vertices)):
+            assert_dispatcher_matches(L, twin, mask)
+
+    def test_cores_with_a_triangle_match_too(self):
+        rng = random.Random(27)
+        with_triangle = 0
+        for build in (lambda: barycentric_subdivision(rp2_six()), rp2_twelve):
+            L, twin = build(), build()
+            n = len(L.vertices)
+            masks = [(1 << n) - 1] + [(1 << n) - 1 ^ 1 << i for i in range(0, n, 4)]
+            masks += [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(12)]
+            for mask in masks:
+                assert_dispatcher_matches(L, twin, mask)
+                with_triangle += twin.subcomplex(twin.core(mask)).dim >= 2
+        assert with_triangle > 0  # the path that builds the core is tested as well
+
+    def test_graph_cores_build_nothing(self, monkeypatch):
+        cycle, k33 = cycle_complex(6), complete_bipartite(3, 3)
+        walks = []
+        walk = complexes._clique_walk
+        monkeypatch.setattr(complexes, "_clique_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+
+        def built(L: SimplicialComplex) -> list:
+            return [key for key in L._memo if type(key) is int]
+
+        for L in (cycle, k33):
+            for mask in range(1 << len(L.vertices)):
+                for field in (QQ, F2, F3, F5):
+                    reduced_betti_on(L, mask, field)
+            assert walks == [] and built(L) == []
+        assert reduced_betti_on(cycle, 0b111111, QQ).reduced_betti == (0, 0, 1)
+        assert reduced_betti_on(k33, 0b111111, F2).reduced_betti == (0, 0, 4)  # 9 edges - 6 vertices + 1
+        assert reduced_betti_on(k33, 0b111000, F3).reduced_betti == (0, 2)  # three points
+        moduli = {v: 2 + v % 2 for v in k33.vertices}
+        got = cover_betti(Raag(k33), abelian_quotient(Raag(k33), moduli), F5).betti
+        assert walks == [] and built(k33) == []
+        assert list(got) == living_set_character_sum(complete_bipartite(3, 3), moduli, F5)
 
 
 class TestChains:
