@@ -12,9 +12,10 @@ Exact computation (no floating point) of:
 The result records (`FieldSpec`, `SmithForm`, `HomologyProfile`,
 `CoefficientRing`, `FibringReport`, `LivingDeadPartition`, `PushResult`,
 `CoverHomologyReport` and `acceptance.CriterionResult`) are plain
-immutable classes with ``__slots__``, written out by hand, so that no
-CLI call pays for generating them or for importing ``inspect``, ``ast``
-and ``dis``.
+classes with ``__slots__``, written out by hand, so that no CLI call
+pays for generating them or for importing ``inspect``, ``ast`` and
+``dis``.  They share one base, `exact.Record`, which makes them
+immutable: no field can be assigned or deleted.
 """
 
 from .complexes import (
@@ -27,7 +28,6 @@ from .complexes import (
     flag_completion,
     integral_homology,
     is_n_acyclic,
-    oriented_face,
     reduced_betti,
 )
 from .exact import (

@@ -30,7 +30,7 @@ from .complexes import (
     flag_completion,
     is_n_acyclic,
 )
-from .exact import F2, QQ, FieldSpec, nullspace
+from .exact import F2, QQ, FieldSpec, Record, nullspace
 from .fibring import CoefficientRing, fibres_fibre_check, kaz_inequality_check, virtually_fpn_fibred
 from .kernels import (
     Character,
@@ -51,7 +51,7 @@ RP2_SIX_TRIANGLES = [
 ]
 
 
-class CriterionResult:
+class CriterionResult(Record):
     """One criterion's number, name, verdict and detail line; immutable."""
 
     __slots__ = ("number", "name", "passed", "detail")
@@ -61,9 +61,6 @@ class CriterionResult:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def rp2_flag_triangulation() -> SimplicialComplex:

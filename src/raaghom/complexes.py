@@ -69,10 +69,10 @@ isomorphically onto the coordinates left.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .exact import FieldSpec, IntMatrix, Scalar, SmithForm, smith_normal_form
+from .exact import FieldSpec, IntMatrix, Record, Scalar, SmithForm, smith_normal_form
 
 Label = Hashable
 Face = tuple
@@ -86,17 +86,13 @@ class SimplicialComplex:
     vertex masks, bit i standing for ``vertices[i]``, per dimension in the
     lexicographic order of their index tuples (`lex_order`).  ``faces``
     and ``faces_of_dim`` give them as tuples of labels in vertex order.
+    The constructor closes its face list downward, so the facets are
+    enough.
     """
 
     __slots__ = ("vertices", "_index", "_by_dim", "_hash", "_memo")
 
-    def __init__(
-        self,
-        vertices: Sequence[Label],
-        faces: Iterable[Iterable[Label]] = (),
-        *,
-        closed: bool = False,
-    ) -> None:
+    def __init__(self, vertices: Sequence[Label], faces: Iterable[Iterable[Label]] = ()) -> None:
         self.vertices: tuple = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
@@ -106,11 +102,10 @@ class SimplicialComplex:
         for f in faces:
             m = self._face_mask(f)
             by_size.setdefault(m.bit_count(), set()).add(m)
-        if not closed:  # the vertices and the empty face are in already
-            for size in range(max(by_size), 2, -1):
-                below = by_size.setdefault(size - 1, set())
-                for m in by_size.get(size, ()):
-                    below.update(m ^ bit for bit in mask_bits(m))
+        for size in range(max(by_size), 2, -1):  # the vertices and the empty face are in already
+            below = by_size.setdefault(size - 1, set())
+            for m in by_size.get(size, ()):
+                below.update(m ^ bit for bit in mask_bits(m))
         # every face is a clique, so the walk lists the faces, in order, unless it finds more cliques
         adjacency = _adjacency_of(by_size.get(2, ()), n)
         walk = _clique_walk(adjacency, (1 << n) - 1, limit=sum(map(len, by_size.values())))
@@ -609,7 +604,7 @@ def _boundary(rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
     return m
 
 
-class HomologyProfile:
+class HomologyProfile(Record):
     """Reduced Betti numbers b~_{-1}, b~_0, ..., b~_dim over one field; immutable."""
 
     __slots__ = ("field", "reduced_betti")
@@ -617,9 +612,6 @@ class HomologyProfile:
     def __init__(self, field: FieldSpec, reduced_betti: tuple[int, ...]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "reduced_betti", reduced_betti)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def betti(self, degree: int) -> int:
         """b~_degree, with degrees outside the stored range equal to 0."""
@@ -842,20 +834,6 @@ def link_core(K: SimplicialComplex, v: Label) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # Chains
 # ---------------------------------------------------------------------------
-
-
-def oriented_face(verts: Sequence[Label], K: SimplicialComplex) -> tuple[Face, int]:
-    """Canonical face and orientation sign of an ordered vertex sequence.
-
-    Returns (face, sign) where sign is the parity of the permutation that
-    sorts the sequence into the global vertex order, or (face, 0) when a
-    vertex repeats.
-    """
-    keys = [K.index(v) for v in verts]
-    if len(set(keys)) != len(keys):
-        return tuple(verts), 0
-    inversions = sum(a > b for a, b in combinations(keys, 2))
-    return tuple(v for _, v in sorted(zip(keys, verts))), (-1) ** inversions
 
 
 class ChainVector:

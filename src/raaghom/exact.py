@@ -83,7 +83,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class Record:
+    """Base of the immutable records: no field can be assigned or deleted.
+
+    Each record's ``__init__`` sets its fields once with
+    ``object.__setattr__``.  A deleted field would leave a memo key that
+    cannot be hashed, so deleting is refused too.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Record):
     """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
     Immutable, and equal and hashed by its characteristic, so a field is a
@@ -97,9 +114,6 @@ class FieldSpec:
         if char != 0 and not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or a prime, got {char}")
         object.__setattr__(self, "char", char)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldSpec):
@@ -303,7 +317,7 @@ class IntMatrix(ExactMatrix):
         return cls(rows or n, cols or n, {(i, i): d for i, d in enumerate(diag)})
 
 
-class SmithForm:
+class SmithForm(Record):
     """Rank and elementary divisors d_1 | d_2 | ... | d_r (each >= 1).
 
     Immutable, and equal and hashed by its rank and divisors.
@@ -321,9 +335,6 @@ class SmithForm:
             raise ValueError("divisibility chain violated")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "elementary_divisors", ds)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SmithForm):

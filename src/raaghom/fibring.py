@@ -22,12 +22,12 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .complexes import SimplicialComplex, integral_homology, is_n_acyclic_on, reduced_betti
-from .exact import FieldSpec
+from .exact import FieldSpec, Record
 from .kernels import Character, is_fpn, living_set_violation
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 
-class CoefficientRing:
+class CoefficientRing(Record):
     """A skew field F, the integers (modulus 0), or Z/m for any m >= 2.
 
     Immutable, and equal and hashed by its kind, field and modulus.
@@ -50,9 +50,6 @@ class CoefficientRing:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientRing):
@@ -95,7 +92,7 @@ class CoefficientRing:
         return f"Z/{self.modulus}"
 
 
-class FibringReport:
+class FibringReport(Record):
     """Verdict of a fibring decision, with witnesses or an obstruction; immutable."""
 
     __slots__ = ("complex", "ring", "level", "verdict", "witnesses", "obstruction_degree")
@@ -119,9 +116,6 @@ class FibringReport:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "obstruction_degree", obstruction_degree)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,10 +12,15 @@ computed here is read off from the living/dead structure:
   sum_v |phi(v)| * b~_{m-1}(lk(v));
 * ``push_cycle_to_living`` constructively rewrites a cycle in the link of
   a dead vertex into a homologous cycle supported on living vertices,
-  returning the bounding witness chain;
+  returning the bounding witness chain; it works on L's face masks, on
+  flag and other L alike, and reads labels only at its two ends;
 * ``torsion_term`` and ``mve_positive_criterion`` evaluate the integral
   link homology expressions used for torsion growth and minimal volume
   entropy positivity.
+
+``living_link`` is the definition, the full subcomplex of lk(s) on the
+living vertices; the computations above read the links they need from
+L's masks instead of building it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .complexes import (
     ChainVector,
     Face,
     SimplicialComplex,
-    boundary_matrix,
+    _boundary,
     chain_boundary,
     integral_homology,
     is_n_acyclic_on,
@@ -35,11 +40,11 @@ from .complexes import (
     json_object,
     json_vertex_map,
     link_core,
-    oriented_face,
+    mask_bits,
     reduced_betti,
     reduced_betti_on,
 )
-from .exact import FieldSpec, Scalar, solve
+from .exact import FieldSpec, Record, Scalar, solve
 
 
 class PreconditionError(ValueError):
@@ -123,7 +128,7 @@ class Character:
         return f"Character({self.value_tuple()})"
 
 
-class LivingDeadPartition:
+class LivingDeadPartition(Record):
     """The full subcomplexes on the living and on the dead vertices; immutable."""
 
     __slots__ = ("living", "dead")
@@ -131,9 +136,6 @@ class LivingDeadPartition:
     def __init__(self, living: SimplicialComplex, dead: SimplicialComplex) -> None:
         object.__setattr__(self, "living", living)
         object.__setattr__(self, "dead", dead)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
@@ -147,15 +149,8 @@ def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
 
 
 def living_link(L: SimplicialComplex, phi: Character, simplex: Iterable) -> SimplicialComplex:
-    """Full subcomplex of the link of a face spanned by living vertices.
-
-    For a flag L it is the full subcomplex on CN(s) & living, built once
-    from L's masks; for any other L the link is built first.
-    """
-    if not L.is_flag():
-        lk = L.link(simplex)
-        return lk.full_subcomplex([v for v in lk.vertices if phi(v) != 0])
-    return L.subcomplex(L.cn_masks()[L._face_of(simplex)] & L.mask(phi.living_vertices()))
+    """The full subcomplex of the link of a face spanned by its living vertices."""
+    return L.link(simplex).full_subcomplex(phi.living_vertices())
 
 
 def is_fpn(L: SimplicialComplex, phi: Character, n: int, field: FieldSpec) -> bool:
@@ -258,7 +253,7 @@ def kernel_betti(
 # ---------------------------------------------------------------------------
 
 
-class PushResult:
+class PushResult(Record):
     """Output of ``push_cycle_to_living``: z' and w with z - z' = dw; immutable."""
 
     __slots__ = ("cycle", "witness")
@@ -266,9 +261,6 @@ class PushResult:
     def __init__(self, cycle: ChainVector, witness: ChainVector) -> None:
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def push_cycle_to_living(
@@ -285,7 +277,7 @@ def push_cycle_to_living(
     Follows the inductive rewriting that proves the statement: at stage m,
     every support simplex with exactly m living vertices shares its dead
     face lam with the other support simplices containing lam; their living
-    parts assemble into an (m-1)-cycle in the living link of {v} u lam,
+    parts assemble into an (m-1)-cycle in the living link of s = {v} u lam,
     which the FP hypothesis lets us fill.  Every stage fills by one
     `solve` on the augmented degree-m boundary of that living link; at
     m = 0 the cycle is a multiple of the empty face, and the solve cones
@@ -294,6 +286,14 @@ def push_cycle_to_living(
     lam's own faces of stage m, which cancel, and faces of stage m + 1, so
     the dead parts of a stage are taken once each, and their order cannot
     change the answer; fillings are whatever `solve` returns.
+
+    The working cycle and the witness are kept by L's face masks, on flag
+    and other L alike.  The faces of the living link of s are those t of
+    L with t living (so disjoint from s, which is dead) and t u s a face
+    of L, in L's order.  Written as lam followed by t, the face lam u t
+    has the sign (-1) to the number of pairs a in lam, b in t with a after
+    b (`_join_sign`).  Labels are read only from z and written only into
+    the two chains returned.
 
     Returns (z', w) with z' supported in the living link of v, dz' = 0 and
     z - z' = dw exactly.  Raises InconsistencyError when a filling that
@@ -319,63 +319,60 @@ def push_cycle_to_living(
             )
 
     of = field.of
-
-    def add_term(acc: dict, face: Face, coef: Scalar) -> None:
-        new = of(acc.get(face, 0) + coef)
-        if new == 0:
-            acc.pop(face, None)
-        else:
-            acc[face] = new
-
-    def subtract_boundary(acc: dict, n_face_seq: tuple, coef: Scalar) -> None:
-        """acc -= coef * d(oriented n_face_seq), skipping the augmentation."""
-        face, sign = oriented_face(n_face_seq, L)
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            if sub:
-                add_term(acc, sub, -(-1) ** i * sign * coef)
-
-    current: dict[Face, Scalar] = dict(z.coefficients)
-    witness: dict[Face, Scalar] = {}
-    living = L.mask(phi.living_vertices())
+    living, v_bit = L.mask(phi.living_vertices()), L.mask((v,))
+    current = {L.mask(f): c for f, c in z.coefficients.items()}
+    witness: dict[int, Scalar] = {}
 
     for m in range(0, n):
-        groups: dict[int, list[Face]] = {}  # by the mask of the dead part
-        for face in current:
-            f = L.mask(face)
+        groups: dict[int, list[int]] = {}  # by the dead part
+        for f in current:
             if (f & living).bit_count() == m:
-                groups.setdefault(f & ~living, []).append(face)
-        for lam_mask, faces in groups.items():
-            lam = L.labels(lam_mask)
+                groups.setdefault(f & ~living, []).append(f)
+        for lam, faces in groups.items():
             # the support simplices containing lam; peel off lam and fill
             # the living (m-1)-cycle that remains, augmented when m = 0
-            cone = living_link(L, phi, (v,) + lam)
-            row_pos = {f: i for i, f in enumerate(cone.faces_of_dim(m - 1))}
-            rhs: list[Scalar] = [0] * len(row_pos)
-            for s in faces:
-                tau = tuple(u for u in s if phi(u) != 0)
-                _, eps = oriented_face(lam + tau, L)
-                rhs[row_pos[tau]] += current[s] * eps
-            d_m = boundary_matrix(cone, m).over_field(field)
-            psi = solve(d_m, rhs)
+            s = lam | v_bit
+            rows, cols = (
+                [t for t in L.masks_of_dim(k) if not t & ~living and L._is_face(t | s)] for k in (m - 1, m)
+            )
+            row_pos = {t: i for i, t in enumerate(rows)}
+            rhs: list[Scalar] = [0] * len(rows)
+            for f in faces:
+                rhs[row_pos[f & living]] += current[f] * _join_sign(lam, f & living)
+            psi = solve(_boundary(rows, cols).over_field(field), rhs)
             if psi is None:
                 raise InconsistencyError(
-                    f"no filling of the living cycle in the link of {(v,) + lam!r}; "
+                    f"no filling of the living cycle in the link of {(v,) + L.labels(lam)!r}; "
                     f"FP_{n} over {field.token()} must fail"
                 )
-            sign_nm = (-1) ** (n - m)
-            for sigma, c in zip(cone.faces_of_dim(m), psi):
+            # each face lam u sigma is new to the witness: its dead part and stage are its own
+            for sigma, c in zip(cols, psi):
                 if c == 0:
                     continue
-                seq = lam + sigma
-                face, sgn = oriented_face(seq, L)
-                add_term(witness, face, sign_nm * c * sgn)
-                subtract_boundary(current, seq, sign_nm * c)
+                face = lam | sigma
+                coef = (-1) ** (n - m) * c * _join_sign(lam, sigma)
+                witness[face] = of(coef)
+                # current -= coef * d(face); face has n + 1 >= 2 vertices, so no facet is empty
+                for i, bit in enumerate(mask_bits(face)):
+                    new = of(current.get(face ^ bit, 0) - (-1) ** i * coef)
+                    if new == 0:
+                        current.pop(face ^ bit, None)
+                    else:
+                        current[face ^ bit] = new
 
     return PushResult(
-        cycle=ChainVector(n - 1, field, current),
-        witness=ChainVector(n, field, witness),
+        cycle=ChainVector(n - 1, field, {L.labels(f): c for f, c in current.items()}),
+        witness=ChainVector(n, field, {L.labels(f): c for f, c in witness.items()}),
     )
+
+
+def _join_sign(lam: int, sigma: int) -> int:
+    """The sign of the face lam u sigma written as lam followed by sigma, two disjoint masks.
+
+    It is (-1) to the number of pairs a in lam, b in sigma with a after b:
+    for each bit b of sigma, the bits of lam above b.
+    """
+    return (-1) ** sum((lam >> bit.bit_length()).bit_count() for bit in mask_bits(sigma))
 
 
 # ---------------------------------------------------------------------------

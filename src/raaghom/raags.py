@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .complexes import (
     SimplicialComplex, json_int, json_object, json_vertex_map, mask_bits, reduced_betti, reduced_betti_on,
 )
-from .exact import ExactMatrix, FieldSpec, rank
+from .exact import ExactMatrix, FieldSpec, Record, rank
 
 
 class Raag:
@@ -308,7 +308,7 @@ def specialize(m: SalvettiBoundary, q: FiniteQuotient) -> ExactMatrix:
     return out
 
 
-class CoverHomologyReport:
+class CoverHomologyReport(Record):
     """Betti numbers of one finite cover together with their N-normalisations; immutable."""
 
     __slots__ = ("order", "betti", "normalized")
@@ -321,9 +321,6 @@ class CoverHomologyReport:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "normalized", normalized)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from raaghom.complexes import reduced_betti
+from raaghom.complexes import boundary_matrix, reduced_betti
+from raaghom.exact import solve
+from raaghom.kernels import InconsistencyError, living_link
 
 
 def dense_rank_rationals(rows: list[list[Fraction]]) -> int:
@@ -279,3 +281,67 @@ class TupleComplex:
 
     def euler_characteristic_reduced(self) -> int:
         return sum((-1) ** (len(f) + 1) for f in self.faces)
+
+
+def oriented_face(verts, K) -> tuple[tuple, int]:
+    """Canonical face and orientation sign of an ordered vertex sequence.
+
+    Returns (face, sign) where sign is the parity of the permutation that
+    sorts the sequence into K's vertex order, or (face, 0) when a vertex
+    repeats.
+    """
+    keys = [K.index(v) for v in verts]
+    if len(set(keys)) != len(keys):
+        return tuple(verts), 0
+    inversions = sum(a > b for a, b in combinations(keys, 2))
+    return tuple(v for _, v in sorted(zip(keys, verts))), (-1) ** inversions
+
+
+def tuple_push(L, phi, v, z, n) -> tuple[dict, dict]:
+    """The coefficients of z' and w of `push_cycle_to_living`, computed on label tuples.
+
+    The reference for the mask push: the same stages and the same `solve`,
+    with every face a tuple of labels, every living link built as a
+    complex (`living_link`) with its own boundary matrix, and every sign
+    read from the permutation that sorts lam followed by a living face
+    (`oriented_face`).  No precondition is checked.  Raises
+    InconsistencyError where a filling does not exist.
+    """
+    field = z.field
+    of = field.of
+
+    def add_term(acc: dict, face: tuple, coef) -> None:
+        new = of(acc.get(face, 0) + coef)
+        if new == 0:
+            acc.pop(face, None)
+        else:
+            acc[face] = new
+
+    current = dict(z.coefficients)
+    witness: dict = {}
+    for m in range(0, n):
+        groups: dict[tuple, list[tuple]] = {}  # by the dead part
+        for face in current:
+            if sum(phi(u) != 0 for u in face) == m:
+                groups.setdefault(tuple(u for u in face if phi(u) == 0), []).append(face)
+        for lam, faces in groups.items():
+            cone = living_link(L, phi, (v,) + lam)
+            row_pos = {f: i for i, f in enumerate(cone.faces_of_dim(m - 1))}
+            rhs = [0] * len(row_pos)
+            for s in faces:
+                tau = tuple(u for u in s if phi(u) != 0)
+                rhs[row_pos[tau]] += current[s] * oriented_face(lam + tau, L)[1]
+            psi = solve(boundary_matrix(cone, m).over_field(field), rhs)
+            if psi is None:
+                raise InconsistencyError(f"no filling of the living cycle in the link of {(v,) + lam!r}")
+            for sigma, c in zip(cone.faces_of_dim(m), psi):
+                if c == 0:
+                    continue
+                face, sign = oriented_face(lam + sigma, L)
+                coef = (-1) ** (n - m) * c * sign
+                add_term(witness, face, coef)
+                for i in range(len(face)):
+                    sub = face[:i] + face[i + 1 :]
+                    if sub:
+                        add_term(current, sub, -(-1) ** i * coef)
+    return current, witness

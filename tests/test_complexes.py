@@ -23,7 +23,6 @@ from raaghom.complexes import (
     is_n_acyclic,
     is_n_acyclic_on,
     lex_order,
-    oriented_face,
     reduced_betti,
     reduced_betti_on,
 )
@@ -90,7 +89,7 @@ class TestFlagCompletion:
             n = rng.randint(1, 7)
             faces = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 10))]
             for K in (SimplicialComplex(range(n), faces), random_flag_complex(rng, 7)):
-                fresh = SimplicialComplex(K.vertices, K.faces, closed=True)
+                fresh = SimplicialComplex(K.vertices, K.faces)
                 verdict = flag_completion(K.vertices, K.edges()).faces == K.faces
                 assert fresh.is_flag() == verdict
                 verdicts.add(verdict)
@@ -352,7 +351,7 @@ class TestCliqueWalk:
         for mask in range(1 << len(L.vertices)):
             keep = {v for i, v in enumerate(L.vertices) if mask >> i & 1}
             expected = SimplicialComplex(
-                [v for v in L.vertices if v in keep], [f for f in L.faces if keep.issuperset(f)], closed=True
+                [v for v in L.vertices if v in keep], [f for f in L.faces if keep.issuperset(f)]
             )
             sub = L.subcomplex(mask)
             assert_same_lists(sub, expected)
@@ -392,7 +391,7 @@ class TestCliqueWalk:
                 if all(set(a) < set(b) for a, b in zip(chain, chain[1:]))
             ]
             B = barycentric_subdivision(K)
-            assert_same_lists(B, SimplicialComplex(cells, chains, closed=True))
+            assert_same_lists(B, SimplicialComplex(cells, chains))
             assert B.is_flag()
 
 
@@ -772,13 +771,6 @@ class TestReducedBettiOn:
 
 
 class TestChains:
-    def test_oriented_face_signs(self):
-        K = SimplicialComplex("abc", [("a", "b", "c")])
-        assert oriented_face(("a", "b"), K) == (("a", "b"), 1)
-        assert oriented_face(("b", "a"), K) == (("a", "b"), -1)
-        assert oriented_face(("c", "a", "b"), K) == (("a", "b", "c"), 1)
-        assert oriented_face(("a", "a"), K)[1] == 0
-
     def test_boundary_of_boundary_vanishes(self):
         K = full_simplex(5)
         rng = random.Random(123)

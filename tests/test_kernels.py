@@ -8,7 +8,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from raaghom.complexes import (
@@ -39,7 +39,7 @@ from raaghom.kernels import (
 )
 
 from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
-from oracles import dense_rank_mod_p, dense_rank_rationals
+from oracles import dense_rank_mod_p, dense_rank_rationals, tuple_push
 
 F3 = FieldSpec.prime_field(3)
 
@@ -621,3 +621,58 @@ class TestMaskPathAgainstDefinition:
         assert kernel_betti(L, phi, 2, F2, enforce=False) == 3
         assert kernel_betti(L, phi, 2, QQ, enforce=False) == 0
         assert mve_positive_criterion(L, phi, 2) and not mve_positive_criterion(L, phi, 3)
+
+
+@st.composite
+def dead_vertices_with_cycles(draw):
+    """(L, phi, v, z, n): a dead vertex v of a flag or face-listed L and an (n-1)-cycle z in lk(v).
+
+    The graph on the vertices other than v is dense, and v is joined to
+    most of them, so lk(v) carries cycles.  A flag L is the graph's clique
+    complex with v joined in; a face-listed L is the cone from v on the
+    graph and about three quarters of its triangles, not flag when one is left hollow.
+    About a third of the other vertices are dead.  z is a combination of a
+    basis of the kernel of lk(v)'s augmented boundary, over Q, F2 or F3,
+    with n in {1, 2}.
+    """
+    k, flag = draw(st.integers(3, 8)), draw(st.booleans())
+    field, n = draw(st.sampled_from((QQ, F2, F3))), draw(st.sampled_from((1, 2)))
+    rng = draw(st.randoms(use_true_random=False))
+    v = rng.randrange(k)
+    others = [u for u in range(k) if u != v]
+    edges = [p for p in combinations(others, 2) if rng.random() < 0.7]
+    near = [u for u in others if rng.random() < 0.8] or others[:1]
+    if flag:
+        L = flag_completion(range(k), edges + [(v, u) for u in near])
+    else:
+        triangles = [t for t in combinations(others, 3) if all(p in edges for p in combinations(t, 2))]
+        cells = edges + [(u,) for u in near] + [t for t in triangles if rng.random() < 0.75]
+        L = SimplicialComplex(range(k), [c + (v,) for c in cells])
+    values = [0 if u == v or rng.random() < 0.3 else rng.choice((-2, -1, 1, 2)) for u in range(k)]
+    assume(any(values))
+    lk = L.link((v,))
+    faces = lk.faces_of_dim(n - 1)
+    basis = nullspace(boundary_matrix(lk, n - 1).over_field(field)) if faces else []
+    weights = [rng.choice((1, -1)) for _ in basis]
+    coefficients = {f: sum(w * vec[i] for w, vec in zip(weights, basis)) for i, f in enumerate(faces)}
+    return L, char(L, *values), v, ChainVector(n - 1, field, coefficients), n
+
+
+class TestPushAgainstTupleReference:
+    """The mask push returns what `oracles.tuple_push`, on label tuples, returns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dead_vertices_with_cycles())
+    def test_same_cycle_and_witness(self, instance):
+        L, phi, v, z, n = instance
+        try:
+            expected = tuple_push(L, phi, v, z, n)
+        except InconsistencyError:
+            expected = None
+        try:
+            res = push_cycle_to_living(L, phi, v, z, n, enforce_fpn=False)
+        except InconsistencyError:
+            assert expected is None
+            return
+        assert (res.cycle.coefficients, res.witness.coefficients) == expected
+        verify_push(L, phi, v, z, res, n)

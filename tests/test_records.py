@@ -1,4 +1,7 @@
-"""The nine immutable record classes: constructors, equality, immutability, validation."""
+"""The nine immutable record classes: constructors, equality, immutability, validation.
+
+No field of a record can be assigned or deleted.
+"""
 
 from __future__ import annotations
 
@@ -71,6 +74,8 @@ def test_record_semantics(cls, names, values, other, by_value, rejected):
     for n in names:
         with pytest.raises(AttributeError):
             setattr(record, n, getattr(record, n))
+        with pytest.raises(AttributeError):
+            delattr(record, n)
     assert tuple(getattr(record, n) for n in names) == values
     for args, message in rejected:
         with pytest.raises(ValueError) as excinfo:
