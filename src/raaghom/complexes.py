@@ -20,12 +20,17 @@ the lowest vertex of a candidate mask and extends by the candidates
 adjacent to it, so it lists the cliques inside a mask per dimension,
 already in the order faces are kept in.  Clique completion, full
 subcomplexes and links of a flag complex, barycentric subdivisions and
-the flag test itself run this walk.  A complex given by its faces runs it
-once at construction, limited to its face count: every face is a clique,
-so when the walk stays within the limit the complex is flag, the walk's
-lists are its faces in order, and the flag verdict is taken there.  Only
-a face list that is not flag is sorted (`lex_order`).  Full subcomplexes
-of a complex that is not flag keep the parent's faces inside the mask.
+the flag test itself run this walk.  A complex given by its faces reads
+each listed face once: its mask is the sum of its vertex bits, and it is
+ORed into the neighbour mask of each of its vertices, so the 1-skeleton
+comes straight from the facets.  The faces are closed downward only to
+triangles, and the walk runs once, limited to the face count, with the
+edges counted from the neighbour masks: every face is a clique, so when
+the walk stays within the limit the complex is flag, the walk's lists
+are its faces in order, and the flag verdict is taken there.  Only a
+face list that is not flag turns its neighbour masks into edges and is
+sorted (`lex_order`).  Full subcomplexes of a complex that is not flag
+keep the parent's faces inside the mask.
 
 Each complex carries one memo, keyed by vertex masks over its own vertex
 order: full subcomplexes by mask, the reduced Betti profile per field,
@@ -96,28 +101,46 @@ class SimplicialComplex:
         self.vertices: tuple = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._index = index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
-        by_size: dict[int, set[int]] = {0: {0}, 1: {1 << i for i in range(n)}}
-        for f in faces:
-            m = self._face_mask(f)
-            by_size.setdefault(m.bit_count(), set()).add(m)
-        for size in range(max(by_size), 2, -1):  # the vertices and the empty face are in already
+        bit = {v: 1 << i for v, i in index.items()}
+        adjacency = [0] * n
+        by_size: dict[int, set[int]] = {}  # the faces of 3 vertices and more
+        for face in faces:
+            face = tuple(face)
+            try:
+                m = sum(map(bit.__getitem__, face))
+            except KeyError:
+                m = 0
+            if m.bit_count() != len(face):  # an unknown label, or a repeated one, which carries
+                self._face_mask(face)  # raises the ValueError that names the label or the face
+            if len(face) > 2:
+                by_size.setdefault(len(face), set()).add(m)
+            for i in map(index.__getitem__, face):
+                adjacency[i] |= m
+        adjacency = [a & ~(1 << i) for i, a in enumerate(adjacency)]  # the 1-skeleton of the faces
+        for size in range(max(by_size, default=0), 3, -1):  # closed downward to the triangles
             below = by_size.setdefault(size - 1, set())
-            for m in by_size.get(size, ()):
-                below.update(m ^ bit for bit in mask_bits(m))
+            for m in by_size[size]:
+                below.update(m ^ b for b in mask_bits(m))
+        n_edges = sum(a.bit_count() for a in adjacency) // 2
+        count = 1 + n + n_edges + sum(map(len, by_size.values()))
         # every face is a clique, so the walk lists the faces, in order, unless it finds more cliques
-        adjacency = _adjacency_of(by_size.get(2, ()), n)
-        walk = _clique_walk(adjacency, (1 << n) - 1, limit=sum(map(len, by_size.values())))
+        walk = _clique_walk(adjacency, (1 << n) - 1, limit=count)
         if walk is None:
             key = lex_order(n)
-            self._by_dim = {size - 1: sorted(ms, key=key) for size, ms in sorted(by_size.items()) if ms}
+            # each edge from its lower end i, whose neighbours above i are a & -(2 << i), in order
+            edge_list = [1 << i | b for i, a in enumerate(adjacency) for b in mask_bits(a & -(2 << i))]
+            by_dim = {-1: [0], 0: [1 << i for i in range(n)], 1: edge_list}
+            by_dim.update((size - 1, sorted(by_size[size], key=key)) for size in sorted(by_size))
+            self._by_dim = {k: fs for k, fs in by_dim.items() if fs}
         else:
             self._by_dim = walk
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
         # ("smith", k) -> SmithForm of d_k, "faces" -> the label view,
-        # "face set", "cn", "adjacency", "flag", "core" -> core mask
+        # "face set", "cn", "adjacency" -> neighbour masks (read off the
+        # listed faces here), "flag", "core" -> core mask
         self._memo: dict = {"flag": walk is not None, "adjacency": adjacency}
 
     @classmethod

@@ -191,12 +191,15 @@ def living_set_violation(
     a triangle-free core from its vertex, edge and component counts and any
     other from its subcomplex.  Dead simplices of dimension above n impose
     vacuous conditions, and L has none above its dimension, so the scan
-    stops at the smaller.  Each face's CN mask is listed once per complex
-    (`cn_masks`).  L must be flag: the searches check that once, and
+    stops at the smaller.  With every vertex living no simplex is dead but
+    the empty one, so nothing is scanned; otherwise each face's CN mask is
+    listed once per complex (`cn_masks`).  L must be flag: the searches check that once, and
     `fpn_violation` on each call.
     """
     if not is_n_acyclic_on(L, living, n - 1, field):
         return ()
+    if living == (1 << len(L.vertices)) - 1:  # no dead vertex, so no dead simplex but the empty one
+        return None
     cn = L.cn_masks()
     for k in range(0, min(n, L.dim) + 1):
         for s in L.masks_of_dim(k):

@@ -6,6 +6,16 @@ import random
 
 from raaghom.complexes import SimplicialComplex, flag_completion
 
+# Faces over the vertices "a", "b" that no complex takes, with the ValueError
+# each raises; the labels of ["a", "a", "b"] sum to the bit of a third vertex.
+BAD_FACES = [
+    (["a", "c"], "unknown vertex 'c'"),
+    (["a", "a", "c"], "unknown vertex 'c'"),
+    (["a", "a"], "repeated vertex in face ('a', 'a')"),
+    (["a", "a", "b"], "repeated vertex in face ('a', 'a', 'b')"),
+]
+BAD_FACE_IDS = ["unknown", "repeated-and-unknown", "repeated", "repeated-with-carry"]
+
 # The 6-vertex triangulation of the real projective plane (antipodal
 # quotient of the icosahedron): every pair of vertices spans an edge,
 # every vertex link is a 5-cycle, 10 triangles in total.

@@ -19,6 +19,8 @@ from raaghom.exact import FieldSpec
 from raaghom.fibring import find_characters
 from raaghom.raags import FiniteQuotient, Raag, abelian_quotient
 
+from fixtures import BAD_FACE_IDS, BAD_FACES
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -788,6 +790,13 @@ class TestComplexFiles:
         code, out, err = run_cli(capsys, "betti", "--complex", "bad.json", "--field", "Q", "--degrees", "0..1")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and json.loads(err)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("face, message", BAD_FACES, ids=BAD_FACE_IDS)
+    def test_bad_face_is_input_error_naming_it(self, workdir, capsys, face, message):
+        (workdir / "bad.json").write_text(json.dumps({"vertices": ["a", "b"], "faces": [["a", "b"], face]}))
+        code, out, err = run_cli(capsys, "betti", "--complex", "bad.json", "--field", "Q", "--degrees", "0..1")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": {"kind": "input", "message": f"bad.json: {message}"}}
 
     def test_file_that_is_not_utf8_is_input_error(self, workdir, capsys):
         (workdir / "bad.json").write_bytes(b'{"vertices": ["\xff"], "edges": []}')

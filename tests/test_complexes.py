@@ -30,7 +30,7 @@ from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 from raaghom.raags import Raag, abelian_quotient, cover_betti
 
 from fixtures import (
-    c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
+    BAD_FACE_IDS, BAD_FACES, c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
 )
 from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, living_set_character_sum
 
@@ -57,6 +57,12 @@ class TestConstruction:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):
             SimplicialComplex("ab", [("a", "c")])
+
+    @pytest.mark.parametrize("face, message", BAD_FACES, ids=BAD_FACE_IDS)
+    def test_bad_face_names_its_label_or_itself(self, face, message):
+        with pytest.raises(ValueError) as raised:
+            SimplicialComplex("ab", [("a", "b"), face])
+        assert str(raised.value) == message
 
 
 class TestFlagCompletion:
@@ -400,12 +406,19 @@ def labelled_complexes(draw, max_vertices: int = 7) -> tuple[list[str], Optional
     """(labels, faces, None) for a complex given by faces, or (labels, None, edges) for a flag one.
 
     Labels come in an order unlike their sorted order, and each face lists
-    its vertices in a random order.
+    its vertices in a random order.  Faces of one to four vertices are
+    mixed, and a face list may hold a face twice or next to its own
+    sub-faces.
     """
     labels, edges = draw(labelled_graphs(max_vertices))
     if draw(st.booleans()) or not labels:
         return labels, None, edges
     faces = draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True), max_size=10))
+    if faces:
+        picked = draw(st.lists(st.sampled_from(faces), max_size=4))
+        sub_faces = [draw(st.lists(st.sampled_from(f), min_size=1, max_size=len(f), unique=True)) for f in picked]
+        again = draw(st.lists(st.sampled_from(faces), max_size=2))
+        faces = draw(st.permutations(faces + sub_faces + again))
     return labels, faces, None
 
 
@@ -416,6 +429,9 @@ class TestMaskRepresentation:
     @given(labelled_complexes())
     @example((["b", "a", "c"], [["c", "a"], ["a", "b", "c"]], None))
     @example((["b", "a", "c"], [["c", "a"], ["b", "c"], ["a", "b"]], None))  # a hollow triangle: not flag
+    @example((["b", "a", "c"], [["a", "b", "c"], ["c", "a", "b"], ["b"], ["a", "c"]], None))  # listed twice, sub-faces
+    @example((["d", "b", "a", "c", "e"], [["a", "b"], ["d", "c", "b", "a"], ["b", "e"], ["c", "e", "d"]], None))
+    @example((["d", "b", "a", "c", "e"], [["a", "e"], ["d", "c", "b", "a"], ["b", "e"], ["c", "d", "e"]], None))
     def test_matches_the_tuple_representation(self, complex_input):
         labels, faces, edges = complex_input
         if edges is None:
@@ -474,10 +490,26 @@ def once_subdivided_surfaces() -> dict:
     return {name: (B.vertices, B.faces_of_dim(2)) for name, B in subdivided.items()}
 
 
+def with_sub_faces(faces) -> list:
+    """The faces, each listed next to its sub-faces of one vertex fewer."""
+    return [sub for f in faces for sub in [f, *combinations(f, len(f) - 1)]]
+
+
+TETRAHEDRA = [(0, 1, 2, 3), (1, 2, 3, 4)]  # two tetrahedra on the triangle 123
+
 NOT_FLAG_FACE_LISTS = {
     "rp2 on 6 vertices": (range(1, 7), rp2_six().faces_of_dim(2)),
     "hollow triangle": ("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
     "K4 edges and one triangle": (range(4), list(combinations(range(4), 2)) + [(0, 1, 2)]),
+    "rp2 with each triangle twice": (range(1, 7), rp2_six().faces_of_dim(2) * 2),
+    "rp2 next to its edges": (range(1, 7), with_sub_faces(rp2_six().faces_of_dim(2))),
+    # the edge 04 makes 01234 a clique, and 45 makes 345 one
+    "edges, triangles and tetrahedra": (range(7), TETRAHEDRA + [(0, 4), (4, 5), (3, 5, 6)]),
+}
+
+FLAG_FACE_LISTS = {
+    "tetrahedra next to their triangles, twice": (range(5), with_sub_faces(TETRAHEDRA) + TETRAHEDRA),
+    "edges, triangles and tetrahedra": (range(8), TETRAHEDRA + [(4, 5, 6), (0, 7)]),
 }
 
 
@@ -499,6 +531,10 @@ class TestFaceListOrder:
     def test_face_lists_that_are_not_flag(self, name):
         self.check_against_tuples(random.Random(name), *NOT_FLAG_FACE_LISTS[name], flag=False)
 
+    @pytest.mark.parametrize("name", FLAG_FACE_LISTS)
+    def test_flag_face_lists(self, name):
+        self.check_against_tuples(random.Random(name), *FLAG_FACE_LISTS[name], flag=True)
+
     @staticmethod
     def check_against_tuples(rng: random.Random, vertices, faces, flag: bool) -> None:
         labels, faces = shuffled_face_list(rng, vertices, faces)
@@ -515,13 +551,16 @@ class TestFaceListOrder:
     @pytest.mark.parametrize("flag", [True, False])
     def test_one_walk_and_a_sort_only_when_not_flag(self, monkeypatch, flag):
         vertices, faces = once_subdivided_surfaces()["rp2"] if flag else NOT_FLAG_FACE_LISTS["rp2 on 6 vertices"]
-        walks, sorts = [], []
+        walks, sorts, others = [], [], []
         walk, order = complexes._clique_walk, complexes.lex_order
         monkeypatch.setattr(complexes, "_clique_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
         monkeypatch.setattr(complexes, "lex_order", lambda n: sorts.append(n) or order(n))
+        # the 1-skeleton is read off the faces, and a face's mask is a sum of vertex bits
+        monkeypatch.setattr(complexes, "_adjacency_of", lambda *a: others.append("_adjacency_of"))
+        monkeypatch.setattr(SimplicialComplex, "_face_mask", lambda *a: others.append("_face_mask"))
         K = SimplicialComplex(vertices, faces)
         assert K.is_flag() == flag
-        assert len(walks) == 1 and len(sorts) == (0 if flag else 1)
+        assert len(walks) == 1 and len(sorts) == (0 if flag else 1) and others == []
 
 
 class TestBoundaryMatrix:

@@ -38,7 +38,7 @@ from raaghom.kernels import (
     torsion_term,
 )
 
-from fixtures import c4, full_simplex, random_flag_complex, rp2_six, two_points
+from fixtures import c4, full_simplex, grid_surface, random_flag_complex, rp2_six, two_points
 from oracles import dense_rank_mod_p, dense_rank_rationals, tuple_push
 
 F3 = FieldSpec.prime_field(3)
@@ -139,6 +139,19 @@ class TestIsFpn:
             for field in (QQ, F2):
                 for n in range(0, 4):
                     assert is_fpn(L, phi, n, field) == is_n_acyclic(L, n - 1, field)
+
+    def test_no_dead_vertex_scans_no_face(self, monkeypatch):
+        # on a flag torus the all-ones character has no dead simplex but the
+        # empty one, so no common-neighbour mask is listed
+        L = barycentric_subdivision(grid_surface(3, False))
+        calls = []
+        cn_masks = SimplicialComplex.cn_masks
+        monkeypatch.setattr(SimplicialComplex, "cn_masks", lambda self: calls.append(self) or cn_masks(self))
+        assert fpn_violation(L, Character(L, {v: 1 for v in L.vertices}), 1, QQ) is None
+        assert calls == []
+        one_dead = Character(L, {v: int(i > 0) for i, v in enumerate(L.vertices)})
+        assert fpn_violation(L, one_dead, 1, QQ) is None  # the dead vertex's link is a circle
+        assert calls == [L]
 
 
 class TestTheoremB:
