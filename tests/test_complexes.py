@@ -30,7 +30,8 @@ from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 from raaghom.raags import Raag, abelian_quotient, cover_betti
 
 from fixtures import (
-    BAD_FACE_IDS, BAD_FACES, c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex, rp2_six, rp2_twelve,
+    BAD_FACE_IDS, BAD_FACES, c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex,
+    rp2_six, rp2_twelve,
 )
 from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, living_set_character_sum
 
