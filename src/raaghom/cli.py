@@ -62,7 +62,6 @@ from .raags import (
     gradient_sequence,
 )
 
-CACHE_SCHEMA = 1
 T = TypeVar("T")
 
 
@@ -172,56 +171,6 @@ def _flag_complex(path: str) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# rank cache
-# ---------------------------------------------------------------------------
-
-
-def _cached_rank_hook(cache: Path, K: SimplicialComplex, field: FieldSpec):
-    """Memoise (complex, quotient, field, degree) -> rank as small JSON files on disk.
-
-    The hook is `cover_betti`'s ``rank_hook(q, degree, shape, compute)``.
-    An entry is keyed by one sha256 over the complex JSON, the quotient's
-    explicit JSON form, the field token and the degree.  It is
-    ``{"schema": 1, "shape": [rows, cols], "rank": r}``, trusted only
-    when its schema and matrix shape match and the rank fits the shape;
-    anything else is recomputed and overwritten, so a stale or foreign
-    file cannot change a report.
-    """
-    import hashlib  # loaded only for --cache: it costs about 4.6 ms of a start
-
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InputError(f"cannot use cache directory {cache}: {e}") from e
-    complex_json = json.dumps(K.to_json_dict(), sort_keys=True, default=str)
-
-    def hook(
-        q: FiniteQuotient, degree: int, shape: tuple[int, int], compute: Callable[[], int]
-    ) -> int:
-        parts = (complex_json, json.dumps(q.to_json_dict(), sort_keys=True), field.token(), str(degree))
-        digest = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
-        path = cache / f"rank-{digest}.json"
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            entry = None
-        if (
-            isinstance(entry, dict)
-            and entry.get("schema") == CACHE_SCHEMA
-            and entry.get("shape") == list(shape)
-            and type(entry.get("rank")) is int
-            and 0 <= entry["rank"] <= min(shape)
-        ):
-            return entry["rank"]
-        r = compute()
-        entry = {"schema": CACHE_SCHEMA, "shape": list(shape), "rank": r}
-        _atomic_write(path, json.dumps(entry) + "\n")
-        return r
-
-    return hook
-
-
-# ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
@@ -327,12 +276,10 @@ def _cmd_fibring(args) -> str:
 
 
 def _cmd_gradient(args) -> str:
-    K = _flag_complex(args.complex)
-    A = Raag(K)
+    A = Raag(_flag_complex(args.complex))
     chain = _quotients(args.chain, A)
     _read(check_gradient_chain, chain, args.degree)
-    hook = None if args.cache is None else _cached_rank_hook(Path(args.cache), K, args.field)
-    values = gradient_sequence(A, chain, args.field, args.degree, rank_hook=hook)
+    values = gradient_sequence(A, chain, args.field, args.degree)
     rows = [(q.order, int(v * q.order), v) for q, v in zip(chain, values)]
     if args.format == "csv":
         lines = [f"N,b_{args.degree},b_{args.degree}/N"]
@@ -400,7 +347,8 @@ def _format(token: str) -> str:
 _AT_LEAST_0 = partial(_integer, least=0)
 
 # option -> (reader, default).  A default of ... makes the option required;
-# a reader of None makes it a flag, which takes no value.
+# a reader of None makes it a flag, which takes no value.  gradient's cache
+# path is read and otherwise ignored, until perfbench's job lists stop passing it.
 _OPTIONS = {
     "--complex": (str, ...), "--phi": (str, ...),
     "--field": (partial(_read, FieldSpec.from_token), ...),

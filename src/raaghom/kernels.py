@@ -309,9 +309,17 @@ def push_cycle_to_living(
         raise PreconditionError(f"vertex {v!r} is living; pushing applies to dead vertices")
     if z.degree != n - 1:
         raise PreconditionError(f"expected a degree-{n - 1} chain, got degree {z.degree}")
-    # f is a face of lk(v), with its labels in lk(v)'s vertex order, which is L's
-    if not all(L.has_face(f + (v,)) and L.sort_face(f) == f for f in z.coefficients):
-        raise PreconditionError("cycle is not supported in the link of v")
+    v_bit = L.mask((v,))
+    current: dict[int, Scalar] = {}
+    for f, c in z.coefficients.items():
+        # f is a face of lk(v), with its labels in lk(v)'s vertex order, which is L's
+        try:
+            m = L._face_mask(f)
+        except ValueError:
+            m = v_bit  # an unknown or repeated label: no face of lk(v)
+        if m & v_bit or not L._is_face(m | v_bit) or L.labels(m) != f:
+            raise PreconditionError("cycle is not supported in the link of v")
+        current[m] = c
     if not chain_boundary(z).is_zero():
         raise PreconditionError("input chain is not a cycle")
     if enforce_fpn:
@@ -322,8 +330,7 @@ def push_cycle_to_living(
             )
 
     of = field.of
-    living, v_bit = L.mask(phi.living_vertices()), L.mask((v,))
-    current = {L.mask(f): c for f, c in z.coefficients.items()}
+    living = L.mask(phi.living_vertices())
     witness: dict[int, Scalar] = {}
 
     for m in range(0, n):

@@ -19,14 +19,15 @@ along suitable chains, match in the limit.  `cover_betti` eliminates
 these blocks only for explicit quotients: for an abelian quotient it gets
 the same numbers, over every field, from a character sum over living
 links, summed face by face, and the quotient never builds its
-permutations.
+permutations.  Nothing is kept between calls: each cover is computed
+from its complex, quotient and field alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex, json_int, json_object, json_vertex_map, mask_bits, reduced_betti, reduced_betti_on,
@@ -186,6 +187,8 @@ class FiniteQuotient:
 
     @property
     def orbit_count(self) -> int:
+        if self.moduli is not None:  # the regular action of a group is transitive
+            return 1
         # each orbit's tree in the spanning forest has one 1-cell fewer than points
         return self.order - len(self._spanning_forest())
 
@@ -224,8 +227,7 @@ class FiniteQuotient:
 
     @property
     def transitive(self) -> bool:
-        # the regular action of a group is transitive
-        return self.moduli is not None or self.orbit_count == 1
+        return self.orbit_count == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -417,17 +419,7 @@ def _check_betti(betti: Sequence[int], cells: Sequence[int], N: int) -> None:
             raise ArithmeticError(f"rank of d_{k + 1} would be {r}, outside [0, {limit}]")
 
 
-# rank_hook(q, degree, shape, compute) -> rank; see `cover_betti`
-RankHook = Callable[[FiniteQuotient, int, tuple[int, int], Callable[[], int]], int]
-
-
-def cover_betti(
-    A: Raag,
-    q: FiniteQuotient,
-    field: FieldSpec,
-    *,
-    rank_hook: Optional[RankHook] = None,
-) -> CoverHomologyReport:
+def cover_betti(A: Raag, q: FiniteQuotient, field: FieldSpec) -> CoverHomologyReport:
     """Betti numbers of the finite cover determined by a quotient.
 
     In degree k the answer is (#k-cells) * N - rank d_k - rank d_{k+1};
@@ -452,13 +444,6 @@ def cover_betti(
     cycles are a basis of ker d_1, so ker d_1 is a direct summand of C_1
     that dropping the forest coordinates maps isomorphically onto the
     coordinates left; im d_2 lies in ker d_1.
-
-    The optional ``rank_hook(q, degree, shape, compute)`` lets callers
-    memoise the eliminated ranks: ``shape`` is the (rows, cols) of the
-    specialised boundary of degree ``degree`` over ``q`` and ``compute()``
-    returns its rank, building the matrix only when called.  The hook
-    returns the rank.  It sees degrees 2 and up of explicit quotients
-    only: d_1 and abelian quotients eliminate nothing.
     """
     if q.over != A:
         raise ValueError("quotient is for a different group")
@@ -470,19 +455,14 @@ def cover_betti(
         betti = _character_sum_betti(L, q.moduli, field)
         _check_betti(betti, cells, N)
     else:
-        forest = q._spanning_forest()
+        forest = set(q._spanning_forest())
         ranks = [0] * (top + 2)
         ranks[1] = len(forest)  # N - #orbits
         for k in range(2, top + 1):
-            def compute(k: int = k) -> int:
-                m = specialize(salvetti_boundary(A, k, field), q)
-                if k == 2:  # clear the rows of a spanning forest, which keeps the rank
-                    cleared = set(forest)
-                    m.entries = {rc: v for rc, v in m.entries.items() if rc[0] not in cleared}
-                return rank(m)
-
-            shape = (cells[k - 1] * N, cells[k] * N)
-            ranks[k] = compute() if rank_hook is None else rank_hook(q, k, shape, compute)
+            m = specialize(salvetti_boundary(A, k, field), q)
+            if k == 2:  # clear the rows of a spanning forest, which keeps the rank
+                m.entries = {rc: v for rc, v in m.entries.items() if rc[0] not in forest}
+            ranks[k] = rank(m)
         betti = [cells[k] * N - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     return CoverHomologyReport(
         order=N,
@@ -501,20 +481,17 @@ def check_gradient_chain(chain: Sequence[FiniteQuotient], degree: int) -> None:
 
 
 def gradient_sequence(
-    A: Raag, chain: Sequence[FiniteQuotient], field: FieldSpec, degree: int,
-    *, rank_hook: Optional[RankHook] = None,
+    A: Raag, chain: Sequence[FiniteQuotient], field: FieldSpec, degree: int
 ) -> list[Fraction]:
     """Normalised Betti numbers b_k/N along a chain of quotients.
 
-    The values are reported raw; no convergence judgement is made.  The
-    optional ``rank_hook(q, degree, shape, compute)`` is passed to
-    `cover_betti` for every quotient of the chain unchanged, so it sees
-    only degrees 2 and up of the explicit quotients.
+    The values are reported raw; no convergence judgement is made.  Each
+    quotient's cover is computed afresh by `cover_betti`.
     """
     check_gradient_chain(chain, degree)
     out = []
     for q in chain:
-        report = cover_betti(A, q, field, rank_hook=rank_hook)
+        report = cover_betti(A, q, field)
         out.append(report.normalized[degree] if degree < len(report.betti) else Fraction(0))
     return out
 

@@ -1,4 +1,4 @@
-"""CLI tests: commands, formats, exit codes, cache behaviour."""
+"""CLI tests: commands, formats, exit codes, start-up imports."""
 
 from __future__ import annotations
 
@@ -75,9 +75,23 @@ class TestStartUp:
         assert modules_loaded_by_import({"dataclasses", "inspect", "ast", "dis"}) == []
 
     def test_import_loads_no_argument_parser_or_hashlib(self):
-        # argparse and its gettext cost 2-3 ms of every start, hashlib about
-        # 4.6 ms; only a --cache job needs hashlib, and loads it then
+        # argparse and its gettext cost 2-3 ms of every start, hashlib about 4.6 ms
         assert modules_loaded_by_import({"argparse", "gettext", "hashlib", "_hashlib"}) == []
+
+    def test_gradient_with_cache_loads_no_hashlib(self, workdir):
+        # the cache path is read and ignored, so nothing hashes or writes it
+        script = (
+            "import sys, raaghom.cli\n"
+            "code = raaghom.cli.main(['gradient', '--complex', 'c4.json', '--field', 'Q',"
+            " '--chain', 'c4_z2.json', '--degree', '1', '--cache', 'cache'])\n"
+            "print(code, *sorted({'hashlib', '_hashlib'} & sys.modules.keys()), file=sys.stderr)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stderr == "0\n" and json.loads(proc.stdout)["betti"] == [10]
+        assert not (workdir / "cache").exists()
 
 
 class TestBetti:
@@ -497,67 +511,22 @@ class TestGradient:
         assert obj["betti"] == [2, 5]
         assert obj["normalized"] == ["2/1", "5/4"]
 
-    def test_gradient_cache_round_trip(self, workdir, capsys):
-        cache = workdir / "cache"
-        args = (
-            "gradient", "--complex", "c4.json", "--field", "Q",
-            "--chain", "c4_z2.json", "--degree", "1", "--cache", str(cache),
-        )
-        code1, out1, _ = run_cli(capsys, *args)
-        assert code1 == 0
-        cached_files = list(cache.glob("rank-*.json"))
-        assert cached_files
-        code2, out2, _ = run_cli(capsys, *args)
-        assert code2 == 0 and out1 == out2
-
-    @pytest.mark.parametrize("field", ["Q", "F2"])
-    def test_cache_entries_with_wrong_shape_or_no_schema_are_recomputed(self, workdir, capsys, field):
-        cache = workdir / "cache"
-        args = (
-            "gradient", "--complex", "triangle.json", "--field", field,
-            "--chain", "triangle_z2.json", "--degree", "2", "--cache", str(cache),
-        )
-        code, fresh, _ = run_cli(capsys, *args)
-        assert code == 0 and json.loads(fresh)["betti"] == [3]  # the 3-torus covers itself
-        entries = sorted(cache.glob("rank-*.json"))
-        assert len(entries) == 2  # degrees 2 and 3; rank d_1 is read from the orbits
-        good = {p: json.loads(p.read_text()) for p in entries}
-        assert sorted(e["shape"] for e in good.values()) == [[24, 8], [24, 24]]
-        assert all(e["schema"] == 1 for e in good.values())
-        wrong_shape, no_schema = entries
-        wrong_shape.write_text(json.dumps({"schema": 1, "shape": [1, 1], "rank": 0}))
-        no_schema.write_text(json.dumps({"rank": 0}))
-        code, again, _ = run_cli(capsys, *args)
-        assert code == 0 and again == fresh
-        assert {p: json.loads(p.read_text()) for p in entries} == good
-
-    def test_free_group_chain_writes_no_cache_entries(self, workdir, capsys):
-        args = (
-            "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "two_points_z3.json", "--degree", "1",
-        )
-        code, plain, _ = run_cli(capsys, *args)
-        assert code == 0 and json.loads(plain)["betti"] == [10]  # (2 - 1) * 9 + 1 orbit
-        code, cached, _ = run_cli(capsys, *args, "--cache", str(workdir / "cache"))
-        assert code == 0 and cached == plain
-        assert not list((workdir / "cache").glob("rank-*.json"))
-
-    def test_abelian_chain_writes_no_cache_entries(self, workdir, capsys):
-        args = ("gradient", "--complex", "c4.json", "--field", "F2", "--chain", "abelian:2,3", "--degree", "2")
-        code, plain, _ = run_cli(capsys, *args)
-        assert code == 0
-        code, cached, _ = run_cli(capsys, *args, "--cache", str(workdir / "cache"))
-        assert code == 0 and cached == plain
-        assert not list((workdir / "cache").glob("rank-*.json"))
-
-    def test_cache_path_that_is_a_file_is_input_error(self, workdir, capsys):
-        (workdir / "cache").write_text("")
-        code, out, err = run_cli(
-            capsys, "gradient", "--complex", "two_points.json", "--field", "Q",
-            "--chain", "two_points_z3.json", "--degree", "1", "--cache", str(workdir / "cache"),
-        )
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["kind"] == "input"
+    @pytest.mark.parametrize(
+        "complex_, field, chain, degree, betti",
+        [
+            ("c4.json", "Q", "c4_z2.json", "1", [10]),
+            ("two_points.json", "Q", "two_points_z3.json", "1", [10]),  # (2 - 1) * 9 + 1 orbit
+            ("c4.json", "F2", "abelian:2,3", "2", [25, 100]),  # (n^2 + 1)^2
+        ],
+        ids=["explicit", "free-group", "abelian"],
+    )
+    def test_cache_option_is_ignored(self, workdir, capsys, complex_, field, chain, degree, betti):
+        argv = ("gradient", "--complex", complex_, "--field", field, "--chain", chain, "--degree", degree)
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(plain)["betti"] == betti
+        code, out, err = run_cli(capsys, *argv, "--cache", str(workdir / "cache"))
+        assert code == 0 and out == plain and err == ""
+        assert not (workdir / "cache").exists()
 
     def test_empty_cache_path_is_input_error(self, workdir, capsys):
         code, out, err = run_cli(

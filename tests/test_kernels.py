@@ -347,8 +347,8 @@ class TestPushSupport:
 
     @pytest.mark.parametrize(
         "face",
-        [("v", "a"), ("a", "e"), ("d1", "a"), ("a", "zz")],
-        ids=["contains v", "outside the link", "out of vertex order", "unknown label"],
+        [("v", "a"), ("a", "e"), ("d1", "a"), ("a", "zz"), ("a", "a")],
+        ids=["contains v", "outside the link", "out of vertex order", "unknown label", "repeated vertex"],
     )
     def test_unsupported_face_rejected(self, face):
         L, phi = cone_over_c4_with_extra_living()
@@ -365,6 +365,23 @@ class TestPushSupport:
             push_cycle_to_living(L, phi, "v", ChainVector(1, QQ, square), 2, enforce_fpn=False)
         z = ChainVector(0, QQ, {("d1",): 1, ("a",): -1})
         verify_push(L, phi, "v", z, push_cycle_to_living(L, phi, "v", z, 1, enforce_fpn=False), 1)
+
+    def test_each_face_of_the_cycle_is_read_once(self):
+        read = []
+        real = SimplicialComplex._face_mask
+
+        def counting(self, verts):
+            verts = tuple(verts)
+            read.append(verts)
+            return real(self, verts)
+
+        L, phi = join_with_two_dead_equator_vertices()
+        z = ChainVector(1, QQ, {("b0", "c0"): 1, ("b1", "c0"): -1, ("b1", "c1"): 1, ("b0", "c1"): -1})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SimplicialComplex, "_face_mask", counting)
+            res = push_cycle_to_living(L, phi, "v", z, 2)
+        assert sorted(read) == sorted(z.coefficients)
+        verify_push(L, phi, "v", z, res, 2)
 
 
 def join_with_two_dead_equator_vertices():
