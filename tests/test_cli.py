@@ -46,7 +46,6 @@ def workdir(tmp_path, monkeypatch):
     write_regular_quotient(tmp_path / "two_points_z3.json", "ab", [], 3)
     triangle = [[0, 1], [1, 2], [0, 2]]  # flag: the filled triangle, whose RAAG is Z^3
     (tmp_path / "triangle.json").write_text(json.dumps({"vertices": [0, 1, 2], "edges": triangle}))
-    write_regular_quotient(tmp_path / "triangle_z2.json", range(3), triangle, 2)
     return tmp_path
 
 
