@@ -137,7 +137,7 @@ def _chain(spec: str) -> list:
     """Either ``abelian:2,3,4``, read as all-vertex moduli, or a comma list of quotient files."""
     if spec.startswith("abelian:"):
         return [_integer(n, 1) for n in spec[len("abelian:") :].split(",")]
-    return spec.split(",")
+    return [_path(name) for name in spec.split(",")]
 
 
 def _quotients(chain: list, A: Raag) -> list[FiniteQuotient]:

@@ -19,14 +19,20 @@ There is one matrix type, `ExactMatrix`.  An integer matrix is an
 one); `over_field` reads it over F_p by reducing each entry and over Q
 returns it unchanged, and `smith_normal_form` takes only such a matrix.
 Matrices are stored sparsely as {(row, col): value} with no explicit
-zeros.  Every elimination indexes the nonzeros by row and by column and
-keeps the rows in buckets by number of nonzeros, each bucket in
-ascending row order, and every elimination step is one row operation, `_add_row`: row dst += factor * row src,
-reduced mod p over F_p, with both indexes and the buckets kept in step.
+zeros.  Every sparse elimination indexes the nonzeros by row and by
+column and keeps the rows in buckets by number of nonzeros, each bucket
+in ascending row order, and every sparse elimination step is one row
+operation, `_add_row`: row dst += factor * row src, reduced mod p over
+F_p, with both indexes and the buckets kept in step.
 Each caller has one pivot rule:
-- `rank` pivots in the lowest-index shortest row, on its entry whose
-  column has the fewest nonzeros (lowest column on ties); over Q a +-1
-  pivot is its own inverse, so integer rows stay ints under it;
+- `rank` over F2 and F3 reduces bit-packed lines, each by the stored
+  pivot with the same highest bit (`_packed_rank`), whenever its worst
+  case, (p - 1) * min(R, C)**2 / 8 bytes, is no more than the sparse
+  index would take (`_INDEX_BYTES_PER_ENTRY` per nonzero); otherwise,
+  and over Q and F_p for p >= 5, it eliminates sparsely, pivoting in the
+  lowest-index shortest row on its entry whose column has the fewest
+  nonzeros (lowest column on ties); over Q a +-1 pivot is its own
+  inverse, so integer rows stay ints under it;
 - `smith_normal_form` pivots on a +-1 entry of the shortest row that
   holds one, chosen the same way, and falls back to the entry of least
   absolute value only when no unit remains; it clears that pivot's
@@ -448,7 +454,87 @@ def _add_row(rows, cols, buckets, src: int, dst: int, factor: Scalar, p: int) ->
         del rows[dst]
 
 
+# What `_index` allocates per stored entry.  tracemalloc of `_index` on the
+# specialised d_2 (forest rows cleared) and d_3 of explicit covers of the
+# 12-vertex flag RP^2 read 120-212 bytes: regular (Z/2)^k actions, N = 16 to
+# 4096, over F2 and (Z/3)^k actions, N = 81 to 6561, over F3; the least is
+# d_2 at N = 4096.  `rank`'s memory rule takes the least.
+_INDEX_BYTES_PER_ENTRY = 120
+
+
 def rank(m: ExactMatrix) -> int:
+    """Field rank: bit-packed over F2 and F3 when the memory rule allows, else sparse.
+
+    The packed elimination (`_packed_rank`) holds at most min(R, C)
+    pivots of min(R, C) bits in each of p - 1 bit planes, so
+    (p - 1) * min(R, C)**2 / 8 bytes at worst.  It is taken only when
+    that is no more than the sparse elimination's own index would take,
+    `_INDEX_BYTES_PER_ENTRY` bytes per nonzero.  Every other matrix (Q,
+    p >= 5, and large matrices of few nonzeros per line) is eliminated
+    sparsely (`_sparse_rank`).
+    """
+    p, short = m.field.char, min(m.rows, m.cols)
+    if p in (2, 3) and (p - 1) * short * short <= 8 * _INDEX_BYTES_PER_ENTRY * len(m.entries):
+        return _packed_rank(m)
+    return _sparse_rank(m)
+
+
+def _packed_rank(m: ExactMatrix) -> int:
+    """Rank over F2 or F3 by reducing bit-packed lines, the persistence standard reduction.
+
+    Each line of the shorter side's length (a row when the matrix is at
+    least as tall as wide, else a column) is an int with one bit per
+    entry; over F3 it is two such ints, the planes of its 1s and its 2s.
+    A line is reduced by the stored pivot with the same highest bit until
+    it is zero or its highest bit is new, when it is stored as a pivot
+    scaled so that entry is 1.  The rank is the number of pivots.
+    Over F2 a step is one XOR.  Over F3, x + y is t = (xl|yh) ^ (xh|yl),
+    zl = (xh|yh) ^ t, zh = (xl|yl) ^ t, and -y swaps y's two planes.
+    """
+    tall = m.rows >= m.cols
+    lines: dict[int, list[int]] = {}
+    for (r, c), v in m.entries.items():  # each v is 1, or 1 or 2 over F3: a 2 is held as ~bit
+        line, bit = (r, c) if tall else (c, r)
+        got = lines.get(line)
+        if got is None:
+            lines[line] = [bit if v == 1 else ~bit]
+        else:
+            got.append(bit if v == 1 else ~bit)
+    if m.field.char == 2:
+        pivots: dict[int, int] = {}
+        for bits in lines.values():
+            x = 0
+            for b in bits:
+                x |= 1 << b
+            while x:
+                low = x.bit_length()
+                y = pivots.get(low)
+                if y is None:
+                    pivots[low] = x
+                    break
+                x ^= y
+        return len(pivots)
+    planes: dict[int, tuple[int, int]] = {}
+    for bits in lines.values():
+        xl = xh = 0
+        for b in bits:
+            if b >= 0:
+                xl |= 1 << b
+            else:
+                xh |= 1 << ~b
+        while xl or xh:
+            low = max(xl.bit_length(), xh.bit_length())
+            y = planes.get(low)
+            if y is None:
+                planes[low] = (xl, xh) if xl.bit_length() == low else (xh, xl)
+                break
+            yl, yh = y if xh.bit_length() == low else y[::-1]  # a leading 1 subtracts y, a 2 adds it
+            t = (xl | yh) ^ (xh | yl)
+            xl, xh = (xh | yh) ^ t, (xl | yl) ^ t
+    return len(planes)
+
+
+def _sparse_rank(m: ExactMatrix) -> int:
     """Field rank by sparse elimination.
 
     Pivot row: the lowest-index row among those with the fewest nonzeros.

@@ -536,6 +536,17 @@ class TestGradient:
         assert json.loads(err)["error"]["kind"] == "input"
         assert not list(workdir.rglob("rank-*.json"))
 
+    @pytest.mark.parametrize("files", [",c4_z2.json", "c4_z2.json,,c4_z2.json", "c4_z2.json,"],
+                             ids=["leading", "inner", "trailing"])
+    @pytest.mark.parametrize("command, option, last", [("gradient", "--chain", ("--degree", "1")),
+                                                       ("kaz-check", "--quotients", ("--max-degree", "1"))],
+                             ids=["gradient", "kaz-check"])
+    def test_empty_file_entry_is_input_error(self, workdir, capsys, files, command, option, last):
+        code, out, err = run_cli(capsys, command, "--complex", "c4.json", "--field", "F2", option, files, *last)
+        assert code == 2 and out == ""
+        message = f"argument {option}: a path must not be empty"
+        assert json.loads(err)["error"] == {"kind": "input", "message": message}
+
     def test_abelian_chain_with_char_dividing_order(self, workdir, capsys):
         # N = n^4 reaches 2^40: only the character sum can take this chain
         ns = [2 ** i for i in range(1, 11)]
