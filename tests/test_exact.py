@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from raaghom import exact
 from raaghom.complexes import SimplicialComplex, boundary_matrix
 from raaghom.exact import (
     _PRIME_TEST_BOUND,
@@ -310,6 +312,82 @@ class TestRank:
             rq = rank(m.over_field(QQ))
             for p in (2, 3, 5):
                 assert rq >= rank(m.over_field(FieldSpec.prime_field(p)))
+
+
+class TestPackedRank:
+    """`rank` over F2 and F3 reduces bit-packed lines whenever its memory rule allows."""
+
+    @PROPERTY
+    @given(
+        st.one_of(
+            sparse_int_matrices(), sparse_int_matrices(values=(1, 2)), block_permutation_matrices()
+        ),
+        st.sampled_from((F2, F3)),
+    )
+    def test_matches_dense_oracle_and_sparse_elimination(self, m, field):
+        # sparse_int_matrices draws rows and columns apart, so tall and wide shapes both occur
+        for em in (m.over_field(field), m.over_field(field).transpose()):
+            assert exact._packed_rank(em) == exact._sparse_rank(em) == oracle_rank(m, field)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+    def test_every_small_matrix_over_f3(self, shape):
+        # every pair of leading entries meets: one adds the pivot, the other subtracts it
+        rows, cols = shape
+        for values in itertools.product(range(3), repeat=rows * cols):
+            dense = [list(values[r * cols : (r + 1) * cols]) for r in range(rows)]
+            assert exact._packed_rank(ExactMatrix.from_rows(dense, F3)) == dense_rank_mod_p(dense, 3)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_empty_and_all_zero_matrices(self, field):
+        for r, c in ((0, 0), (0, 7), (7, 0), (1, 1), (5, 9), (9, 5)):
+            m = ExactMatrix.zeros(r, c, field)
+            assert exact._packed_rank(m) == exact._sparse_rank(m) == rank(m) == 0
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_small_matrix_never_builds_the_sparse_index(self, field, monkeypatch):
+        def refuse(entries):
+            raise AssertionError("_index built")
+
+        monkeypatch.setattr(exact, "_index", refuse)
+        m = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], field)
+        assert rank(m) == (2 if field == F2 else 3)
+        assert rank(ExactMatrix.zeros(0, 0, field)) == 0
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_memory_rule_picks_the_path(self, field, monkeypatch):
+        # an n x n identity at the rule's bound, (p - 1) n^2 = 8 * bytes per entry * n, is packed;
+        # with one nonzero fewer, or as a tall matrix of the same nonzeros, it is not
+        taken = []
+
+        def spy(name):
+            real = getattr(exact, name)
+
+            def call(m):
+                taken.append(name)
+                return real(m)
+
+            return call
+
+        for name in ("_packed_rank", "_sparse_rank"):
+            monkeypatch.setattr(exact, name, spy(name))
+        n = 8 * exact._INDEX_BYTES_PER_ENTRY // (field.char - 1)
+        identity = {(i, i): 1 for i in range(n)}
+        cases = [
+            (ExactMatrix(n, n, field, identity), n, "_packed_rank"),
+            (ExactMatrix(n, n, field, {k: v for k, v in identity.items() if k != (0, 0)}), n - 1, "_sparse_rank"),
+            (ExactMatrix(4 * n, 2 * n, field, identity), n, "_sparse_rank"),
+        ]
+        for m, expected, path in cases:
+            assert rank(m) == expected
+            assert taken.pop() == path and not taken
+
+    def test_q_and_larger_primes_stay_sparse(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(exact, "_packed_rank", refuse)
+        for field in (QQ, F5, FieldSpec.prime_field(7)):
+            assert rank(ExactMatrix.identity(3, field)) == 3
 
 
 class TestSolve:

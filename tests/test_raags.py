@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raaghom import raags
+from raaghom import exact, raags
 from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import F2, QQ, FieldSpec, rank
 from raaghom.raags import (
@@ -26,7 +26,9 @@ from raaghom.raags import (
     specialize,
 )
 
-from fixtures import c4, full_simplex, random_flag_complex, rp2_six, rp2_twelve, two_points
+from fixtures import (
+    c4, cycle_complex, full_simplex, octahedron, random_flag_complex, rp2_six, rp2_twelve, two_points,
+)
 from oracles import living_set_character_sum
 
 F3 = FieldSpec.prime_field(3)
@@ -374,6 +376,16 @@ class TestExplicitCovers:
             assert not {r for r, _ in d2.entries} & set(forest)
             assert rank(d2) == rank(specialize(salvetti_boundary(A, 2, field), q))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(explicit_covers())
+    def test_packed_rank_of_each_boundary_matches_sparse_elimination(self, case):
+        A, q, _ = case
+        for field in (F2, F3):
+            for k in range(1, A.complex.dim + 2):
+                m = specialize(salvetti_boundary(A, k, field), q)
+                for em in (m, m.transpose()):
+                    assert exact._packed_rank(em) == exact._sparse_rank(em)
+
     def test_both_kinds_of_action_are_drawn(self):
         transitive = set()
 
@@ -443,6 +455,28 @@ class TestCharacterSum:
         q = abelian_quotient(A, {v: 4 for v in c4().vertices})
         assert q.order == 256
         assert list(cover_betti(A, q, F3).betti) == _eliminated_betti(A, q, F3)
+
+    @pytest.mark.parametrize(
+        "L, n, k",
+        [
+            (cycle_complex(5), 3, 4),
+            (cycle_complex(5), 3, 5),
+            (cycle_complex(6), 2, 6),
+            (octahedron(), 2, 6),
+            (octahedron(), 3, 4),
+            (octahedron(), 3, 5),
+        ],
+        ids=["C5-Z3^4", "C5-Z3^5", "C6-Z2^6", "octahedron-Z2^6", "octahedron-Z3^4", "octahedron-Z3^5"],
+    )
+    def test_larger_explicit_covers_match_the_character_sum(self, L, n, k):
+        # the regular action of (Z/n)^k, N = 64 to 243, entered as explicit permutations;
+        # over F2 and F3 each, char F divides N for one field and not the other
+        A = Raag(L)
+        abelian = abelian_quotient(A, dict.fromkeys(L.vertices[:k], n))
+        explicit = FiniteQuotient(A, abelian.order, abelian.action)
+        assert explicit.moduli is None and 64 <= explicit.order <= 243
+        for field in (F2, F3):
+            assert cover_betti(A, explicit, field).betti == cover_betti(A, abelian, field).betti
 
     def test_abelian_quotients_never_specialise(self, monkeypatch):
         def refuse(*args):
