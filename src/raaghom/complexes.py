@@ -51,25 +51,30 @@ Homology is read from a core.  In a flag complex a vertex u of a mask U
 is dominated when another v in U is adjacent to every vertex of U that u
 is adjacent to; removing u is then a strong collapse, which keeps the
 homotopy type and so the homology over every ring.  ``core(mask)``
-removes dominated vertices until none is left, and the full subcomplex on
-the core has one integral Smith form per boundary degree.  Those of d_0
-and d_1 are all 1s, counted from the vertices and the components of the
-1-skeleton; only degrees 2 and up are eliminated, once each.  Every
-ring's homology is read from those forms (the universal coefficient
-theorem): rank d_k over Q is the number of elementary divisors and over
-F_p the number prime to p, which gives ``reduced_betti`` over every
-field, padded with zeros to the complex's own degrees, and the torsion of
-``integral_homology``.  Callers that look up ``subcomplex(core(mask))``
-share one elimination among all masks with one core.  A core with no
-triangle is a graph, whose homology over every ring is free and fixed by
-its numbers of vertices, edges and components, so ``reduced_betti_on``
-reads such a core from those counts and builds no subcomplex for it.
+removes dominated vertices until none is left, and the full subcomplex
+on the core has one integral Smith form per boundary degree.  Those of
+d_0 and d_1 are all 1s, counted from the vertices and the components of
+the 1-skeleton.  A degree k >= 2 in which each (k-1)-face lies in at
+most two k-faces, such as the top degree of a pseudomanifold, is read
+from the signed graph those k-faces form across their shared (k-1)-faces
+(`_dual_graph_form`): rank and divisors 1 or 2 per component.  Only the
+other degrees are eliminated, once each.  Every ring's homology is read
+from those forms (the universal coefficient theorem): rank d_k over Q is
+the number of elementary divisors and over F_p the number prime to p,
+which gives ``reduced_betti`` over every field, padded with zeros to the
+complex's own degrees, and the torsion of ``integral_homology``.
+Callers that look up ``subcomplex(core(mask))`` share one Smith form per
+degree among all masks with one core.  A core with no triangle is a
+graph, whose homology over every ring is free and fixed by its numbers
+of vertices, edges and components, so ``reduced_betti_on`` reads such a
+core from those counts and builds no subcomplex for it.
 
-d_2 is eliminated without the rows of the edges of a spanning forest of
-the 1-skeleton ("clearing"), which keeps its elementary divisors: the
-forest's fundamental cycles are a Z-basis of ker d_1, a direct summand of
-C_1, so dropping the forest coordinates maps ker d_1, which holds im d_2,
-isomorphically onto the coordinates left.
+A d_2 that is eliminated goes without the rows of the edges of a
+spanning forest of the 1-skeleton ("clearing"), which keeps its
+elementary divisors: the forest's fundamental cycles are a Z-basis of
+ker d_1, a direct summand of C_1, so dropping the forest coordinates
+maps ker d_1, which holds im d_2, isomorphically onto the coordinates
+left.
 """
 
 from __future__ import annotations
@@ -664,10 +669,13 @@ def reduced_betti(K: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     Rank d_k over the field is read from the core's memoised Smith form of
     the augmented boundary: over Q it is the number of elementary divisors,
     over F_p the number of them prime to p.  Degrees 0 and 1 are counted
-    from the vertices and components (see `_smith_form`), so a core of
-    dimension 1 or less eliminates nothing.  The profile is memoised on the
+    from the vertices and components, and a degree k >= 2 whose
+    (k-1)-faces each lie in at most two k-faces is read from their signed
+    dual graph (see `_smith_form`), so only a degree with a (k-1)-face in
+    three k-faces or more is eliminated.  The profile is memoised on the
     core; strong collapses leave it unchanged, so every complex with that
-    core pads the same one, and every field shares one elimination.
+    core pads the same one, and every field shares one Smith form per
+    degree.
     """
     profile = K._memo.get(field)
     if profile is None:
@@ -697,24 +705,111 @@ def _smith_form(K: SimplicialComplex, k: int) -> SmithForm:
     universal coefficient theorem): the augmented d_0 is onto Z when K has
     a vertex, and coker d_1 = H_0(K; Z) is free on the components of the
     1-skeleton.  So both forms are all 1s, of rank 1 (0 without a vertex)
-    and |V| - #components.  Only degrees 2 and up are eliminated, d_2
-    without the rows of the edges of a spanning forest (`_spanning_forest`),
-    which keeps its elementary divisors (see the module docstring).
+    and |V| - #components.
+
+    A degree k >= 2 in which every (k-1)-face lies in at most two k-faces
+    has a closed form too (`_dual_graph_form`): d_k^T is then the
+    incidence matrix of a signed graph, and each component of that graph
+    gives its rank and at most one elementary divisor 2.  Only a degree
+    with a (k-1)-face in three k-faces or more is eliminated, d_2 without
+    the rows of the edges of a spanning forest (`_spanning_forest`), which
+    keeps its elementary divisors (see the module docstring).
     """
     sf = K._memo.get(("smith", k))
     if sf is None:
         if k >= 2:
-            rows = K.masks_of_dim(k - 1)
-            if k == 2:  # clearing: the rows of a spanning forest's edges go, which keeps the form
-                forest = _spanning_forest(K)
-                rows = [e for e in rows if e not in forest]
-            sf = smith_normal_form(_boundary(rows, K.masks_of_dim(k)))
+            sf = _dual_graph_form(K.masks_of_dim(k))
+            if sf is None:
+                rows = K.masks_of_dim(k - 1)
+                if k == 2:  # clearing: the rows of a spanning forest's edges go, which keeps the form
+                    forest = _spanning_forest(K)
+                    rows = [e for e in rows if e not in forest]
+                sf = smith_normal_form(_boundary(rows, K.masks_of_dim(k)))
         else:
             full = (1 << len(K.vertices)) - 1
             r = min(len(K.vertices), 1) if k == 0 else len(K.vertices) - _component_count(K, full)
             sf = SmithForm(rank=r, elementary_divisors=(1,) * r)
         K._memo[("smith", k)] = sf
     return sf
+
+
+def _dual_graph_form(faces: Sequence[int]) -> Optional[SmithForm]:
+    """The Smith form of the boundary of ``faces``, None if a facet is in three of them.
+
+    When each facet (a (k-1)-face) lies in at most two of the k-faces,
+    d_k^T is the incidence matrix of a signed graph (Zaslavsky, "Signed
+    graphs", 1982).  Its nodes are the k-faces; a facet of two k-faces is
+    an edge between them, with entries their two boundary signs, and a
+    facet of one k-face is a half-edge, one entry in its column; a
+    (k-1)-face in no k-face is a zero column, which changes nothing.  A
+    matrix and its transpose have one Smith form, and the matrix is block
+    diagonal by the graph's components, so each component of t nodes
+    contributes its own divisors:
+    - with a half-edge: rank t, all 1s.  A spanning tree and a half-edge
+      give a t x t minor +-1: a leaf that is not the half-edge's node has
+      one entry in its row, so the minor is +-1 times that of the tree
+      without the leaf, down to the half-edge's node alone.
+    - closed and orientable: rank t - 1, all 1s.  An orientation e_j = +-1
+      with e_i s_i + e_j s_j = 0 on every edge makes sum e_j (row j) = 0,
+      and a spanning tree without one node's row is a (t - 1) x (t - 1)
+      minor +-1, as above.
+    - closed and not orientable: rank t, divisors 1, ..., 1, 2.  The
+      tree minor gives d_1 = ... = d_{t-1} = 1.  Every column has two
+      entries, so the rows sum to 0 mod 2 and every t x t minor is even;
+      the tree and an edge that closes a cycle no orientation fits give
+      one, and after peeling the leaves off it is the determinant of that
+      cycle, which is +-2 (and 0 for a cycle an orientation fits).  So
+      d_t, the gcd of the t x t minors, is 2.
+    The orientation is tried by a walk over each component, and the pass
+    that builds the graph stops at the first facet met a third time.
+    """
+    first: dict[int, tuple] = {}  # facet -> (its first k-face, sign there), then () once met twice
+    links: list[list[tuple[int, int]]] = [[] for _ in faces]
+    for j, f in enumerate(faces):
+        sign = 1  # (-1) to the number of bits of f below the one dropped
+        rest = f
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            g = f ^ bit
+            other = first.get(g)
+            if other is None:
+                first[g] = (j, sign)
+            elif other:  # an edge, whose sign is the product of its two entries
+                i, edge = other[0], other[1] * sign
+                links[i].append((j, edge))
+                links[j].append((i, edge))
+                first[g] = ()
+            else:
+                return None
+            sign = -sign
+    open_nodes = {other[0] for other in first.values() if other}
+    orientation = [0] * len(faces)
+    rank = twos = 0
+    for root in range(len(faces)):
+        if orientation[root]:
+            continue
+        orientation[root] = 1
+        stack = [root]
+        size, has_half_edge, orientable = 0, False, True
+        while stack:
+            j = stack.pop()
+            size += 1
+            has_half_edge = has_half_edge or j in open_nodes
+            flipped = -orientation[j]
+            for i, edge in links[j]:  # e_i s_i + e_j s_j = 0, so e_i = -e_j times the edge's sign
+                want = flipped * edge
+                if not orientation[i]:
+                    orientation[i] = want
+                    stack.append(i)
+                elif orientation[i] != want:
+                    orientable = False
+        if has_half_edge or not orientable:
+            rank += size
+            twos += not has_half_edge
+        else:
+            rank += size - 1
+    return SmithForm(rank=rank, elementary_divisors=(1,) * (rank - twos) + (2,) * twos)
 
 
 def _component_count(K: SimplicialComplex, mask: int) -> int:
@@ -764,7 +859,10 @@ def _spanning_forest(K: SimplicialComplex) -> set[int]:
 def integral_homology(K: SimplicialComplex, k: int) -> tuple[int, list[int]]:
     """Reduced integral homology in degree k: (free rank, torsion divisors > 1).
 
-    It is read from the Smith forms of K's core, memoised on the core.
+    It is read from the Smith forms of K's core, memoised on the core:
+    counted or read from the signed dual graph where `_smith_form` can,
+    so only a degree with a (k-1)-face in three k-faces or more is
+    eliminated.
     """
     core = _core_complex(K)
     if k < -1 or k > core.dim:

@@ -94,7 +94,8 @@ class Record:
 
     Each record's ``__init__`` sets its fields once with
     ``object.__setattr__``.  A deleted field would leave a memo key that
-    cannot be hashed, so deleting is refused too.
+    cannot be hashed, so deleting is refused too.  A record prints as its
+    class name and its fields in ``__slots__`` order.
     """
 
     __slots__ = ()
@@ -104,6 +105,10 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        names = [n for cls in reversed(type(self).__mro__) for n in cls.__dict__.get("__slots__", ())]
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
 
 class FieldSpec(Record):
@@ -128,9 +133,6 @@ class FieldSpec(Record):
 
     def __hash__(self) -> int:
         return hash(self.char)
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(char={self.char})"
 
     @classmethod
     def rationals(cls) -> "FieldSpec":

@@ -30,8 +30,8 @@ from raaghom.exact import F2, QQ, FieldSpec, rank, smith_normal_form
 from raaghom.raags import Raag, abelian_quotient, cover_betti
 
 from fixtures import (
-    BAD_FACE_IDS, BAD_FACES, c4, cycle_complex, full_simplex, grid_surface, octahedron, random_flag_complex,
-    rp2_six, rp2_twelve,
+    BAD_FACE_IDS, BAD_FACES, RP2_6_TRIANGLES, c4, cycle_complex, full_simplex, grid_surface, octahedron,
+    random_flag_complex, rp2_six, rp2_twelve,
 )
 from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, living_set_character_sum
 
@@ -622,8 +622,8 @@ class TestReducedBetti:
         assert reduced_betti(K, F2).reduced_betti == (0, 0, 1, 1)
         assert integral_homology(K, 1) == (0, [2])
 
-    def test_every_field_eliminates_only_degrees_two_and_up(self, monkeypatch):
-        # d_0 and d_1 are counted from vertices and components; only d_2 is eliminated
+    @staticmethod
+    def count_eliminations(monkeypatch) -> dict:
         calls = {"rank": 0, "smith": 0}
 
         def counting_rank(*args):
@@ -637,12 +637,34 @@ class TestReducedBetti:
         monkeypatch.setattr(exact, "rank", counting_rank)
         monkeypatch.setattr(complexes, "rank", counting_rank, raising=False)
         monkeypatch.setattr(complexes, "smith_normal_form", counting_smith)
+        return calls
+
+    def test_no_field_eliminates_a_pseudomanifold_boundary(self, monkeypatch):
+        # d_0 and d_1 are counted from vertices and components, and d_2, whose
+        # edges each lie in two triangles, is read from its signed dual graph
+        calls = self.count_eliminations(monkeypatch)
         K = rp2_twelve()
         assert K.core((1 << 12) - 1) == (1 << 12) - 1  # the core is K itself
         profiles = [reduced_betti(K, field).reduced_betti for field in (QQ, F2, F3)]
         assert profiles == [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)]
         assert integral_homology(K, 1) == (0, [2])
-        assert calls == {"rank": 0, "smith": K.dim - 1}
+        assert calls == {"rank": 0, "smith": 0}
+
+    @pytest.mark.parametrize("K, profiles, h1", [
+        # RP^2 with a flap on the edge 12, which then lies in three triangles; not flag, so its own core
+        (SimplicialComplex(range(1, 8), list(RP2_6_TRIANGLES) + [(1, 2, 7)]),
+         [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)], (0, [2])),
+        # three points joined to a 4-cycle, S^2 v S^2: flag, its own core, each cycle edge in three triangles
+        (flag_completion(range(7), [(i, (i + 1) % 4) for i in range(4)]
+                         + [(i, j) for i in range(4) for j in (4, 5, 6)]),
+         [(0, 0, 0, 2)] * 3, (0, [])),
+    ], ids=["rp2-with-flap", "three-points-join-c4"])
+    def test_a_branching_edge_is_eliminated_once_for_every_field(self, monkeypatch, K, profiles, h1):
+        calls = self.count_eliminations(monkeypatch)
+        assert K.core((1 << len(K.vertices)) - 1) == (1 << len(K.vertices)) - 1
+        assert [reduced_betti(K, field).reduced_betti for field in (QQ, F2, F3)] == profiles
+        assert integral_homology(K, 1) == h1
+        assert calls == {"rank": 0, "smith": 1}
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(flag_or_other_complexes())
