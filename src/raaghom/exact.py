@@ -107,8 +107,8 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        names = [n for cls in reversed(type(self).__mro__) for n in cls.__dict__.get("__slots__", ())]
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class FieldSpec(Record):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 import pytest
@@ -33,10 +34,14 @@ from fixtures import (
     BAD_FACE_IDS, BAD_FACES, RP2_6_TRIANGLES, c4, cycle_complex, full_simplex, grid_surface, octahedron,
     random_flag_complex, rp2_six, rp2_twelve,
 )
-from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, living_set_character_sum
+from oracles import (
+    TupleComplex, dense_rank_mod_p, dense_rank_rationals, determinantal_divisors, living_set_character_sum,
+)
 
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
+# RP^2 with a flap on the edge 12, which then lies in three triangles; not flag, so it is its own core
+RP2_WITH_FLAP = SimplicialComplex(range(1, 8), RP2_6_TRIANGLES + [(1, 2, 7)])
 
 
 class TestConstruction:
@@ -651,9 +656,7 @@ class TestReducedBetti:
         assert calls == {"rank": 0, "smith": 0}
 
     @pytest.mark.parametrize("K, profiles, h1", [
-        # RP^2 with a flap on the edge 12, which then lies in three triangles; not flag, so its own core
-        (SimplicialComplex(range(1, 8), list(RP2_6_TRIANGLES) + [(1, 2, 7)]),
-         [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)], (0, [2])),
+        (RP2_WITH_FLAP, [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)], (0, [2])),
         # three points joined to a 4-cycle, S^2 v S^2: flag, its own core, each cycle edge in three triangles
         (flag_completion(range(7), [(i, (i + 1) % 4) for i in range(4)]
                          + [(i, j) for i in range(4) for j in (4, 5, 6)]),
@@ -691,8 +694,10 @@ class TestReducedBetti:
         pairs = [((e & -e).bit_length() - 1, e.bit_length() - 1) for e in forest]
         spanned = flag_completion(range(len(K.vertices)), pairs)
         assert complexes._component_count(spanned, full) == components  # it spans, so it has no cycle
-        if K.dim >= 1:
-            assert complexes._smith_form(K, 2) == smith_normal_form(boundary_matrix(K, 2))
+        if K.dim >= 1:  # the fallback of `_smith_form`, taken here whether or not an edge branches
+            rows = [e for e in K.masks_of_dim(1) if e not in forest]
+            cleared = smith_normal_form(complexes._boundary(rows, K.masks_of_dim(2)))
+            assert cleared == smith_normal_form(boundary_matrix(K, 2))
 
     def test_octahedron_sphere(self):
         prof = reduced_betti(octahedron(), QQ)
@@ -707,6 +712,87 @@ class TestReducedBetti:
                 prof = reduced_betti(K, field)
                 chi = sum((-1) ** (i + 2) * prof.betti(i) for i in range(-1, K.dim + 1))
                 assert type(chi) is int and chi == K.euler_characteristic_reduced()
+
+
+def shifted(triangles, by: int) -> list[tuple]:
+    return [tuple(v + by for v in t) for t in triangles]
+
+
+def octahedron_triangles(*v) -> list[tuple]:
+    """The eight triangles of the octahedron with opposite vertices v0 v1, v2 v3 and v4 v5."""
+    return [(x, y, z) for x in v[0:2] for y in v[2:4] for z in v[4:6]]
+
+
+def suspension(K: SimplicialComplex) -> SimplicialComplex:
+    """K joined to two new vertices, labelled "n" and "s"."""
+    facets = [f + (apex,) for f in K.faces_of_dim(K.dim) for apex in ("n", "s")]
+    return SimplicialComplex(list(K.vertices) + ["n", "s"], facets)
+
+
+def minor_count(rows: int, cols: int) -> int:
+    return sum(comb(rows, k) * comb(cols, k) for k in range(1, min(rows, cols) + 1))
+
+
+def assert_closed_form_matches_elimination(K: SimplicialComplex) -> None:
+    """Every degree k >= 2: the closed form or the fallback equals a full elimination.
+
+    The closed form applies exactly when no (k-1)-face lies in three
+    k-faces, counted here from the faces' boundaries.  A small enough
+    matrix is also checked against its determinantal divisors.
+    """
+    for k in range(2, K.dim + 2):
+        d = boundary_matrix(K, k)
+        expected = smith_normal_form(d)
+        assert complexes._smith_form(K, k) == expected
+        cofaces = [0] * d.rows
+        for row, _ in d.entries:
+            cofaces[row] += 1
+        branching = any(n > 2 for n in cofaces)
+        assert (complexes._dual_graph_form(K.masks_of_dim(k)) is None) == branching
+        if minor_count(d.rows, d.cols) <= 4000:
+            dense = [[d.entries.get((i, j), 0) for j in range(d.cols)] for i in range(d.rows)]
+            ds = determinantal_divisors(dense)
+            assert expected.elementary_divisors == tuple(b // a for a, b in zip([1] + ds, ds))
+
+
+MOEBIUS_BAND = SimplicialComplex(range(5), [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)])
+TWO_RP2 = SimplicialComplex(range(1, 13), RP2_6_TRIANGLES + shifted(RP2_6_TRIANGLES, 6))
+TWO_OCTAHEDRA = SimplicialComplex(  # sharing the vertex 0 and nothing else
+    range(11), octahedron_triangles(0, 1, 2, 3, 4, 5) + octahedron_triangles(0, 6, 7, 8, 9, 10)
+)
+BOUNDARY_OF_4_SIMPLEX = SimplicialComplex(range(5), full_simplex(5).faces_of_dim(3))
+
+
+class TestDualGraphForm:
+    """The closed form of a boundary whose (k-1)-faces lie in at most two k-faces."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(flag_or_other_complexes())
+    @example(full_simplex(5))  # d_2 branches; d_3 and d_4 are read in closed form
+    @example(RP2_WITH_FLAP)  # d_2 branches
+    @example(SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3)]))  # two triangles on an edge: one component
+    def test_closed_form_matches_elimination(self, K):
+        assert_closed_form_matches_elimination(K)
+
+    # each case: its closed-form degree k, then the rank of d_k and its number of elementary divisors 2
+    @pytest.mark.parametrize("K, k, rank_k, twos", [
+        (rp2_six(), 2, 10, 1),
+        (rp2_twelve(), 2, 22, 1),
+        (grid_surface(4, klein=False), 2, 31, 0),  # 32 triangles, closed and orientable
+        (grid_surface(4, klein=True), 2, 32, 1),
+        (octahedron(), 2, 7, 0),
+        (MOEBIUS_BAND, 2, 5, 0),  # each boundary edge is a half-edge
+        (TWO_RP2, 2, 20, 2),
+        (TWO_OCTAHEDRA, 2, 14, 0),  # two closed orientable components, each of rank 8 - 1
+        (BOUNDARY_OF_4_SIMPLEX, 3, 4, 0),
+        (suspension(rp2_six()), 3, 20, 1),  # H_2 of the suspension is H_1(RP^2) = Z/2
+    ], ids=["rp2-six", "rp2-twelve", "torus", "klein-bottle", "octahedron", "moebius-band", "two-rp2",
+            "two-octahedra-on-a-vertex", "boundary-of-4-simplex", "suspension-of-rp2-six"])
+    def test_named_cases(self, K, k, rank_k, twos):
+        sf = complexes._dual_graph_form(K.masks_of_dim(k))
+        assert sf is not None
+        assert (sf.rank, sf.torsion_divisors) == (rank_k, (2,) * twos)
+        assert_closed_form_matches_elimination(K)
 
 
 class TestIntegralHomology:

@@ -77,6 +77,7 @@ def test_record_semantics(cls, names, values, other, by_value, rejected):
         with pytest.raises(AttributeError):
             delattr(record, n)
     assert tuple(getattr(record, n) for n in names) == values
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
     for args, message in rejected:
         with pytest.raises(ValueError) as excinfo:
             cls(*args)
@@ -88,3 +89,10 @@ def test_record_defaults():
     ring = CoefficientRing("field", F2)
     assert (ring.field, ring.modulus) == (F2, None)
     assert CoefficientRing("Z/m", modulus=6) == CoefficientRing.integers_mod(6)
+
+
+def test_record_repr():
+    # one field-wise repr for every record, so a failing comparison shows the fields
+    assert repr(QQ) == "FieldSpec(char=0)"
+    assert repr(SmithForm(2, (1, 2))) == "SmithForm(rank=2, elementary_divisors=(1, 2))"
+    assert repr(HomologyProfile(F2, (0, 1))) == "HomologyProfile(field=FieldSpec(char=2), reduced_betti=(0, 1))"
