@@ -19,8 +19,8 @@ Flag complexes are built by one clique walk over vertex masks: it pops
 the lowest vertex of a candidate mask and extends by the candidates
 adjacent to it, so it lists the cliques inside a mask per dimension,
 already in the order faces are kept in.  Clique completion, full
-subcomplexes and links of a flag complex, barycentric subdivisions and
-the flag test itself run this walk.  A complex given by its faces reads
+subcomplexes and links, barycentric subdivisions and the flag test of a
+face list run this walk.  A complex given by its faces reads
 each listed face once: its mask is the sum of its vertex bits, and it is
 ORed into the neighbour mask of each of its vertices, so the 1-skeleton
 comes straight from the facets.  The faces are closed downward only to
@@ -29,8 +29,11 @@ edges counted from the neighbour masks: every face is a clique, so when
 the walk stays within the limit the complex is flag, the walk's lists
 are its faces in order, and the flag verdict is taken there.  Only a
 face list that is not flag turns its neighbour masks into edges and is
-sorted (`lex_order`).  Full subcomplexes of a complex that is not flag
-keep the parent's faces inside the mask.
+sorted (`lex_order`).  Every other way of building a complex gives a
+flag one, so each complex holds its flag verdict from the start.  Full
+subcomplexes and links exist only in a flag complex, as do the RAAG and
+the Artin kernels they serve; a complex that is not flag keeps its
+homology and boundaries, and refuses the rest with ValueError.
 
 Each complex carries one memo, keyed by vertex masks over its own vertex
 order: full subcomplexes by mask, the reduced Betti profile per field,
@@ -150,13 +153,13 @@ class SimplicialComplex:
 
     @classmethod
     def _of_masks(cls, vertices: Sequence[Label], by_dim: dict[int, list[int]], **memo) -> "SimplicialComplex":
-        """The complex whose face masks per dimension are listed in order, taken as they are."""
+        """The flag complex whose face masks per dimension are listed in order, taken as they are."""
         K = cls.__new__(cls)
         K.vertices = tuple(vertices)
         K._index = {v: i for i, v in enumerate(K.vertices)}
         K._by_dim = by_dim
         K._hash = None
-        K._memo = memo
+        K._memo = {"flag": True, **memo}
         return K
 
     # -- basic queries -------------------------------------------------------
@@ -293,55 +296,47 @@ class SimplicialComplex:
         return self.subcomplex(self.mask(v for v in self.vertices if v in keep))
 
     def subcomplex(self, mask: int) -> "SimplicialComplex":
-        """The full subcomplex on the vertices in a mask, built once per mask.
+        """The full subcomplex of a flag complex on the vertices in a mask, built once per mask.
 
-        In a flag complex it is the clique complex on the mask, listed by
-        the clique walk over the neighbour masks cut down to the mask; any
-        other complex keeps its faces inside the mask.
+        It is the clique complex on the mask, listed by the clique walk over
+        the neighbour masks cut down to the mask.  The mask of every vertex
+        gives the complex itself, flag or not; any other mask of a complex
+        that is not flag raises ValueError.
         """
         if mask == (1 << len(self.vertices)) - 1:
             return self
         sub = self._memo.get(mask)
         if sub is None:
+            if not self.is_flag():
+                raise ValueError("full subcomplexes and links need a flag complex")
             bits = mask_bits(mask)
-            sub_vertices = [self.vertices[bit.bit_length() - 1] for bit in bits]
-            if self.is_flag():
-                adjacency = self._adjacency()
-                sub_adjacency = _squeeze([adjacency[bit.bit_length() - 1] & mask for bit in bits], mask)
-                walk = _clique_walk(sub_adjacency, (1 << len(bits)) - 1)
-                sub = SimplicialComplex._of_masks(sub_vertices, walk, flag=True, adjacency=sub_adjacency)
-            else:
-                sub = SimplicialComplex._of_masks(sub_vertices, _restrict(self._by_dim, mask))
-            self._memo[mask] = sub
+            adjacency = self._adjacency()
+            sub_adjacency = _squeeze([adjacency[bit.bit_length() - 1] & mask for bit in bits], mask)
+            walk = _clique_walk(sub_adjacency, (1 << len(bits)) - 1)
+            sub = self._memo[mask] = SimplicialComplex._of_masks(
+                [self.vertices[bit.bit_length() - 1] for bit in bits], walk, adjacency=sub_adjacency
+            )
         return sub
 
     def link(self, simplex: Iterable[Label]) -> "SimplicialComplex":
-        """The link {t : t disjoint from s, t union s a face} of a face s."""
-        s = self._face_of(simplex)
-        if not s:
-            return self
-        if self.is_flag():
-            return self.subcomplex(self.cn_masks()[s])
-        lk = {k: [f for f in fs if not f & s and self._is_face(f | s)] for k, fs in self._by_dim.items()}
-        keep = sum(lk[0])
-        return SimplicialComplex._of_masks(self.labels(keep), _restrict(lk, keep))
+        """The link {t : t disjoint from s, t union s a face} of a face s of a flag complex.
+
+        In a flag complex it is the full subcomplex on the common neighbours
+        CN(s) of s's vertices (`cn_masks`), so a complex that is not flag
+        raises ValueError as `subcomplex` does; the link of the empty face is
+        the complex itself.
+        """
+        return self.subcomplex(self.cn_masks()[self._face_of(simplex)])
 
     def is_flag(self) -> bool:
         """True when every pairwise-adjacent vertex set spans a face.
 
-        Every face is a clique of the 1-skeleton, so the complex is flag
-        exactly when the clique walk over all vertices finds no more
-        cliques than there are faces; it stops at the first one beyond.
-        The constructor and the clique walks of flag complexes take the
-        verdict as they build; only a subcomplex or link of a complex that
-        is not flag runs the walk here.
+        The verdict is taken when the complex is built.  A face list is flag
+        exactly when the constructor's clique walk finds no more cliques than
+        it has faces; clique completion, full subcomplexes and barycentric
+        subdivisions are flag by construction.
         """
-        flag = self._memo.get("flag")
-        if flag is None:
-            full = (1 << len(self.vertices)) - 1
-            count = sum(map(len, self._by_dim.values()))
-            flag = self._memo["flag"] = _clique_walk(self._adjacency(), full, limit=count) is not None
-        return flag
+        return self._memo["flag"]
 
     # -- equality / hashing ------------------------------------------------------
 
@@ -493,20 +488,6 @@ def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
     return out
 
 
-def _restrict(by_dim: dict[int, list[int]], mask: int) -> dict[int, list[int]]:
-    """The faces inside a mask per dimension, in the mask's own vertex numbering.
-
-    Renumbering keeps the order of the vertices, so it keeps the order of
-    the faces; dimensions left without a face are dropped.
-    """
-    out = {}
-    for k, fs in by_dim.items():
-        inside = [f for f in fs if not f & ~mask]
-        if inside:
-            out[k] = _squeeze(inside, mask)
-    return out
-
-
 def _clique_walk(
     adjacency: Sequence[int], mask: int, limit: Optional[int] = None
 ) -> Optional[dict[int, list[int]]]:
@@ -580,7 +561,7 @@ def flag_completion(vertices: Sequence[Label], edges: Iterable[Iterable[Label]])
         adjacency[index[u]] |= 1 << index[v]
         adjacency[index[v]] |= 1 << index[u]
     walk = _clique_walk(adjacency, (1 << len(verts)) - 1)
-    return SimplicialComplex._of_masks(verts, walk, flag=True, adjacency=adjacency)
+    return SimplicialComplex._of_masks(verts, walk, adjacency=adjacency)
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
@@ -602,7 +583,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
             supersets[position[f]] |= 1 << j
             f = (f - 1) & g
     walk = _clique_walk(supersets, (1 << len(cells)) - 1)
-    return SimplicialComplex._of_masks([K.labels(f) for f in cells], walk, flag=True)
+    return SimplicialComplex._of_masks([K.labels(f) for f in cells], walk)
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, augmented: bool = True) -> IntMatrix:
@@ -939,15 +920,13 @@ def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> Homol
 
 
 def link_core(K: SimplicialComplex, v: Label) -> SimplicialComplex:
-    """A complex with the homology of the link of the vertex v over every ring.
+    """A complex with the homology of the link of the vertex v of a flag K over every ring.
 
-    For a flag K it is the full subcomplex on the core of CN(v): lk(v) is
-    the full subcomplex on CN(v), so its core is found in K's neighbour
-    masks, as in `reduced_betti_on`, and only the core is built.  Any other
-    K gives ``K.link((v,))``.
+    It is the full subcomplex on the core of CN(v): lk(v) is the full
+    subcomplex on CN(v), so its core is found in K's neighbour masks, as in
+    `reduced_betti_on`, and only the core is built.  A K that is not flag
+    raises ValueError, as `SimplicialComplex.subcomplex` does.
     """
-    if not K.is_flag():
-        return K.link((v,))
     adjacency = K._adjacency()
     return K.subcomplex(_core(adjacency, adjacency[K.index(v)]))
 

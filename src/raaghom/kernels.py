@@ -12,8 +12,8 @@ computed here is read off from the living/dead structure:
   sum_v |phi(v)| * b~_{m-1}(lk(v));
 * ``push_cycle_to_living`` constructively rewrites a cycle in the link of
   a dead vertex into a homologous cycle supported on living vertices,
-  returning the bounding witness chain; it works on L's face masks, on
-  flag and other L alike, and reads labels only at its two ends;
+  returning the bounding witness chain; it works on L's face masks and
+  reads labels only at its two ends;
 * ``torsion_term`` and ``mve_positive_criterion`` evaluate the integral
   link homology expressions used for torsion growth and minimal volume
   entropy positivity.
@@ -21,6 +21,10 @@ computed here is read off from the living/dead structure:
 ``living_link`` is the definition, the full subcomplex of lk(s) on the
 living vertices; the computations above read the links they need from
 L's masks instead of building it.
+
+A `Character` exists only on a flag complex, and every function here that
+takes a complex L with a character phi first checks that phi is a
+character of L, so L is flag wherever a link is read.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .complexes import (
     json_vertex_map,
     link_core,
     mask_bits,
-    reduced_betti,
     reduced_betti_on,
 )
 from .exact import FieldSpec, Record, Scalar, solve
@@ -60,11 +63,13 @@ class InconsistencyError(RuntimeError):
 
 
 class Character:
-    """An integer vertex labelling, i.e. a homomorphism from the RAAG to Z."""
+    """An integer vertex labelling of a flag complex, i.e. a homomorphism from the RAAG to Z."""
 
     __slots__ = ("complex", "values")
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[object, int]) -> None:
+        if not complex.is_flag():
+            raise ValueError("a character needs a flag complex")
         vals = {}
         for v in complex.vertices:
             if v not in values:
@@ -138,10 +143,15 @@ class LivingDeadPartition(Record):
         object.__setattr__(self, "dead", dead)
 
 
-def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
-    """Full subcomplexes spanned by the living and by the dead vertices."""
+def _check_pair(L: SimplicialComplex, phi: Character) -> None:
+    """Raise ValueError unless phi is a character of L, which makes L flag."""
     if phi.complex != L:
         raise ValueError("character is not defined on this complex")
+
+
+def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
+    """Full subcomplexes spanned by the living and by the dead vertices."""
+    _check_pair(L, phi)
     return LivingDeadPartition(
         living=L.full_subcomplex(phi.living_vertices()),
         dead=L.full_subcomplex(phi.dead_vertices()),
@@ -150,6 +160,7 @@ def partition(L: SimplicialComplex, phi: Character) -> LivingDeadPartition:
 
 def living_link(L: SimplicialComplex, phi: Character, simplex: Iterable) -> SimplicialComplex:
     """The full subcomplex of the link of a face spanned by its living vertices."""
+    _check_pair(L, phi)
     return L.link(simplex).full_subcomplex(phi.living_vertices())
 
 
@@ -171,10 +182,7 @@ def fpn_violation(
     The empty simplex stands for the condition on the living part itself.
     Dead simplices are scanned by dimension, then lexicographically.
     """
-    if phi.complex != L:
-        raise ValueError("character is not defined on this complex")
-    if not L.is_flag():
-        raise ValueError("finiteness checking needs a flag complex")
+    _check_pair(L, phi)
     return living_set_violation(L, L.mask(phi.living_vertices()), n, field)
 
 
@@ -194,7 +202,7 @@ def living_set_violation(
     stops at the smaller.  With every vertex living no simplex is dead but
     the empty one, so nothing is scanned; otherwise each face's CN mask is
     listed once per complex (`cn_masks`).  L must be flag: the searches check that once, and
-    `fpn_violation` on each call.
+    `fpn_violation` holds it as the complex of a `Character`.
     """
     if not is_n_acyclic_on(L, living, n - 1, field):
         return ()
@@ -220,10 +228,10 @@ def kernel_betti(
 
     The closed form is valid when the kernel is FP_m over the field and
     the character is surjective; both are checked unless ``enforce`` is
-    switched off (useful for formula-level experiments).  On a flag L,
-    lk(v) is the full subcomplex on CN(v), read by `reduced_betti_on`;
-    any other L reads `link_core`.
+    switched off (useful for formula-level experiments).  L is flag, so
+    lk(v) is the full subcomplex on CN(v), read by `reduced_betti_on`.
     """
+    _check_pair(L, phi)
     if enforce:
         if not phi.is_surjective:
             raise PreconditionError("character is not surjective (gcd of values != 1)")
@@ -237,17 +245,11 @@ def kernel_betti(
                     f"{m - len(bad)}-acyclic"
                 )
             raise PreconditionError(f"kernel is not FP_{m} over {field.token()}: {detail}")
-    flag = L.is_flag()
     total = 0
     for v in L.vertices:
         w = abs(phi(v))
-        if not w:
-            continue
-        if flag:
-            link = reduced_betti_on(L, L.common_neighbours((v,)), field)
-        else:
-            link = reduced_betti(link_core(L, v), field)
-        total += w * link.betti(m - 1)
+        if w:
+            total += w * reduced_betti_on(L, L.common_neighbours((v,)), field).betti(m - 1)
     return total
 
 
@@ -290,21 +292,20 @@ def push_cycle_to_living(
     the dead parts of a stage are taken once each, and their order cannot
     change the answer; fillings are whatever `solve` returns.
 
-    The working cycle and the witness are kept by L's face masks, on flag
-    and other L alike.  The faces of the living link of s are those t of
-    L with t living (so disjoint from s, which is dead) and t u s a face
-    of L, in L's order.  Written as lam followed by t, the face lam u t
-    has the sign (-1) to the number of pairs a in lam, b in t with a after
-    b (`_join_sign`).  Labels are read only from z and written only into
-    the two chains returned.
+    The working cycle and the witness are kept by L's face masks.  The
+    faces of the living link of s are those t of L with t living (so
+    disjoint from s, which is dead) and t u s a face of L, in L's order.
+    Written as lam followed by t, the face lam u t has the sign (-1) to the
+    number of pairs a in lam, b in t with a after b (`_join_sign`).
+    Labels are read only from z and written only into the two chains
+    returned.
 
     Returns (z', w) with z' supported in the living link of v, dz' = 0 and
     z - z' = dw exactly.  Raises InconsistencyError when a filling that
     the FP hypothesis promises does not exist.
     """
     field = z.field
-    if phi.complex != L:
-        raise ValueError("character is not defined on this complex")
+    _check_pair(L, phi)
     if phi(v) != 0:
         raise PreconditionError(f"vertex {v!r} is living; pushing applies to dead vertices")
     if z.degree != n - 1:
@@ -392,6 +393,7 @@ def _join_sign(lam: int, sigma: int) -> int:
 
 def torsion_contributions(L: SimplicialComplex, phi: Character, p: int) -> dict:
     """Per-vertex terms |phi(v)| * |tors H_{p-1}(lk(v); Z)| (dead ones are 0)."""
+    _check_pair(L, phi)
     out = {}
     for v in L.vertices:
         w = abs(phi(v))
@@ -418,6 +420,7 @@ def mve_positive_criterion(L: SimplicialComplex, phi: Character, p: int) -> bool
     kernel) also needs the kernel to be of homotopy-finite type, which the
     caller must assert; it is not checkable here.
     """
+    _check_pair(L, phi)
     for v in L.vertices:
         if phi(v) == 0:
             continue

@@ -24,6 +24,7 @@ from raaghom.complexes import (
     is_n_acyclic,
     is_n_acyclic_on,
     lex_order,
+    link_core,
     reduced_betti,
     reduced_betti_on,
 )
@@ -163,20 +164,29 @@ class TestLink:
         with pytest.raises(ValueError):
             c4().link((0, 2))
 
-    def test_non_flag_links_follow_the_definition(self):
+    def test_non_flag_links_and_full_subcomplexes_are_refused(self):
         # in a non-flag complex the link is not the full subcomplex on the
-        # common neighbours: the hollow triangle's vertex link is two points
-        assert cycle_complex(3).link((0,)).faces == {(), (1,), (2,)}
-        lk = rp2_six().link((1,))
-        assert lk.dim == 1 and lk.n_faces(1) == 5  # a 5-cycle
+        # common neighbours (the hollow triangle's vertex link is two points),
+        # and no RAAG or Artin kernel is defined on it
         rng = random.Random(77)
-        for _ in range(30):
+        others = [cycle_complex(3), rp2_six(), RP2_WITH_FLAP]
+        while len(others) < 30:
             n = rng.randint(1, 7)
             faces = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(10)]
             K = SimplicialComplex(range(n), faces[: rng.randint(0, 10)])
-            for s in K.faces:
-                expected = {t for t in K.faces if not set(t) & set(s) and K.has_face(t + s)}
-                assert K.link(s).faces == expected
+            if not K.is_flag():
+                others.append(K)
+        for K in others:
+            assert not K.is_flag()
+            assert K.link(()) is K and K.full_subcomplex(K.vertices) is K
+            for s in K.faces - {()}:
+                with pytest.raises(ValueError, match="need a flag complex"):
+                    K.link(s)
+            for v in K.vertices:
+                with pytest.raises(ValueError, match="need a flag complex"):
+                    K.full_subcomplex(set(K.vertices) - {v})
+                with pytest.raises(ValueError, match="need a flag complex"):
+                    link_core(K, v)
 
     def test_full_subcomplexes_are_built_once(self):
         K = octahedron()
@@ -456,10 +466,20 @@ class TestMaskRepresentation:
                 assert list(entries.items()) == list(T.boundary_entries(k, augmented).items())
         assert K.is_flag() == T.is_flag()
         assert K.euler_characteristic_reduced() == T.euler_characteristic_reduced()
+        full = (1 << len(labels)) - 1
+        if not K.is_flag():  # links and full subcomplexes are refused, except the whole complex
+            assert K.link(()) is K and K.subcomplex(full) is K
+            for s in T.faces - {()}:
+                with pytest.raises(ValueError, match="need a flag complex"):
+                    K.link(s)
+            for mask in range(full):
+                with pytest.raises(ValueError, match="need a flag complex"):
+                    K.subcomplex(mask)
+            return
         for s in T.faces:
             lk, expected = K.link(s), T.link(s)
             assert lk.vertices == expected.vertices and lk.to_json_dict() == expected.to_json_dict()
-        for mask in range(1 << len(labels)):
+        for mask in range(full + 1):
             sub = K.subcomplex(mask)
             expected = T.full_subcomplex(v for i, v in enumerate(labels) if mask >> i & 1)
             assert sub.vertices == expected.vertices and sub.to_json_dict() == expected.to_json_dict()

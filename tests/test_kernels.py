@@ -39,9 +39,10 @@ from raaghom.kernels import (
 )
 
 from fixtures import c4, full_simplex, grid_surface, random_flag_complex, rp2_six, two_points
-from oracles import dense_rank_mod_p, dense_rank_rationals, tuple_push
+from oracles import TupleComplex, dense_rank_mod_p, dense_rank_rationals, tuple_push
 
 F3 = FieldSpec.prime_field(3)
+HOLLOW_TRIANGLE = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])
 
 
 def char(L, *values):
@@ -66,6 +67,42 @@ class TestCharacter:
         phi = char(c4(), 1, -2, 0, 3)
         assert phi.negate().value_tuple() == (-1, 2, 0, -3)
         assert phi.scale(2).value_tuple() == (2, -4, 0, 6)
+
+    def test_complex_that_is_not_flag_rejected(self):
+        for L in (HOLLOW_TRIANGLE, rp2_six()):
+            with pytest.raises(ValueError, match="needs a flag complex"):
+                Character(L, {v: 1 for v in L.vertices})
+
+
+# a character of one complex handed over with another on the same labels: the
+# hollow triangle (not flag) with the filled one's, and the path 0-1-2-3 with the square's
+OTHER_COMPLEX_PAIRS = {
+    "hollow-triangle": (HOLLOW_TRIANGLE, full_simplex(3)),
+    "path-and-square": (flag_completion(range(4), [(0, 1), (1, 2), (2, 3)]), c4()),
+}
+PAIR_CALLS = {
+    "partition": lambda L, phi: partition(L, phi),
+    "living_link": lambda L, phi: living_link(L, phi, (0,)),
+    "is_fpn": lambda L, phi: is_fpn(L, phi, 1, QQ),
+    "fpn_violation": lambda L, phi: fpn_violation(L, phi, 1, QQ),
+    "kernel_betti": lambda L, phi: kernel_betti(L, phi, 1, QQ, enforce=False),
+    "push_cycle_to_living": lambda L, phi: push_cycle_to_living(
+        L, phi, 0, ChainVector.zero(0, QQ), 1, enforce_fpn=False
+    ),
+    "torsion_contributions": lambda L, phi: torsion_contributions(L, phi, 1),
+    "torsion_term": lambda L, phi: torsion_term(L, phi, 1),
+    "mve_positive_criterion": lambda L, phi: mve_positive_criterion(L, phi, 1),
+}
+
+
+@pytest.mark.parametrize("pair", OTHER_COMPLEX_PAIRS)
+@pytest.mark.parametrize("call", PAIR_CALLS)
+def test_character_of_another_complex_rejected(call, pair):
+    L, other = OTHER_COMPLEX_PAIRS[pair]
+    assert L.vertices == other.vertices and L != other
+    phi = Character(other, {v: 1 for v in other.vertices})
+    with pytest.raises(ValueError, match="not defined on this complex"):
+        PAIR_CALLS[call](L, phi)
 
 
 class TestPartition:
@@ -122,7 +159,7 @@ class TestIsFpn:
             assert is_fpn(L, char(L, *vals), 1, QQ)
 
     def test_non_flag_complex_rejected(self):
-        L = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])  # hollow triangle
+        L = HOLLOW_TRIANGLE
         with pytest.raises(ValueError):
             fpn_violation(L, char(L, 1, 0, 1), 1, QQ)
 
@@ -598,16 +635,6 @@ def flag_complexes_with_characters(draw):
     return L, char(L, *values)
 
 
-@st.composite
-def face_listed_complexes_with_characters(draw):
-    """A complex on 1..6 vertices from a random face list, often not flag, and a character."""
-    n = draw(st.integers(1, 6))
-    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8))
-    L = SimplicialComplex(range(n), faces)
-    values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
-    return L, char(L, *values)
-
-
 class TestMaskPathAgainstDefinition:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(flag_complexes_with_characters(), st.sampled_from((QQ, F2, F3)), st.integers(0, 3))
@@ -622,18 +649,17 @@ class TestMaskPathAgainstDefinition:
             assert got.vertices == tuple(v for v in L.vertices if frozenset((v,)) in expected)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(
-        st.one_of(flag_complexes_with_characters(), face_listed_complexes_with_characters()),
-        st.sampled_from((QQ, F2, F3)),
-        st.integers(0, 3),
-    )
+    @given(flag_complexes_with_characters(), st.sampled_from((QQ, F2, F3)), st.integers(0, 3))
     def test_link_invariants_read_from_the_parent(self, instance, field, m):
+        # the reference links are read off the face set (`oracles.TupleComplex`)
+        # and built from their faces, not from L's masks
         L, phi = instance
+        T = TupleComplex(L.vertices, L.faces)
         living = [v for v in L.vertices if phi(v) != 0]
         for s in L.faces:
-            got, expected = living_link(L, phi, s), L.link(s).full_subcomplex(living)
+            got, expected = living_link(L, phi, s), T.link(s).full_subcomplex(living)
             assert got.vertices == expected.vertices and got.to_json_dict() == expected.to_json_dict()
-        links = {v: L.link((v,)) for v in L.vertices}
+        links = {v: SimplicialComplex(T.link((v,)).vertices, T.link((v,)).faces) for v in L.vertices}
         betti = sum(abs(phi(v)) * reduced_betti(links[v], field).betti(m - 1) for v in L.vertices)
         assert kernel_betti(L, phi, m, field, enforce=False) == betti
         homology = {v: integral_homology(links[v], m - 1) for v in L.vertices}
@@ -641,43 +667,24 @@ class TestMaskPathAgainstDefinition:
         assert torsion_contributions(L, phi, m) == torsion
         assert mve_positive_criterion(L, phi, m) == any(phi(v) and any(homology[v]) for v in L.vertices)
 
-    def test_cone_over_the_six_vertex_rp2(self):
-        rp2 = rp2_six()
-        L = SimplicialComplex(list(rp2.vertices) + ["apex"], [t + ("apex",) for t in rp2.faces_of_dim(2)])
-        assert not L.is_flag()
-        phi = Character(L, {v: 3 if v == "apex" else 1 for v in L.vertices})
-        # lk(apex) is RP^2, with H_1 = Z/2; every other link is a cone on a 5-cycle
-        assert torsion_term(L, phi, 2) == 3 * 2 + 6
-        assert kernel_betti(L, phi, 2, F2, enforce=False) == 3
-        assert kernel_betti(L, phi, 2, QQ, enforce=False) == 0
-        assert mve_positive_criterion(L, phi, 2) and not mve_positive_criterion(L, phi, 3)
-
 
 @st.composite
 def dead_vertices_with_cycles(draw):
-    """(L, phi, v, z, n): a dead vertex v of a flag or face-listed L and an (n-1)-cycle z in lk(v).
+    """(L, phi, v, z, n): a dead vertex v of a flag L and an (n-1)-cycle z in lk(v).
 
-    The graph on the vertices other than v is dense, and v is joined to
-    most of them, so lk(v) carries cycles.  A flag L is the graph's clique
-    complex with v joined in; a face-listed L is the cone from v on the
-    graph and about three quarters of its triangles, not flag when one is left hollow.
-    About a third of the other vertices are dead.  z is a combination of a
-    basis of the kernel of lk(v)'s augmented boundary, over Q, F2 or F3,
-    with n in {1, 2}.
+    L is the clique complex of a dense graph on the vertices other than v,
+    with v joined to most of them, so lk(v) carries cycles.  About a third
+    of the other vertices are dead.  z is a combination of a basis of the
+    kernel of lk(v)'s augmented boundary, over Q, F2 or F3, with n in {1, 2}.
     """
-    k, flag = draw(st.integers(3, 8)), draw(st.booleans())
+    k = draw(st.integers(3, 8))
     field, n = draw(st.sampled_from((QQ, F2, F3))), draw(st.sampled_from((1, 2)))
     rng = draw(st.randoms(use_true_random=False))
     v = rng.randrange(k)
     others = [u for u in range(k) if u != v]
     edges = [p for p in combinations(others, 2) if rng.random() < 0.7]
     near = [u for u in others if rng.random() < 0.8] or others[:1]
-    if flag:
-        L = flag_completion(range(k), edges + [(v, u) for u in near])
-    else:
-        triangles = [t for t in combinations(others, 3) if all(p in edges for p in combinations(t, 2))]
-        cells = edges + [(u,) for u in near] + [t for t in triangles if rng.random() < 0.75]
-        L = SimplicialComplex(range(k), [c + (v,) for c in cells])
+    L = flag_completion(range(k), edges + [(v, u) for u in near])
     values = [0 if u == v or rng.random() < 0.3 else rng.choice((-2, -1, 1, 2)) for u in range(k)]
     assume(any(values))
     lk = L.link((v,))
