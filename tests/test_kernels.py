@@ -159,7 +159,7 @@ class TestIsFpn:
             assert is_fpn(L, char(L, *vals), 1, QQ)
 
     def test_non_flag_complex_rejected(self):
-        L = HOLLOW_TRIANGLE
+        L = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])  # hollow triangle
         with pytest.raises(ValueError):
             fpn_violation(L, char(L, 1, 0, 1), 1, QQ)
 
