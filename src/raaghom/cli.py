@@ -23,7 +23,7 @@ is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  The one
 list not passed through that encoder, whose indented form runs in pure
 Python, is the ``characters`` list, often tens of thousands of rows:
 `_characters_json` writes it straight from `find_characters`'s value
-tuples with one format string per report, in the encoder's bytes.  Exit status
+tuples with one format call per report, in the encoder's bytes.  Exit status
 is 0 on success, 1 on a precondition failure, 2 on malformed input; the
 diagnostic goes to stderr as a one-line JSON object, the only thing a
 failed command writes.
@@ -39,7 +39,6 @@ import tempfile
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, TypeVar
@@ -204,19 +203,19 @@ def _json_report(obj: dict) -> str:
 def _characters_json(labels: Sequence[str], rows: Sequence[tuple[int, ...]]) -> str:
     """The list of ``{labels[i]: row[i]}`` objects as `_json_report` lays it out one level in.
 
-    One format string serves every row.  Its ``%d`` fields stand under the
-    labels in ``sort_keys`` order, each label escaped once by the stdlib's
-    own string encoder, and an index permutation picks a row's values into
-    that order.  Labels must be distinct.
+    One format string serves the whole list: a row template, repeated once
+    per row, whose ``%d`` fields stand under the labels in ``sort_keys``
+    order, each label escaped once by the stdlib's own string encoder.  It
+    takes every row's values at once, each row's picked into that order by
+    index, so one vertex is read like any other.  Labels must be distinct.
     """
     if not rows:
         return "[]"
     order = sorted(range(len(labels)), key=labels.__getitem__)
     keys = [encode_basestring_ascii(labels[i]).replace("%", "%%") for i in order]
     row = "    {\n" + ",\n".join(f"      {k}: %d" for k in keys) + "\n    }"
-    # with one index itemgetter yields a bare int, which % takes as well
-    picked = map(itemgetter(*order), rows)
-    return "[\n" + ",\n".join(map(row.__mod__, picked)) + "\n  ]"
+    values = tuple([r[i] for r in rows for i in order])
+    return "[\n" + ",\n".join([row] * len(rows)) % values + "\n  ]"
 
 
 def _frac(q: Fraction) -> str:

@@ -875,8 +875,12 @@ def is_n_acyclic_on(K: SimplicialComplex, mask: int, n: int, field: FieldSpec) -
     vanishes when the mask is nonempty, and b~_0 too when its 1-skeleton
     is connected.  From n = 1 on, `reduced_betti_on` the mask is read,
     from the vertex, edge and component counts when the mask's core has no
-    triangle.  K must be flag, which the callers check once.
+    triangle.  A K that is not flag raises ValueError: its full
+    subcomplexes need not be the clique complexes that its neighbour masks
+    describe.
     """
+    if not K.is_flag():
+        raise ValueError("homology on a mask needs a flag complex")
     if n < 0:
         return n < -1 or mask != 0
     if n == 0:
@@ -894,9 +898,11 @@ def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> Homol
     b~_0 = C - 1 and b~_1 = E - V + C with C components, so it is read
     from those counts, profile length included, and nothing is built or
     memoised.  A core with a triangle is built, and masks with one core
-    share one entry of K's memo.  K must be flag, which the callers check
-    once, where `core` checks it on every call.
+    share one entry of K's memo.  A K that is not flag raises ValueError,
+    as `is_n_acyclic_on` does.
     """
+    if not K.is_flag():
+        raise ValueError("homology on a mask needs a flag complex")
     adjacency = K._adjacency()
     core = _core(adjacency, mask)
     if not core:

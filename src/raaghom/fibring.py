@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .complexes import SimplicialComplex, integral_homology, is_n_acyclic_on, reduced_betti
 from .exact import FieldSpec, Record
-from .kernels import Character, is_fpn, living_set_violation
+from .kernels import Character, _passing_living_sets, is_fpn
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 
@@ -182,14 +182,6 @@ def virtually_fpn_fibred(L: SimplicialComplex, n: int, ring: CoefficientRing) ->
     return FibringReport(L, ring, n, True, (ones,), None)
 
 
-def _check_search(L: SimplicialComplex, bound: int) -> None:
-    """Raise ValueError unless bound >= 1 and L is flag, once per search over living sets."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if not L.is_flag():
-        raise ValueError("finiteness checking needs a flag complex")
-
-
 def find_characters(
     L: SimplicialComplex, n: int, field: FieldSpec, bound: int
 ) -> list[tuple[int, ...]]:
@@ -197,16 +189,17 @@ def find_characters(
 
     Returns the value tuples, each listing the character's values in
     ``L.vertices`` order, sorted lexicographically; no `Character` is built.
-    FP_n depends only on the living set of a character, so each nonempty
-    living set is checked once and all its surjective value tuples are
-    emitted.
+    FP_n depends only on the living set of a character, so one sweep of
+    `_passing_living_sets` visits each nonempty living set once, reading
+    each acyclicity verdict once, and all surjective value tuples of every
+    passing set are emitted.  A bound below 1, or an L that is not flag
+    (`is_n_acyclic_on`), raises ValueError.
     """
-    _check_search(L, bound)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     nonzero = tuple(x for x in range(-bound, bound + 1) if x)
     out = []
-    for living in range(1, 1 << len(L.vertices)):
-        if living_set_violation(L, living, n, field) is not None:
-            continue
+    for living in _passing_living_sets(L, n, field):
         choices = [nonzero if living >> i & 1 else (0,) for i in range(len(L.vertices))]
         out.extend(values for values in product(*choices) if gcd(*values) == 1)
     out.sort()
@@ -222,19 +215,22 @@ def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: in
 
     Both the finiteness check and the vanishing predicate depend only on
     the living set of a character, and every nonempty living set is
-    realised at any bound >= 1, so the scan runs over living sets.
+    realised at any bound >= 1, so the scan is one sweep of
+    `_passing_living_sets`, which reads each acyclicity verdict once, and
+    stops at the second answer.  A bound below 1, or an L that is not flag
+    (`is_n_acyclic_on`), raises ValueError.
     """
-    _check_search(L, bound)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     acyclic_links = 0  # vertices whose link, the full subcomplex on CN(v), is (n-1)-acyclic
     for i, v in enumerate(L.vertices):
         if is_n_acyclic_on(L, L.common_neighbours((v,)), n - 1, field):
             acyclic_links |= 1 << i
     verdicts = set()
-    for living in range(1, 1 << len(L.vertices)):
-        if living_set_violation(L, living, n, field) is None:
-            verdicts.add(not living & ~acyclic_links)
-            if len(verdicts) > 1:
-                return False
+    for living in _passing_living_sets(L, n, field):
+        verdicts.add(not living & ~acyclic_links)
+        if len(verdicts) > 1:
+            return False
     return True
 
 

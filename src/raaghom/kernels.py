@@ -30,7 +30,7 @@ character of L, so L is flag wherever a link is read.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .complexes import (
     ChainVector,
@@ -201,19 +201,49 @@ def living_set_violation(
     vacuous conditions, and L has none above its dimension, so the scan
     stops at the smaller.  With every vertex living no simplex is dead but
     the empty one, so nothing is scanned; otherwise each face's CN mask is
-    listed once per complex (`cn_masks`).  L must be flag: the searches check that once, and
-    `fpn_violation` holds it as the complex of a `Character`.
+    listed once per complex (`cn_masks`).  This tests one living set; the
+    searches over all of them sweep `_passing_living_sets`, which runs the
+    same scan and reads each verdict once per search.  L must be flag:
+    `is_n_acyclic_on` refuses it otherwise.
     """
-    if not is_n_acyclic_on(L, living, n - 1, field):
+    return _first_violation(L, living, n, lambda mask, degree: is_n_acyclic_on(L, mask, degree, field))
+
+
+def _first_violation(
+    L: SimplicialComplex, living: int, n: int, acyclic: Callable[[int, int], bool]
+) -> Optional[Face]:
+    """`living_set_violation` with ``acyclic(mask, degree)`` answering each acyclicity test."""
+    if not acyclic(living, n - 1):
         return ()
     if living == (1 << len(L.vertices)) - 1:  # no dead vertex, so no dead simplex but the empty one
         return None
     cn = L.cn_masks()
     for k in range(0, min(n, L.dim) + 1):
         for s in L.masks_of_dim(k):
-            if not s & living and not is_n_acyclic_on(L, cn[s] & living, n - k - 1, field):
+            if not s & living and not acyclic(cn[s] & living, n - k - 1):
                 return L.labels(s)
     return None
+
+
+def _passing_living_sets(L: SimplicialComplex, n: int, field: FieldSpec) -> Iterator[int]:
+    """The nonempty living masks with no FP_n violation, in increasing order.
+
+    Living sets share their tests: the living link of a dead simplex is
+    the same mask for every living set that agrees on its common
+    neighbours.  So each verdict is kept in a dict keyed by (mask, degree)
+    and read once per call; the dict lives only as long as the generator.
+    """
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def acyclic(mask: int, degree: int) -> bool:
+        verdict = verdicts.get((mask, degree))
+        if verdict is None:
+            verdict = verdicts[mask, degree] = is_n_acyclic_on(L, mask, degree, field)
+        return verdict
+
+    for living in range(1, 1 << len(L.vertices)):
+        if _first_violation(L, living, n, acyclic) is None:
+            yield living
 
 
 def kernel_betti(

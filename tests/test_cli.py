@@ -840,8 +840,12 @@ class TestCharactersReportBytes:
             },
             {"vertices": [7], "edges": []},
             {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+            # sorted as strings: "10", "2", "a", "b"
+            {"vertices": ["b", "a", 10, 2], "edges": [["b", "a"], ["a", 10], [10, 2]]},
+            # format specifiers as labels, which must come out as written
+            {"vertices": ["%", "%%", "%d", "a%s"], "edges": [["%", "%%"], ["%%", "%d"], ["%d", "a%s"]]},
         ],
-        ids=["string-order", "escapes", "one-vertex", "c4"],
+        ids=["string-order", "escapes", "one-vertex", "c4", "sorted-order-differs", "percent"],
     )
     @pytest.mark.parametrize("field", ["Q", "F2"])
     @pytest.mark.parametrize("bound", [1, 2])

@@ -915,6 +915,22 @@ class TestReducedBettiOn:
                 with_triangle += twin.subcomplex(twin.core(mask)).dim >= 2
         assert with_triangle > 0  # the path that builds the core is tested as well
 
+    def test_complexes_that_are_not_flag_are_refused(self):
+        # the clique complex of a complete 1-skeleton is a simplex, so the
+        # counts would read a point where the complex has homology
+        hollow, rp2 = cycle_complex(3), rp2_six()
+        assert reduced_betti(hollow, QQ).reduced_betti == (0, 0, 1)
+        assert reduced_betti(rp2, F2).reduced_betti == (0, 0, 1, 1)
+        for K in (hollow, rp2):
+            everything = K.mask(K.vertices)
+            for mask in (everything, 0b11, 0):
+                for field in (QQ, F2):
+                    with pytest.raises(ValueError):
+                        reduced_betti_on(K, mask, field)
+                    for n in range(-2, 3):
+                        with pytest.raises(ValueError):
+                            is_n_acyclic_on(K, mask, n, field)
+
     def test_graph_cores_build_nothing(self, monkeypatch):
         cycle, k33 = cycle_complex(6), complete_bipartite(3, 3)
         walks = []

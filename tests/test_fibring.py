@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raaghom.complexes import SimplicialComplex, barycentric_subdivision, flag_completion, reduced_betti
+from raaghom import kernels
 from raaghom.exact import F2, QQ, FieldSpec
 from raaghom.fibring import (
     CoefficientRing,
@@ -289,6 +290,50 @@ class TestNoLeaksBetweenComplexes:
         shared = {"square": square, "path": path}
         for name in ("square", "path", "path", "square", "square", "path"):
             assert answers(shared[name]) == expected[name]
+
+
+def squared_cycle() -> SimplicialComplex:
+    """The clique complex of the 7-cycle with its chords of length 2: a band of seven triangles."""
+    return flag_completion(range(7), [(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
+
+
+class TestOneSweepPerSearch:
+    """Each search reads each acyclicity verdict once, and keeps none after it returns."""
+
+    @staticmethod
+    def count_tests(monkeypatch) -> list:
+        tests = []
+        test = kernels.is_n_acyclic_on
+
+        def counting(K, mask, n, field):
+            tests.append((mask, n))
+            return test(K, mask, n, field)
+
+        monkeypatch.setattr(kernels, "is_n_acyclic_on", counting)
+        return tests
+
+    @pytest.mark.parametrize("build", [octahedron, c4, squared_cycle], ids=["octahedron", "c4", "squared-c7"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_verdict_read_once_per_call(self, monkeypatch, build, n):
+        tests = self.count_tests(monkeypatch)
+        L = build()
+        first = find_characters(L, n, QQ, 1)
+        assert tests and len(tests) == len(set(tests))
+        once = sorted(tests)
+        tests.clear()
+        assert find_characters(build(), n, QQ, 1) == first  # an equal complex is tested again
+        assert sorted(tests) == once
+        tests.clear()
+        assert find_characters(L, n, QQ, 1) == first  # and so is the same one
+        assert sorted(tests) == once
+
+    def test_fibres_check_reads_each_verdict_once(self, monkeypatch):
+        tests = self.count_tests(monkeypatch)
+        for L in (octahedron(), squared_cycle()):
+            for n in (1, 2, 3):
+                tests.clear()
+                fibres_fibre_check(L, n, F2, 1)
+                assert tests and len(tests) == len(set(tests))
 
 
 class TestKazInequality:

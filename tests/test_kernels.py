@@ -23,6 +23,7 @@ from raaghom.complexes import (
 from raaghom.exact import F2, QQ, FieldSpec, nullspace
 from raaghom.complexes import boundary_matrix
 from raaghom.acceptance import _octahedron_join
+from raaghom import kernels
 from raaghom.kernels import (
     Character,
     InconsistencyError,
@@ -34,6 +35,7 @@ from raaghom.kernels import (
     partition,
     push_cycle_to_living,
     kernel_betti,
+    living_set_violation,
     torsion_contributions,
     torsion_term,
 )
@@ -666,6 +668,32 @@ class TestMaskPathAgainstDefinition:
         torsion = {v: abs(phi(v)) * prod(homology[v][1]) for v in L.vertices}
         assert torsion_contributions(L, phi, m) == torsion
         assert mve_positive_criterion(L, phi, m) == any(phi(v) and any(homology[v]) for v in L.vertices)
+
+
+@st.composite
+def small_flag_complexes(draw):
+    """A flag complex on 0..6 vertices."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return flag_completion(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+class TestLivingSetSweep:
+    """The sweep behind the character searches against one `living_set_violation` per mask."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_flag_complexes(), st.sampled_from((QQ, F2, F3)), st.integers(0, 3))
+    def test_sweep_matches_the_single_set_test(self, L, field, n):
+        # the reference reads an equal but separate complex, so no memo is shared
+        twin = flag_completion(L.vertices, L.edges())
+        expected = [w for w in range(1, 1 << len(L.vertices)) if living_set_violation(twin, w, n, field) is None]
+        assert list(kernels._passing_living_sets(L, n, field)) == expected
+
+    def test_single_set_test_refuses_a_complex_that_is_not_flag(self):
+        for K in (HOLLOW_TRIANGLE, rp2_six()):
+            with pytest.raises(ValueError):
+                living_set_violation(K, 0b11, 1, QQ)
 
 
 @st.composite
