@@ -279,7 +279,7 @@ def _cmd_gradient(args) -> str:
     chain = _quotients(args.chain, A)
     _read(check_gradient_chain, chain, args.degree)
     values = gradient_sequence(A, chain, args.field, args.degree)
-    rows = [(q.order, int(v * q.order), v) for q, v in zip(chain, values)]
+    rows = [(q.order, v.numerator * (q.order // v.denominator), v) for q, v in zip(chain, values)]
     if args.format == "csv":
         lines = [f"N,b_{args.degree},b_{args.degree}/N"]
         lines += [f"{n},{b},{_frac(v)}" for n, b, v in rows]

@@ -37,7 +37,9 @@ homology and boundaries, and refuses the rest with ValueError.
 
 Each complex carries one memo, keyed by vertex masks over its own vertex
 order: full subcomplexes by mask, the reduced Betti profile per field,
-and the Smith form per boundary degree.  A complex never changes after
+the Smith form per boundary degree, and per field a table of reduced
+Betti numbers on masks (``_profiles_on``), which the abelian character
+sum of `raags` fills as it reads them.  A complex never changes after
 construction, so nothing in the memo goes stale, and it is freed with
 the complex.  For a flag complex the link of a face s is the full
 subcomplex on the common neighbours CN(s) of its vertices, so links are
@@ -146,6 +148,7 @@ class SimplicialComplex:
             self._by_dim = walk
         self._hash: Optional[int] = None
         # int mask -> full subcomplex, FieldSpec -> HomologyProfile,
+        # ("on", FieldSpec) -> {mask: reduced Betti numbers on the mask},
         # ("smith", k) -> SmithForm of d_k, "faces" -> the label view,
         # "face set", "cn", "adjacency" -> neighbour masks (read off the
         # listed faces here), "flag", "core" -> core mask
@@ -923,6 +926,15 @@ def reduced_betti_on(K: SimplicialComplex, mask: int, field: FieldSpec) -> Homol
     c = _component_count(K, core)
     betti = (0, c - 1, edges - core.bit_count() + c) if edges else (0, c - 1)
     return HomologyProfile(field=field, reduced_betti=betti)
+
+
+def _profiles_on(K: SimplicialComplex, field: FieldSpec) -> dict[int, tuple[int, ...]]:
+    """K's table mask -> ``reduced_betti_on(K, mask, field).reduced_betti``, memoised on K per field.
+
+    The table starts empty and its reader fills it, so every reader on K
+    over the field shares what any of them has read.
+    """
+    return K._memo.setdefault(("on", field), {})
 
 
 def link_core(K: SimplicialComplex, v: Label) -> SimplicialComplex:

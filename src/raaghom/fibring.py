@@ -21,9 +21,9 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
-from .complexes import SimplicialComplex, integral_homology, is_n_acyclic_on, reduced_betti
+from .complexes import SimplicialComplex, integral_homology, reduced_betti
 from .exact import FieldSpec, Record
-from .kernels import Character, _passing_living_sets, is_fpn
+from .kernels import Character, _acyclicity_memo, _passing_living_sets, is_fpn
 from .raags import FiniteQuotient, Raag, cover_betti, dfg_betti_raag
 
 
@@ -199,7 +199,7 @@ def find_characters(
         raise ValueError("bound must be >= 1")
     nonzero = tuple(x for x in range(-bound, bound + 1) if x)
     out = []
-    for living in _passing_living_sets(L, n, field):
+    for living in _passing_living_sets(L, n, _acyclicity_memo(L, field)):
         choices = [nonzero if living >> i & 1 else (0,) for i in range(len(L.vertices))]
         out.extend(values for values in product(*choices) if gcd(*values) == 1)
     out.sort()
@@ -216,18 +216,22 @@ def fibres_fibre_check(L: SimplicialComplex, n: int, field: FieldSpec, bound: in
     Both the finiteness check and the vanishing predicate depend only on
     the living set of a character, and every nonempty living set is
     realised at any bound >= 1, so the scan is one sweep of
-    `_passing_living_sets`, which reads each acyclicity verdict once, and
-    stops at the second answer.  A bound below 1, or an L that is not flag
-    (`is_n_acyclic_on`), raises ValueError.
+    `_passing_living_sets`, and stops at the second answer.  The vertex
+    links' tests and the sweep's ask one `_acyclicity_memo`, so each
+    acyclicity verdict is read once: the link of a vertex v is the living
+    link of the dead vertex v for every living set holding CN(v).  A bound
+    below 1, or an L that is not flag (`is_n_acyclic_on`), raises
+    ValueError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    acyclic = _acyclicity_memo(L, field)
     acyclic_links = 0  # vertices whose link, the full subcomplex on CN(v), is (n-1)-acyclic
     for i, v in enumerate(L.vertices):
-        if is_n_acyclic_on(L, L.common_neighbours((v,)), n - 1, field):
+        if acyclic(L.common_neighbours((v,)), n - 1):
             acyclic_links |= 1 << i
     verdicts = set()
-    for living in _passing_living_sets(L, n, field):
+    for living in _passing_living_sets(L, n, acyclic):
         verdicts.add(not living & ~acyclic_links)
         if len(verdicts) > 1:
             return False

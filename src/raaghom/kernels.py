@@ -225,13 +225,11 @@ def _first_violation(
     return None
 
 
-def _passing_living_sets(L: SimplicialComplex, n: int, field: FieldSpec) -> Iterator[int]:
-    """The nonempty living masks with no FP_n violation, in increasing order.
+def _acyclicity_memo(L: SimplicialComplex, field: FieldSpec) -> Callable[[int, int], bool]:
+    """``acyclic(mask, degree)``: `is_n_acyclic_on` over the field, each verdict read once.
 
-    Living sets share their tests: the living link of a dead simplex is
-    the same mask for every living set that agrees on its common
-    neighbours.  So each verdict is kept in a dict keyed by (mask, degree)
-    and read once per call; the dict lives only as long as the generator.
+    Each (mask, degree) verdict is kept in a dict that lives only as long
+    as the returned function.
     """
     verdicts: dict[tuple[int, int], bool] = {}
 
@@ -241,6 +239,20 @@ def _passing_living_sets(L: SimplicialComplex, n: int, field: FieldSpec) -> Iter
             verdict = verdicts[mask, degree] = is_n_acyclic_on(L, mask, degree, field)
         return verdict
 
+    return acyclic
+
+
+def _passing_living_sets(
+    L: SimplicialComplex, n: int, acyclic: Callable[[int, int], bool]
+) -> Iterator[int]:
+    """The nonempty living masks with no FP_n violation, in increasing order.
+
+    Living sets share their tests: the living link of a dead simplex is
+    the same mask for every living set that agrees on its common
+    neighbours.  So the searches pass ``acyclic`` from `_acyclicity_memo`,
+    which reads each verdict once, and a search that makes tests of its
+    own asks them of the same function.
+    """
     for living in range(1, 1 << len(L.vertices)):
         if _first_violation(L, living, n, acyclic) is None:
             yield living

@@ -19,8 +19,9 @@ along suitable chains, match in the limit.  `cover_betti` eliminates
 these blocks only for explicit quotients: for an abelian quotient it gets
 the same numbers, over every field, from a character sum over living
 links, summed face by face, and the quotient never builds its
-permutations.  Nothing is kept between calls: each cover is computed
-from its complex, quotient and field alone.
+permutations.  The only thing kept between calls is the table of those
+links' Betti numbers, in the complex's own memo per field, so the
+quotients of a chain on one complex read each link once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .complexes import (
-    SimplicialComplex, json_int, json_object, json_vertex_map, mask_bits, reduced_betti, reduced_betti_on,
+    SimplicialComplex, _profiles_on, json_int, json_object, json_vertex_map, mask_bits, reduced_betti,
+    reduced_betti_on,
 )
 from .exact import ExactMatrix, FieldSpec, Record, rank
 
@@ -316,9 +318,13 @@ class CoverHomologyReport(Record):
     __slots__ = ("order", "betti", "normalized")
 
     def __init__(self, order: int, betti: tuple[int, ...], normalized: tuple[Fraction, ...]) -> None:
+        if order < 1:
+            raise ValueError("order must be >= 1")
         if any(b < 0 for b in betti):
             raise ValueError("negative Betti number")
-        if any(Fraction(b, order) != q for b, q in zip(betti, normalized)):
+        if len(normalized) != len(betti):
+            raise ValueError("one normalised value per Betti number")
+        if any(q.numerator * order != b * q.denominator for b, q in zip(betti, normalized)):
             raise ValueError("normalised values must equal betti/order exactly")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "betti", betti)
@@ -370,16 +376,25 @@ def _character_sum_betti(
         b_k = sum_s prod_{v not in s | CN(s)} n_v
                   * sum_{U in CN(s), n_u > 1} prod_{u in U} (n_u - 1) * b~_{k-1-|s|}(L[U]),
 
-    which reads sum_s 2^|CN(s)| links in place of |faces| * 2^|V|.  The
-    inner sum depends on s only through the mask of CN(s) among the living
-    vertices, so faces with one mask share it.  Each link is read from its
+    a sum of sum_s 2^|CN(s)| terms in place of |faces| * 2^|V|.  The inner
+    sum depends on s only through the mask of CN(s) among the living
+    vertices, so faces with one mask share it.  The weight depends on s
+    only through the living vertices outside s | CN(s), a dead vertex
+    having n_v = 1, so faces with one such mask share it too.  Both are
+    kept by mask for the call.  Every U is a submask of the living set,
+    and each is read once per complex and field: its Betti numbers are
+    kept in L's memo (`_profiles_on`), which every quotient of a chain on
+    one L shares.  So a call reads at most 2^|living| links, none that an
+    earlier call on L over the field has read.  Each link is read from its
     mask's core, which has the same homology (`reduced_betti_on`): a core
     with no triangle from its vertex, edge and component counts, any other
     from its subcomplex, so links with one core share one elimination.
     """
     n = [moduli[v] for v in L.vertices]
     living = L.mask(v for v, nv in zip(L.vertices, n) if nv > 1)
+    profiles = _profiles_on(L, field)
     inner: dict[int, list[int]] = {}  # CN(s) & living -> index i holds the sum of the b~_{i-1}
+    weights: dict[int, int] = {}  # living vertices outside s | CN(s) -> the product of their n_v
     betti = [0] * (L.dim + 2)
     for s, cn in L.cn_masks().items():
         key = cn & living
@@ -393,10 +408,15 @@ def _character_sum_betti(
                 rest ^= bit
                 subsets += [(u | bit, c * (n[bit.bit_length() - 1] - 1)) for u, c in subsets]
             for u, count in subsets:
-                for i, b in enumerate(reduced_betti_on(L, u, field).reduced_betti):
+                profile = profiles.get(u)
+                if profile is None:
+                    profile = profiles[u] = reduced_betti_on(L, u, field).reduced_betti
+                for i, b in enumerate(profile):
                     sums[i] += count * b
-        outside = ~(cn | s)
-        weight = prod(nv for i, nv in enumerate(n) if outside >> i & 1)
+        outside = living & ~(cn | s)
+        weight = weights.get(outside)
+        if weight is None:
+            weight = weights[outside] = prod(n[bit.bit_length() - 1] for bit in mask_bits(outside))
         for i, b in enumerate(sums):
             if b:  # b sums the b~_{i-1}
                 betti[s.bit_count() + i] += weight * b
@@ -486,7 +506,8 @@ def gradient_sequence(
     """Normalised Betti numbers b_k/N along a chain of quotients.
 
     The values are reported raw; no convergence judgement is made.  Each
-    quotient's cover is computed afresh by `cover_betti`.
+    quotient's cover is computed by `cover_betti`; abelian quotients share
+    the living links' Betti numbers that L keeps per field.
     """
     check_gradient_chain(chain, degree)
     out = []

@@ -688,7 +688,7 @@ class TestLivingSetSweep:
         # the reference reads an equal but separate complex, so no memo is shared
         twin = flag_completion(L.vertices, L.edges())
         expected = [w for w in range(1, 1 << len(L.vertices)) if living_set_violation(twin, w, n, field) is None]
-        assert list(kernels._passing_living_sets(L, n, field)) == expected
+        assert list(kernels._passing_living_sets(L, n, kernels._acyclicity_memo(L, field))) == expected
 
     def test_single_set_test_refuses_a_complex_that_is_not_flag(self):
         for K in (HOLLOW_TRIANGLE, rp2_six()):
