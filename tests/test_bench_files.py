@@ -1,11 +1,12 @@
 """Each BENCH_*.json at the repo root records a parent-versus-change measurement.
 
 A BENCH file (written by tools/bench_pairs.py) names the measured and
-the parent revision, the Python version and nproc.  It covers every
-workload that BENCHMARK.json declares at two or more seeds, each run at
-the declared run length, and for each run it holds every declared
-end-to-end metric with a median and quartiles per side over ten or more
-paired runs.  Every workload and metric it names must be one that
+the parent revision, two different ones, the Python version and nproc.
+It covers every workload that BENCHMARK.json declares at two or more
+seeds, each (workload, seed) once and run at the declared run length.
+Each run has jobs, none of which failed on either side, and it holds
+every declared end-to-end metric with a median and quartiles per side
+over ten or more paired runs.  Every workload and metric it names must be one that
 BENCHMARK.json declares; that file is only read here.
 """
 
@@ -35,6 +36,7 @@ def test_bench_file_fields(path):
     bench = json.loads(path.read_text())
     for key in ("rev", "parent"):
         assert re.fullmatch(r"[0-9a-f]{40}", bench[key]), key
+    assert bench["rev"] != bench["parent"]
     assert isinstance(bench["python"], str) and bench["python"]
     assert type(bench["nproc"]) is int and bench["nproc"] >= 1
     assert bench["seconds"] == BENCHMARK["run_seconds"]
@@ -43,7 +45,11 @@ def test_bench_file_fields(path):
     for run in bench["runs"]:
         assert run["workload"] in WORKLOADS
         assert type(run["seed"]) is int
+        assert run["seed"] not in seeds.get(run["workload"], ()), (run["workload"], run["seed"])
         seeds.setdefault(run["workload"], set()).add(run["seed"])
+        assert type(run["jobs_per_run"]) is int and run["jobs_per_run"] >= 1
+        assert run["failed"] == {"parent": 0, "change": 0}
+        assert run["correct"] == {"parent": True, "change": True}
         assert END_TO_END <= run["metrics"].keys()
         for name, metric in run["metrics"].items():
             assert METRICS.get(name) == metric["unit"], name

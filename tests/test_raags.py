@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from raaghom import exact, raags
 from raaghom.complexes import SimplicialComplex, flag_completion
 from raaghom.exact import F2, QQ, FieldSpec, rank
+from raaghom.fibring import kaz_inequality_check
 from raaghom.raags import (
     FiniteQuotient,
     Raag,
@@ -432,6 +433,21 @@ def abelian_covers(draw, max_vertices=6, max_modulus=10, max_order=150, fields=(
     return Raag(L), moduli, field
 
 
+@st.composite
+def abelian_chains(draw):
+    """An `abelian_covers` case on <= 5 vertices with N <= 36, as a chain of three moduli.
+
+    The first moduli are drawn; each of the other two sets some of them to
+    1, so the living sets of the chain differ.
+    """
+    A, moduli, field = draw(abelian_covers(max_vertices=5, max_modulus=6, max_order=36, fields=(QQ, F2, F3)))
+    chain = [moduli]
+    for _ in range(2):
+        keep = draw(st.lists(st.booleans(), min_size=len(moduli), max_size=len(moduli)))
+        chain.append({v: n if k else 1 for (v, n), k in zip(moduli.items(), keep)})
+    return A, chain, field
+
+
 class TestCharacterSum:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(abelian_covers())
@@ -540,6 +556,58 @@ class TestCharacterSum:
         q = abelian_quotient(raag_edge(), {"a": 2})
         with pytest.raises(ValueError):
             cover_betti(raag_two_points(), q, QQ)
+
+    @staticmethod
+    def count_reads(monkeypatch) -> list:
+        reads = []
+        read = raags.reduced_betti_on
+
+        def counting(K, mask, field):
+            reads.append((mask, field))
+            return read(K, mask, field)
+
+        monkeypatch.setattr(raags, "reduced_betti_on", counting)
+        return reads
+
+    def test_each_link_read_once_per_complex_and_field(self, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        A = Raag(octahedron())
+        v = A.generators
+        chain = [
+            abelian_quotient(A, {v[0]: 2, v[1]: 2}),
+            abelian_quotient(A, {v[1]: 2, v[2]: 3, v[3]: 2}),
+            abelian_quotient(A, {v[0]: 3, v[4]: 2, v[5]: 2, v[3]: 2}),
+        ]
+        submasks = set()
+        for q in chain:
+            living = A.complex.mask(u for u, n in q.moduli.items() if n > 1)
+            submasks |= {u for u in range(living + 1) if u & ~living == 0}
+        first = gradient_sequence(A, chain, QQ, 2)
+        assert sorted(reads) == sorted((u, QQ) for u in submasks)
+        reads.clear()
+        assert gradient_sequence(A, chain, F3, 2)  # another field reads every link again
+        assert sorted(reads) == sorted((u, F3) for u in submasks)
+        reads.clear()
+        assert kaz_inequality_check(A, chain[::-1], QQ, 3)  # and the same field reads none
+        assert gradient_sequence(A, chain, QQ, 2) == first
+        assert reads == []
+        assert gradient_sequence(Raag(octahedron()), chain[:1], QQ, 2) == first[:1]  # an equal complex does
+        assert len(reads) == 4
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(abelian_chains())
+    @example((Raag(c4()), [{0: 2, 1: 3, 2: 1, 3: 2}, {0: 2, 1: 1, 2: 1, 3: 2}, {0: 1, 1: 3, 2: 1, 3: 1}], F2))
+    @example((Raag(c4()), [{0: 3, 1: 1, 2: 2, 3: 3}, {0: 3, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 1, 2: 2, 3: 3}], F3))
+    def test_a_chain_on_one_complex_matches_fresh_complexes_and_elimination(self, case):
+        # the examples have char F dividing N
+        A, chain, field = case
+        L = A.complex
+        for moduli in chain:
+            shared = cover_betti(A, abelian_quotient(A, moduli), field).betti
+            fresh = Raag(flag_completion(L.vertices, L.edges()))
+            q = abelian_quotient(fresh, moduli)
+            assert cover_betti(fresh, q, field).betti == shared
+            assert list(shared) == _eliminated_betti(fresh, FiniteQuotient(fresh, q.order, q.action), field)
 
 
 class TestGradientSequence:

@@ -53,6 +53,9 @@ RECORDS = [
      (2, (1,), (Fraction(1, 2),)), (4, (1,), (Fraction(1, 4),)), False, [
         ((2, (-1,), (Fraction(-1, 2),)), "negative Betti number"),
         ((2, (1,), (Fraction(1),)), "normalised values must equal betti/order exactly"),
+        ((2, (1,), (Fraction(1, 2), Fraction(7, 3))), "one normalised value per Betti number"),
+        ((2, (1, 1), (Fraction(1, 2),)), "one normalised value per Betti number"),
+        ((0, (0,), (Fraction(0),)), "order must be >= 1"),
     ]),
     (CriterionResult, ("number", "name", "passed", "detail"),
      (1, "headline", True, "ok"), (1, "headline", False, "ok"), False, []),
